@@ -17,7 +17,7 @@ import numpy as np
 from .covers import CoverSequence
 from .errors import CoverGap
 from .metricspace import FiniteMetricSpace
-from .proximity import PowerDistortion, fit_power_quasisymmetry, snowflake_check
+from .proximity import fit_power_quasisymmetry, snowflake_check
 from .tilegraph import TileGraph
 
 BOUNDARY_NOTE = (

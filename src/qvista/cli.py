@@ -45,8 +45,6 @@ from .spheregrid import SphereGrid
 
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qvista")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="cap internal parallelism (advisory; computation is vectorized)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("fixture", help="emit a canonical space and cover")
@@ -315,8 +313,7 @@ def _dispatch(args, seed: int) -> int:
                 w0 = sample.z[ci]
                 if not np.isfinite(w0):
                     continue
-                probes.append(degree_probe(map_, complex(w0), 0.5 * args.cover_radius, 4,
-                                           grid=SphereGrid(K=1024)))
+                probes.append(degree_probe(map_, complex(w0), 0.5 * args.cover_radius, 4))
             result["degree_probes"] = probes
         manifest = RunManifest(
             command="julia",

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import sympy
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .covers import CoverSequence
 from .errors import (
@@ -25,7 +27,7 @@ from .errors import (
 )
 from .metricspace import FiniteMetricSpace
 from .sphere import sphere_from_complex_array, spherical_dist_matrix
-from .spheregrid import SphereGrid
+from .spheregrid import SphereGrid, group_by_label
 
 MAX_PREIMAGE_COUNT = 4096
 ROOT_CLUSTER_TOL = 1e-7
@@ -185,24 +187,17 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def _cluster_roots(roots: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Merge numerically split copies of a multiple root.
 
-    A root joins the first cluster whose first root lies within ``tol``
-    (relative above modulus 1).  Each cluster is reported once, at the mean of
-    its roots, with its size as the multiplicity: a perturbed k-fold root
-    splits into k roots whose mean is accurate to O(eps), while any single
-    one is off by O(eps**(1/k)).  A double root splits by about sqrt(eps)
-    (~1.5e-8), which ``ROOT_CLUSTER_TOL`` covers; roots of multiplicity 3 or
-    more split by ~eps**(1/3) (~6e-6) and are not covered.  A simple root is
-    returned unchanged.
+    Clusters are those of ``_cluster_complex``: a root joins the first
+    cluster whose first root lies within ``tol`` (relative above modulus 1).
+    Each cluster is reported once, at the mean of its roots, with its size as
+    the multiplicity: a perturbed k-fold root splits into k roots whose mean
+    is accurate to O(eps), while any single one is off by O(eps**(1/k)).  A
+    double root splits by about sqrt(eps) (~1.5e-8), which
+    ``ROOT_CLUSTER_TOL`` covers; roots of multiplicity 3 or more split by
+    ~eps**(1/3) (~6e-6) and are not covered.  A simple root is returned
+    unchanged.
     """
-    groups: list[list[complex]] = []
-    for r in roots:
-        r = complex(r)
-        for group in groups:
-            if abs(r - group[0]) <= tol * max(1.0, abs(group[0])):
-                group.append(r)
-                break
-        else:
-            groups.append([r])
+    groups = [[complex(roots[i]) for i in g] for g in _cluster_complex(roots, tol)]
     pts = np.array([sum(g[1:], g[0]) / len(g) for g in groups], dtype=complex)
     mult = np.array([len(g) for g in groups], dtype=np.int64)
     return pts, mult
@@ -315,7 +310,6 @@ class AmbientRegion:
     parent: int  # rid in the previous level, -1 at level 1
     v1_index: int  # root ancestor in the level-1 family
     sample_points: tuple[int, ...] = ()
-    degree_estimate: int | None = None
 
     def diam(self, grid: SphereGrid, cap: int = 256) -> float:
         cells = self.cells
@@ -527,23 +521,8 @@ def _cluster_points_local(
         return []
     d = dist[np.ix_(idx, idx)]
     gap = factor * np.maximum.outer(local_nn[idx], local_nn[idx])
-    parent = np.arange(idx.size)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    rows, cols = np.nonzero(d <= gap)
-    for a, b in zip(rows, cols):
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for k in range(idx.size):
-        groups.setdefault(find(k), []).append(int(idx[k]))
-    return [np.array(g, dtype=np.int64) for g in groups.values()]
+    _n, comp = connected_components(csr_matrix(d <= gap), directed=False)
+    return group_by_label(idx, comp)
 
 
 def _nearest_region(grid: SphereGrid, vec: np.ndarray, fam: list[AmbientRegion]):

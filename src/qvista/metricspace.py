@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -65,17 +64,6 @@ class FiniteMetricSpace:
             return 0.0
         d = self.dist + np.diag(np.full(self.n, np.inf))
         return float(d.min(axis=1).max())
-
-    def set_diam(self, members: Sequence[int]) -> float:
-        idx = np.fromiter(members, dtype=int)
-        if idx.size <= 1:
-            return 0.0
-        return float(self.dist[np.ix_(idx, idx)].max())
-
-    def set_dist(self, a: Sequence[int], b: Sequence[int]) -> float:
-        ia = np.fromiter(a, dtype=int)
-        ib = np.fromiter(b, dtype=int)
-        return float(self.dist[np.ix_(ia, ib)].min())
 
     # -- serialization ----------------------------------------------------
 

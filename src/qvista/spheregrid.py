@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 CHART_HALF_WIDTH = 2.2
 EIGHT = np.ones((3, 3), dtype=int)  # 8-connectivity for component labeling
@@ -157,7 +159,11 @@ class SphereGrid:
         return (iy + lo_y) * self.K + (ix + lo_x)
 
     def components(self, cells: np.ndarray) -> list[np.ndarray]:
-        """Connected components of a set of cells, stitched across charts."""
+        """Connected components of a set of cells, stitched across charts.
+
+        Each component is an ascending array, and components are ordered by
+        their smallest cell.
+        """
         cells = np.unique(np.asarray(cells, dtype=np.int64))
         if cells.size == 0:
             return []
@@ -178,31 +184,27 @@ class SphereGrid:
             lab, n_lab = ndimage.label(mask, structure=EIGHT)
             labels[sel] = lab[iy - lo_y, ix - lo_x] - 1 + next_label
             next_label += n_lab
-        # union-find across the chart overlap
-        parent = np.arange(next_label)
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        # stitch the per-chart labels along matched twin cells; bool data,
+        # since the conversion to CSR sums duplicate edges
         twin = self.twin_flat()[cells]
-        has_twin = twin >= 0
-        if has_twin.any():
-            order = np.argsort(cells)
-            sorted_cells = cells[order]
-            pos = np.searchsorted(sorted_cells, twin[has_twin])
-            pos = np.clip(pos, 0, cells.size - 1)
-            match = sorted_cells[pos] == twin[has_twin]
-            src = np.flatnonzero(has_twin)[match]
-            dst = order[pos[match]]
-            for a, b in zip(labels[src], labels[dst]):
-                ra, rb = find(int(a)), find(int(b))
-                if ra != rb:
-                    parent[rb] = ra
-        roots = np.array([find(int(a)) for a in labels])
-        comps: dict[int, list[int]] = {}
-        for cell, r in zip(cells, roots):
-            comps.setdefault(int(r), []).append(int(cell))
-        return [np.array(sorted(v), dtype=np.int64) for _k, v in sorted(comps.items())]
+        src = np.flatnonzero(twin >= 0)
+        pos = np.minimum(np.searchsorted(cells, twin[src]), cells.size - 1)
+        match = cells[pos] == twin[src]
+        edges = csr_matrix(
+            (np.ones(int(match.sum()), dtype=bool), (labels[src[match]], labels[pos[match]])),
+            shape=(next_label, next_label),
+        )
+        _n, comp = connected_components(edges, directed=False)
+        return group_by_label(cells, comp[labels])
+
+
+def group_by_label(items: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
+    """Split ``items`` into one array per label, in ascending label order.
+
+    Each group keeps the input order of its items.  With labels from
+    ``connected_components``, which numbers components by their lowest node,
+    groups come out ordered by their first item.
+    """
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.split(items[order], cuts)

@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from qvista.julia import RationalMap, admissible_cover, julia_sample, pullback_cover
 from qvista.sphere import (
     SpherePoint,
     complex_from_sphere,
@@ -8,6 +12,7 @@ from qvista.sphere import (
     spherical_dist_matrix,
     spherical_distance,
 )
+from qvista.spheregrid import SphereGrid
 
 
 def length_element_integral(z0: complex, z1: complex, steps: int = 200_000) -> float:
@@ -62,3 +67,41 @@ def test_metric_axioms_random_sample():
 def test_unit_norm_enforced():
     with pytest.raises(ValueError):
         SpherePoint(np.array([1.0, 1.0, 0.0]))
+
+
+def test_components_stitch_seam_and_order():
+    grid = SphereGrid(K=128)
+    half = grid.K * grid.K
+    # a ball on the seam |z| = 1 is rasterized in both charts
+    seam = grid.raster_spherical_ball(sphere_from_complex(1.0), 0.3)
+    blob = grid.raster_spherical_ball(sphere_from_complex(-0.2j), 0.15)
+    assert (seam < half).any() and (seam >= half).any()
+    assert (blob < half).all()
+    cells = np.concatenate([blob, seam])
+    comps = grid.components(cells)
+    assert len(comps) == 2
+    for c in comps:
+        assert np.all(np.diff(c) > 0)
+    assert comps[0][0] < comps[1][0]
+    assert np.array_equal(np.sort(np.concatenate(comps)), np.unique(cells))
+    assert any(np.array_equal(c, np.unique(seam)) for c in comps)
+
+
+# sha256 per level of [[parent, cells, sample_points], ...] for the z^2-1
+# pull-back families below; any change to components or their order shows here
+BASILICA_FAMILY_DIGESTS = [
+    "8cea65fd7af339694221c9cd5cc75699368acc8a5507582e8761fa3cd60b941c",
+    "ce9dfe0402f3f9af9c228ad1472e6201b06b62e6aff2046f51d0e0c70836c2a8",
+    "5f88b6251c6f260cfdbaf208c3bc18b69bc7deb634d374e01953a094adbe5336",
+]
+
+
+def test_basilica_pullback_families_golden():
+    g = RationalMap.parse("z^2-1")
+    pull = admissible_cover(g, julia_sample(g, 8), 0.25, grid=SphereGrid(K=256))
+    pull = pullback_cover(pull, 3)
+    digests = []
+    for fam in pull.families:
+        rows = [[r.parent, r.cells.tolist(), list(r.sample_points)] for r in fam]
+        digests.append(hashlib.sha256(json.dumps(rows).encode()).hexdigest())
+    assert digests == BASILICA_FAMILY_DIGESTS
