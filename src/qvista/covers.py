@@ -44,6 +44,19 @@ class Tile:
         return tuple(sorted(self.members))
 
 
+def bool_product(*mats: np.ndarray) -> np.ndarray:
+    """Boolean matrix product of 0/1 factors, left to right, on BLAS.
+
+    Exact at any size: each step multiplies 0/1 float32 matrices, every term
+    of a sum is non-negative, so a sum is 0 only when every term is, and
+    products of 1.0 cannot underflow.
+    """
+    out = mats[0]
+    for m in mats[1:]:
+        out = (out.astype(np.float32) @ m.astype(np.float32)) > 0
+    return out
+
+
 class CoverSequence:
     """A truncated sequence of covers X^0..X^N of a finite metric space.
 
@@ -89,6 +102,7 @@ class CoverSequence:
             raise ValueError("level 0 must consist of the single whole-space tile")
         self._membership: dict[int, np.ndarray] = {}
         self._diams: dict[int, np.ndarray] = {}
+        self._reach: dict[tuple[int, int], np.ndarray] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -131,15 +145,20 @@ class CoverSequence:
     def adjacency(self, level: int) -> np.ndarray:
         """Same-level intersection graph (diagonal True)."""
         m = self.membership(level)
-        return (m.astype(np.int32) @ m.astype(np.int32).T) > 0
+        return bool_product(m, m.T)
 
     def reach_within(self, level: int, length: int) -> np.ndarray:
-        """Tile pairs joined by a chain of at most ``length`` same-level tiles."""
-        adj = self.adjacency(level)
-        reach = np.eye(adj.shape[0], dtype=bool)
-        for _ in range(length):
-            reach = reach | (reach.astype(np.int32) @ adj.astype(np.int32) > 0)
-        return reach
+        """Tile pairs joined by a chain of at most ``length`` same-level tiles.
+
+        Cached per (level, length) and read-only.
+        """
+        key = (level, length)
+        if key not in self._reach:
+            adj = self.adjacency(level)  # diagonal True, so reach only grows
+            reach = bool_product(np.eye(len(adj), dtype=bool), *[adj] * length)
+            reach.flags.writeable = False
+            self._reach[key] = reach
+        return self._reach[key]
 
     def pair_distances(self, level: int) -> np.ndarray:
         """Matrix of set distances dist(X, Y) between same-level tiles."""
@@ -378,8 +397,7 @@ def verify_quasi_visual(
     for lev, fam in enumerate(cover.levels):
         diams = cover.diams(lev)
         if len(fam) > 1:
-            adj = cover.adjacency(lev)
-            np.fill_diagonal(adj, False)
+            adj = cover.adjacency(lev) & ~np.eye(len(fam), dtype=bool)
             if adj.any():
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ratio = np.where(adj, diams[:, None] / diams[None, :], 0.0)
@@ -399,9 +417,7 @@ def verify_quasi_visual(
                     c2_best = float(ratio[i, j])
                     c2_wit = {"tiles": [[lev, i], [lev, j]], "ratio": float(ratio[i, j])}
         if lev + 1 <= cover.depth:
-            up = cover.membership(lev).astype(np.int32)
-            dn = cover.membership(lev + 1).astype(np.int32)
-            inter = (up @ dn.T) > 0
+            inter = bool_product(cover.membership(lev), cover.membership(lev + 1).T)
             if inter.any():
                 d_up, d_dn = diams, cover.diams(lev + 1)
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -467,12 +483,11 @@ def _cross_level_gap_ratios(
     gap_max: dict[int, float] = {}
     gap_min: dict[int, float] = {}
     for n in range(cover.depth + 1):
-        up = cover.membership(n).astype(np.int32)
+        up = cover.membership(n)
         d_up = cover.diams(n)
         for m in range(n + 1, cover.depth + 1):
             k = m - n
-            dn = cover.membership(m).astype(np.int32)
-            inter = (up @ dn.T) > 0
+            inter = bool_product(up, cover.membership(m).T)
             ok = inter & (d_up[:, None] > 0)
             if resolved is not None:
                 ok &= resolved[n][:, None] & resolved[m][None, :]

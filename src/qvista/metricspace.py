@@ -7,7 +7,7 @@ probes work directly on the matrix; nothing here assumes coordinates exist.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.sparse.csgraph import floyd_warshall
 
-from .covers import CoverSequence, VerificationReport, verify_visual
+from .covers import CoverSequence, VerificationReport, bool_product, verify_visual
 from .errors import KTooLarge, LambdaTooLarge, MapNotClosed
 from .metricspace import FiniteMetricSpace
 
@@ -107,9 +106,8 @@ class PowerDistortion:
 
 def _point_proximity_at_level(cover: CoverSequence, level: int) -> np.ndarray:
     """Boolean matrix: pairs occupying tiles X, Y with U_w(X) meeting U_w(Y)."""
-    mem = cover.membership(level).astype(np.int32)
-    near = cover.reach_within(level, 2 * cover.width + 1).astype(np.int32)
-    return (mem.T @ near @ mem) > 0
+    mem = cover.membership(level)
+    return bool_product(mem.T, cover.reach_within(level, 2 * cover.width + 1), mem)
 
 
 def compute_proximity(cover: CoverSequence) -> ProximityTable:
@@ -139,10 +137,9 @@ def infimum_proximity(cover: CoverSequence) -> np.ndarray:
     depth = cover.depth
     out = np.full((n, n), depth + 1, dtype=np.int64)
     for lev in range(depth, 0, -1):
-        mem = cover.membership(lev).astype(np.int32)
-        near = cover.reach_within(lev, 2 * cover.width + 1)
-        far = (~near).astype(np.int32)
-        sep = (mem.T @ far @ mem) > 0
+        mem = cover.membership(lev)
+        far = ~cover.reach_within(lev, 2 * cover.width + 1)
+        sep = bool_product(mem.T, far, mem)
         out[sep] = lev
     np.fill_diagonal(out, depth + 1)
     return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .covers import CoverSequence
+from .covers import CoverSequence, bool_product
 from .errors import TripleBudgetExceeded, UnknownVertex
 from .proximity import ProximityTable
 
@@ -40,16 +40,13 @@ class TileGraph:
         rows, cols = [], []
         for lev in range(cover.depth + 1):
             base = self._vindex[(lev, 0)]
-            adj = cover.adjacency(lev)
-            np.fill_diagonal(adj, False)
+            adj = cover.adjacency(lev) & ~np.eye(len(cover.levels[lev]), dtype=bool)
             r, c = np.nonzero(adj)
             rows.extend(base + r)
             cols.extend(base + c)
             if lev < cover.depth:
                 base2 = self._vindex[(lev + 1, 0)]
-                up = cover.membership(lev).astype(np.int32)
-                dn = cover.membership(lev + 1).astype(np.int32)
-                inter = (up @ dn.T) > 0
+                inter = bool_product(cover.membership(lev), cover.membership(lev + 1).T)
                 r, c = np.nonzero(inter)
                 rows.extend(base + r)
                 cols.extend(base2 + c)

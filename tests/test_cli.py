@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qvista.cli import main
 
 
@@ -57,3 +59,63 @@ def test_unknown_option_is_usage_error(tmp_path):
                  "--out-cover", str(tmp_path / "c.json"), "--no-such-option"])
     assert code == 2
     assert not (tmp_path / "s.json").exists()
+
+
+def _cantor_chain(tmp_path):
+    """The cantor fixture (depth 3, sample depth 4) and a cover built on it at lambda 3."""
+    space, built = tmp_path / "space.json", tmp_path / "built.json"
+    assert main(["fixture", "cantor", "--depth", "3", "--sample-depth", "4",
+                 "--out-space", str(space), "--out-cover", str(tmp_path / "cover.json")]) == 0
+    assert main(["build", "--space", str(space), "--lambda", "3", "--depth", "3",
+                 "--out", str(built)]) == 0
+    return space, built
+
+
+def test_synthesize_exit_codes(tmp_path):
+    _, built = _cantor_chain(tmp_path)
+    report = tmp_path / "report.json"
+    # C = 1 on this cover, so lam = 1.5 keeps lam^C <= 2
+    assert main(["synthesize", "--cover", str(built), "--lambda", "1.5",
+                 "--out", str(tmp_path / "metric.json"), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["passed"] is True
+    # lam^C = 3 > 2 is a usage error
+    assert main(["synthesize", "--cover", str(built), "--lambda", "3",
+                 "--out", str(tmp_path / "too_large.json")]) == 2
+
+
+def test_qscheck_space_against_itself(tmp_path):
+    space, _ = _cantor_chain(tmp_path)
+    out = tmp_path / "qs.json"
+    assert main(["qscheck", "--d1", str(space), "--d2", str(space), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["snowflake"]["alpha"] == pytest.approx(1.0)
+
+
+def test_boundary_exit_codes(tmp_path):
+    # a cover one level deeper than the sample separates every pair
+    space, cover = tmp_path / "s3.json", tmp_path / "c4.json"
+    assert main(["fixture", "cantor", "--depth", "4", "--sample-depth", "3",
+                 "--out-space", str(space), "--out-cover", str(cover)]) == 0
+    out = tmp_path / "boundary.json"
+    assert main(["boundary", "--cover", str(cover), "--space", str(space), "--lambda", "3",
+                 "--check", "snowflake", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["injectivity"]["ok"] is True
+    # the depth-3 chain cover leaves sample-depth-4 pairs unseparated: a FAIL
+    chain_space, built = _cantor_chain(tmp_path)
+    assert main(["boundary", "--cover", str(built), "--space", str(chain_space),
+                 "--lambda", "3", "--check", "snowflake",
+                 "--out", str(tmp_path / "fail.json")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "--cover", "{missing}", "--lambda", "1.5", "--out", "{out}"],
+    ["qscheck", "--d1", "{missing}", "--d2", "{missing}"],
+    ["boundary", "--cover", "{missing}", "--space", "{missing}", "--lambda", "3",
+     "--check", "snowflake", "--out", "{out}"],
+])
+def test_missing_input_is_io_error(tmp_path, capsys, argv):
+    paths = {"missing": str(tmp_path / "missing.json"), "out": str(tmp_path / "out.json")}
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qvista: error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from qvista.covers import (
     CoverSequence,
     ball_tile_comparability,
+    bool_product,
     derive_rho_tau_nu,
     quasiball_check,
     u_w_neighborhood,
@@ -69,6 +70,57 @@ class TestNeighborhoods:
                     cur = {x.index for x in u_w_neighborhood(cover, t, w)}
                     assert prev <= cur
                     prev = cur
+
+
+class TestBoolProduct:
+    @staticmethod
+    def reference(*mats):
+        out = mats[0].astype(np.int64)
+        for m in mats[1:]:
+            out = out @ m.astype(np.int64)
+        return out > 0
+
+    @pytest.mark.parametrize("shapes", [[(5, 5), (5, 5)], [(3, 7), (7, 4)],
+                                        [(1, 9), (9, 1)], [(6, 2), (2, 8), (8, 5)]])
+    def test_matches_int64_reference(self, shapes):
+        rng = np.random.default_rng(0)
+        for density in (0.1, 0.5):
+            mats = [rng.random(s) < density for s in shapes]
+            # an all-zero row of the first factor and column of the last
+            mats[0][0] = False
+            mats[-1][:, -1] = False
+            got = bool_product(*mats)
+            assert got.dtype == bool
+            assert np.array_equal(got, self.reference(*mats))
+            assert not got[0].any() and not got[:, -1].any()
+
+
+def reach_oracle(cover, level, length):
+    """``brute_force_uw`` for every tile of a level, as a boolean matrix."""
+    fam = cover.levels[level]
+    out = np.zeros((len(fam), len(fam)), dtype=bool)
+    for t in fam:
+        out[t.index, sorted(brute_force_uw(cover, level, t.index, length))] = True
+    return out
+
+
+class TestReachWithin:
+    @pytest.mark.parametrize("name", ["cantor", "dyadic", "interleaved", "gasket"])
+    def test_matches_chain_oracle(self, name, request):
+        _, cover = request.getfixturevalue(name)
+        for lev in range(len(cover.levels)):
+            assert np.array_equal(cover.adjacency(lev), reach_oracle(cover, lev, 1))
+            for length in range(4):
+                assert np.array_equal(cover.reach_within(lev, length),
+                                      reach_oracle(cover, lev, length))
+
+    def test_cached_and_read_only(self, dyadic):
+        _, cover = dyadic
+        reach = cover.reach_within(2, 1)
+        assert cover.reach_within(2, 1) is reach
+        assert cover.reach_within(2, 2) is not reach
+        with pytest.raises(ValueError):
+            reach[0, 0] = False
 
 
 class TestVerifyVisual:

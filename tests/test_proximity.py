@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qvista.covers import CoverSequence, verify_quasi_visual
 from qvista.errors import KTooLarge, LambdaTooLarge, MapNotClosed
+from qvista.julia import RationalMap, admissible_cover, induce_tiles, julia_sample, pullback_cover
 from qvista.metricspace import FiniteMetricSpace
 from qvista.proximity import (
     ProximityTable,
@@ -22,6 +24,7 @@ from qvista.proximity import (
     synthesize_visual_metric,
     visual_characterization_check,
 )
+from qvista.spheregrid import SphereGrid
 
 
 def brute_force_proximity(cover):
@@ -320,6 +323,21 @@ class TestDynamicalChecks:
         space, cover, gmap = circle_fixture()
         with pytest.raises(MapNotClosed):
             dynamical_checks(cover, gmap + space.n)
+
+
+def test_cantor_julia_proximity_golden():
+    """Both proximity tables of the z^2-3 pull-back tiles, pinned by SHA-256."""
+    g = RationalMap.parse("z^2-3")
+    pull = admissible_cover(g, julia_sample(g, 8), 0.25, grid=SphereGrid(K=256))
+    cov = induce_tiles(pullback_cover(pull, 3))
+    assert [len(f) for f in cov.levels] == [1, 6, 32, 64]
+    assert cov.n_points == 256
+    digests = [hashlib.sha256(a.tobytes()).hexdigest()
+               for a in (compute_proximity(cov).m, infimum_proximity(cov))]
+    assert digests == [
+        "3195aa29536c773da33571492f9edb9244d32b4bb4d451da58ef86b2b59eae68",
+        "e2b100003239a2d38a937ab0f6018ad0d72df43c5cd85883444ddd184b21ca70",
+    ]
 
 
 @st.composite
