@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covers import CoverSequence
+from .covers import CoverSequence, tile_pair_reduce
 from .errors import CoverGap
 from .metricspace import FiniteMetricSpace
 from .proximity import fit_power_quasisymmetry, snowflake_check
@@ -106,21 +106,21 @@ def boundary_metric(
     dist = np.where(resolved, dist, 0.0)
     np.fill_diagonal(dist, 0.0)
 
-    d = cover.space.dist
-    worst = 1.0
-    members = [np.fromiter(graph.members_of(int(v)), dtype=int) for v in np.unique(deepest)]
-    vmap = {int(v): k for k, v in enumerate(np.unique(deepest))}
-    for x in range(n):
-        ix = members[vmap[int(deepest[x])]]
-        for y in range(x + 1, n):
-            if not resolved[x, y]:
-                continue
-            iy = members[vmap[int(deepest[y])]]
-            # diam(X u Y) ~ sup of cross distances, within a factor 2
-            cross = float(d[np.ix_(ix, iy)].max())
-            scale = float(lam) ** (-prod2[x, y] / 2.0)
-            if cross > 0:
-                worst = max(worst, cross / scale, scale / cross)
+    # Both diam(X u Y) and L^-(X.Y) depend only on the pair of deepest tiles,
+    # and a pair of points is resolved exactly when its deepest tiles differ.
+    tiles = np.unique(deepest)
+    members = [np.fromiter(graph.members_of(int(v)), dtype=int) for v in tiles]
+    # diam(X u Y) ~ sup of cross distances, within a factor 2
+    cross = tile_pair_reduce(cover.space.dist, members, np.maximum)
+    # L^-(X.Y): one scalar power per distinct product, since an array power may
+    # take a SIMD path that rounds differently in the last bit
+    tile_prod2 = g2[np.ix_(tiles, tiles)]
+    values = np.unique(tile_prod2)
+    scales = np.array([float(lam) ** (-p / 2.0) for p in values])
+    scale = scales[np.searchsorted(values, tile_prod2)]
+    ok = (cross > 0) & ~np.eye(len(tiles), dtype=bool)
+    c, s = cross[ok], scale[ok]
+    worst = float(np.maximum(c / s, s / c).max(initial=1.0))
     return BoundaryMetricApprox(
         dist=dist,
         lam=float(lam),

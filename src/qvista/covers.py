@@ -57,6 +57,40 @@ def bool_product(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def maxmin_product(a: np.ndarray) -> np.ndarray:
+    """(max,min) matrix product: out[x, y] = max over z of min(a[x, z], a[z, y]).
+
+    One boolean product per distinct value of ``a``: for each value t above
+    a.min(), in ascending order, out[x, y] >= t exactly when (a >= t)(a >= t)
+    is nonzero at (x, y).  Entries set to a.min() (a masked diagonal, say)
+    never lift a pair above that minimum.
+    """
+    levels = np.unique(a)
+    out = np.full(a.shape, levels[0], dtype=a.dtype)
+    for t in levels[1:]:
+        b = a >= t
+        out[bool_product(b, b)] = t
+    return out
+
+
+def tile_pair_reduce(mat: np.ndarray, members: Sequence[np.ndarray], reduce) -> np.ndarray:
+    """out[a, b] = ``reduce`` of mat over X_a x X_b, for every pair of tiles.
+
+    ``members`` holds one point-index array per tile, and tiles may overlap;
+    ``reduce`` is a binary ufunc such as np.minimum.  Reduces point-to-tile
+    first, then tile-to-tile: two passes over the members instead of one
+    submatrix per tile pair.
+    """
+    k = len(members)
+    p2t = np.empty((k, mat.shape[1]), dtype=mat.dtype)
+    for i, idx in enumerate(members):
+        reduce.reduce(mat[idx], axis=0, out=p2t[i])
+    out = np.empty((k, k), dtype=mat.dtype)
+    for j, idx in enumerate(members):
+        reduce.reduce(p2t[:, idx], axis=1, out=out[:, j])
+    return out
+
+
 class CoverSequence:
     """A truncated sequence of covers X^0..X^N of a finite metric space.
 
@@ -162,18 +196,8 @@ class CoverSequence:
 
     def pair_distances(self, level: int) -> np.ndarray:
         """Matrix of set distances dist(X, Y) between same-level tiles."""
-        d = self.space.dist
-        fam = self.levels[level]
-        members = [np.fromiter(t.members, dtype=int) for t in fam]
-        k = len(fam)
-        # point-to-tile minima, then reduce over the second tile's members
-        p2t = np.empty((k, self.n_points))
-        for i, idx in enumerate(members):
-            p2t[i] = d[idx].min(axis=0)
-        out = np.empty((k, k))
-        for j, idx in enumerate(members):
-            out[:, j] = p2t[:, idx].min(axis=1)
-        return out
+        members = [np.fromiter(t.members, dtype=int) for t in self.levels[level]]
+        return tile_pair_reduce(self.space.dist, members, np.minimum)
 
     def with_space(self, space: FiniteMetricSpace) -> "CoverSequence":
         """Rebind the same combinatorial cover to another metric on the same points."""

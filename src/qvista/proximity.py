@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.csgraph import floyd_warshall
 
-from .covers import CoverSequence, VerificationReport, bool_product, verify_visual
+from .covers import (
+    CoverSequence,
+    VerificationReport,
+    bool_product,
+    maxmin_product,
+    tile_pair_reduce,
+    verify_visual,
+)
 from .errors import KTooLarge, LambdaTooLarge, MapNotClosed
 from .metricspace import FiniteMetricSpace
 
@@ -195,6 +202,13 @@ def check_combinatorially_visual(
           member pairs;
     (iv)  m(x,y) >= min(m(x,z), m(z,y)) - C over all triples, with the
           sentinel entering as the number N+1.
+
+    The (iii) constant reduces m over each pair of tiles at once, and the
+    (iv) constant is the (max,min) product of m with itself minus m.  The
+    witnesses are those of a plain scan: for (iii) the first (level, a, b)
+    with a < b, by level and then row-major, whose excess reaches C_iii; for
+    (iv) the first z, in ascending order, at which some pair reaches C_iv,
+    and the row-major first such pair (x, y) at that z.
     """
     if table is None:
         table = compute_proximity(cover)
@@ -223,41 +237,21 @@ def check_combinatorially_visual(
         witnesses["ii"] = wit_ii
 
     c_iii = 0.0
-    wit_iii = None
     for lev in range(cover.depth + 1):
-        fam = cover.levels[lev]
-        if len(fam) < 2:
-            continue
-        sep = ~cover.reach_within(lev, 2 * cover.width + 1)
+        sep = np.triu(~cover.reach_within(lev, 2 * cover.width + 1), 1)
         if not sep.any():
             continue
         mem = cover.membership(lev)
-        for a in range(len(fam)):
-            bs = np.flatnonzero(sep[a])
-            bs = bs[bs > a]
-            if not bs.size:
-                continue
-            ia = np.flatnonzero(mem[a])
-            for b in bs:
-                ib = np.flatnonzero(mem[b])
-                worst = int(m[np.ix_(ia, ib)].max())
-                if worst - lev > c_iii:
-                    c_iii = float(worst - lev)
-                    wit_iii = {"tiles": [[lev, a], [lev, int(b)]], "max_m": worst}
-    if wit_iii:
-        witnesses["iii"] = wit_iii
+        worst = tile_pair_reduce(m, [np.flatnonzero(r) for r in mem], np.maximum)
+        a, b = np.unravel_index(int(np.argmax(np.where(sep, worst, -1))), sep.shape)
+        if worst[a, b] - lev > c_iii:
+            c_iii = float(worst[a, b] - lev)
+            witnesses["iii"] = {"tiles": [[lev, int(a)], [lev, int(b)]], "max_m": int(worst[a, b])}
 
-    c_iv = 0.0
-    wit_iv = None
-    mf = m.astype(float)
-    for z in range(table.n):
-        need = np.minimum.outer(mf[:, z], mf[z, :]) - mf
-        i, j = map(int, np.unravel_index(int(np.argmax(need)), need.shape))
-        if need[i, j] > c_iv:
-            c_iv = float(need[i, j])
-            wit_iv = {"triple": [i, j, z]}
-    if wit_iv:
-        witnesses["iv"] = wit_iv
+    need = maxmin_product(m) - m
+    c_iv = float(max(need.max(), 0))
+    if c_iv > 0:
+        witnesses["iv"] = {"triple": _first_triple(m, need)}
 
     return CombinatorialCheck(
         C_ii=c_ii,
@@ -268,6 +262,26 @@ def check_combinatorially_visual(
         table=table,
         witnesses=witnesses,
     )
+
+
+def _first_triple(m: np.ndarray, need: np.ndarray) -> list[int]:
+    """Witness [x, y, z] of the largest triple excess ``need`` of m.
+
+    z is the first point, in ascending order, at which some pair reaches the
+    maximum; (x, y) is the row-major first such pair at that z.  A pair with
+    need c reaches it at z exactly when m[x, z] and m[z, y] are both at least
+    m[x, y] + c, so one boolean product per target level finds the z.
+    """
+    c = need.max()
+    top = need == c
+    z = len(m)
+    for t in np.unique(m[top] + c):
+        b = m >= t
+        hit = np.flatnonzero((bool_product(b.T, top & (m + c == t)) & b).any(axis=1))
+        z = min(z, int(hit[0]))
+    at_z = np.minimum.outer(m[:, z], m[z, :]) - m
+    x, y = np.unravel_index(int(np.argmax(at_z)), at_z.shape)
+    return [int(x), int(y), z]
 
 
 def quasi_metric_from_m(
@@ -287,11 +301,8 @@ def quasi_metric_from_m(
     if check is not None:
         C = check.C
     else:
-        mf = table.m.astype(float)
-        C = 0.0
-        for z in range(table.n):
-            need = np.minimum.outer(mf[:, z], mf[z, :]) - mf
-            C = max(C, float(need.max()))
+        m = table.m
+        C = float(max((maxmin_product(m) - m).max(), 0))
     K = float(lam) ** C
     if K > 2.0:
         raise LambdaTooLarge(
@@ -308,20 +319,20 @@ def quasi_metric_from_m(
 
 
 def empirical_quasi_constant(qm: QuasiMetric) -> float:
-    """Smallest K with q(x,y) <= K max(q(x,z), q(z,y)) over all triples."""
+    """Smallest K with q(x,y) <= K max(q(x,z), q(z,y)) over triples of distinct points.
+
+    The smallest denominator over z is the (max,min) product of -q with its
+    diagonal masked, so that z is neither x nor y: one boolean product per
+    distinct value of q.  Its entries are entries of q, so each
+    ratio is the same float as dividing by that triple's own denominator.
+    """
     q = qm.q
-    n = qm.n
-    worst = 1.0
-    for z in range(n):
-        denom = np.maximum.outer(q[:, z], q[z, :])
-        np.fill_diagonal(denom, 1.0)  # x == y gives q = 0; skip
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(denom > 0, q / denom, np.inf)
-        ratio[np.arange(n), np.arange(n)] = 0.0
-        ratio[:, z] = 0.0
-        ratio[z, :] = 0.0
-        worst = max(worst, float(ratio.max()))
-    return worst
+    off = ~np.eye(qm.n, dtype=bool)
+    a = np.where(off, -q, -np.inf)
+    denom = -maxmin_product(a)  # inf where no z is left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(denom > 0, q / denom, np.inf)
+    return max(1.0, float(ratio[off].max(initial=0.0)))
 
 
 def chain_metrize(qm: QuasiMetric) -> FiniteMetricSpace:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -50,6 +51,11 @@ class RunManifest:
 
 def _plain(obj):
     """Recursively convert report objects to JSON-serializable plain data."""
+    # plain Python scalars first: a report's large matrices arrive as lists of them
+    if type(obj) is float:
+        return obj if math.isfinite(obj) else repr(obj)
+    if obj is None or type(obj) in (int, str, bool):
+        return obj
     if hasattr(obj, "to_dict"):
         return _plain(obj.to_dict())
     if isinstance(obj, dict):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .covers import CoverSequence, bool_product
+from .covers import CoverSequence, bool_product, maxmin_product, tile_pair_reduce
 from .errors import TripleBudgetExceeded, UnknownVertex
 from .proximity import ProximityTable
 
@@ -105,8 +105,11 @@ def hyperbolicity_constant(
 ) -> float:
     """Smallest C with (X.Y) >= min((X.Z), (Z.Y)) - C over vertex triples.
 
-    Exact mode scans all triples and is capped at 400 vertices; sampled mode
-    scans a seeded uniform subset and returns a lower bound on the constant.
+    Exact mode takes the (max,min) product of the doubled Gromov products:
+    one V x V boolean product per distinct product value, at most 2N + 1 of
+    them, instead of a scan of all V^3 triples.  It stays capped at 400
+    vertices.  Sampled mode scans a seeded uniform subset of triples and
+    returns a lower bound on the constant.
     """
     n = graph.n_vertices
     g2 = graph.gromov2()
@@ -115,10 +118,7 @@ def hyperbolicity_constant(
             raise TripleBudgetExceeded(
                 f"{n} vertices exceed the exact-mode cap {EXACT_TRIPLE_VERTEX_CAP}"
             )
-        worst = 0
-        for z in range(n):
-            need = np.minimum.outer(g2[:, z], g2[z, :]) - g2
-            worst = max(worst, int(need.max()))
+        worst = max(0, int((maxmin_product(g2) - g2).max()))
         return worst / 2.0
     if mode == "sampled":
         rng = np.random.default_rng(seed)
@@ -141,15 +141,8 @@ def extended_proximity(
 
 def extended_proximity_matrix(graph: TileGraph, table: ProximityTable) -> np.ndarray:
     """All-pairs extended proximity over graph vertices."""
-    n = graph.n_vertices
-    members = [np.fromiter(graph.members_of(i), dtype=int) for i in range(n)]
-    t2v = np.empty((n, table.n), dtype=np.int64)
-    for i, idx in enumerate(members):
-        t2v[i] = table.m[idx].min(axis=0)
-    out = np.empty((n, n), dtype=np.int64)
-    for j, idx in enumerate(members):
-        out[:, j] = t2v[:, idx].min(axis=1)
-    return out
+    members = [np.fromiter(graph.members_of(i), dtype=int) for i in range(graph.n_vertices)]
+    return tile_pair_reduce(table.m, members, np.minimum)
 
 
 @dataclass

@@ -138,3 +138,47 @@ class TestRegularity:
         )
         out = phi_regularity_check(sub, small)
         assert out["kind"] == "quasisymmetry"
+
+
+def diam_comparability_oracle(cover, g, bnd, tie_break):
+    """The per point pair scan of diam(X u Y) against L^-(X.Y)."""
+    n = cover.n_points
+    depth = cover.depth
+    deepest = np.array([g.vertex(natural_geodesic(cover, x, tie_break).tiles[depth])
+                        for x in range(n)])
+    d = cover.space.dist
+    lam = bnd.lam
+    prod2 = bnd.products2
+    worst = 1.0
+    for x in range(n):
+        ix = np.fromiter(g.members_of(int(deepest[x])), dtype=int)
+        for y in range(x + 1, n):
+            if not prod2[x, y] < 2 * depth:
+                continue
+            iy = np.fromiter(g.members_of(int(deepest[y])), dtype=int)
+            cross = float(d[np.ix_(ix, iy)].max())
+            scale = float(lam) ** (-prod2[x, y] / 2.0)
+            if cross > 0:
+                worst = max(worst, cross / scale, scale / cross)
+    return worst
+
+
+class TestDiamComparability:
+    @pytest.mark.parametrize("name", ["gasket", "interleaved", "dyadic"])
+    @pytest.mark.parametrize("tie_break", ["low", "high"])
+    def test_matches_point_pair_scan(self, name, tie_break, request):
+        _, cover = request.getfixturevalue(name)
+        g = build_tile_graph(cover)
+        for lam in (2.0, 3.0):
+            bnd = boundary_metric(cover, g, lam, tie_break=tie_break)
+            assert type(bnd.diam_comparability) is float
+            assert bnd.diam_comparability == diam_comparability_oracle(cover, g, bnd, tie_break)
+            assert bnd.diam_comparability > 1.0
+
+    def test_single_deepest_tile(self):
+        # depth 0: every point sits in the root, so no pair is resolved, and
+        # the root's own diameter (5, against L^0 = 1) must not enter
+        space, cover = fixture("cantor", depth=0, sample_depth=3)
+        cover = cover.with_space(FiniteMetricSpace(dist=5.0 * space.dist))
+        bnd = boundary_metric(cover, build_tile_graph(cover), 3.0)
+        assert bnd.diam_comparability == 1.0 and type(bnd.diam_comparability) is float

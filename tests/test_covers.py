@@ -7,7 +7,9 @@ from qvista.covers import (
     ball_tile_comparability,
     bool_product,
     derive_rho_tau_nu,
+    maxmin_product,
     quasiball_check,
+    tile_pair_reduce,
     u_w_neighborhood,
     verify_quasi_visual,
     verify_visual,
@@ -93,6 +95,79 @@ class TestBoolProduct:
             assert got.dtype == bool
             assert np.array_equal(got, self.reference(*mats))
             assert not got[0].any() and not got[:, -1].any()
+
+
+def maxmin_oracle(a, distinct=False):
+    """Per-z scan of min(a[x, z], a[z, y]); with ``distinct``, z ranges over
+    points other than x and y, and a pair with no such z gets ``a.min()``."""
+    n = len(a)
+    out = np.full(a.shape, a.min(), dtype=a.dtype)
+    for z in range(n):
+        cand = np.minimum.outer(a[:, z], a[z, :])
+        if distinct:
+            cand[z, :] = cand[:, z] = a.min()
+        out = np.maximum(out, cand)
+    return out
+
+
+class TestMaxminProduct:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+    def test_matches_outer_scan(self, n):
+        rng = np.random.default_rng(n)
+        for values in ([0, 1, 2, 3], [0, 2, 5, 9], [-3, 4, 11]):
+            a = rng.choice(values, size=(n, n))
+            for sym in (False, True):
+                if sym:
+                    a = np.maximum(a, a.T)
+                got = maxmin_product(a)
+                assert got.dtype == a.dtype
+                assert np.array_equal(got, maxmin_oracle(a))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    def test_masked_diagonal_excludes_endpoints(self, n):
+        rng = np.random.default_rng(10 + n)
+        a = rng.integers(0, 5, size=(n, n))
+        np.fill_diagonal(a, -1)
+        got = maxmin_product(a)
+        assert np.array_equal(got, maxmin_oracle(a, distinct=True))
+        if n <= 2:
+            off = ~np.eye(n, dtype=bool)
+            assert np.all(got[off] == -1)  # no third point to pass through
+
+    def test_float_levels(self):
+        rng = np.random.default_rng(3)
+        a = -(1.5 ** -rng.integers(0, 6, size=(8, 8)).astype(float))
+        np.fill_diagonal(a, -np.inf)
+        got = maxmin_product(a)
+        assert np.array_equal(got, maxmin_oracle(a, distinct=True))
+
+
+class TestTilePairReduce:
+    @staticmethod
+    def oracle(mat, members, reduce):
+        return np.array([[reduce.reduce(mat[np.ix_(a, b)], axis=None) for b in members]
+                         for a in members])
+
+    @pytest.mark.parametrize("reduce", [np.maximum, np.minimum])
+    def test_matches_ix_reductions(self, reduce):
+        rng = np.random.default_rng(7)
+        n = 13
+        for mat in (rng.random((n, n)), rng.integers(0, 9, size=(n, n))):
+            # overlapping tiles, a singleton and the whole set
+            members = [np.sort(rng.choice(n, size=k, replace=False)) for k in (4, 6, 6, 9)]
+            members += [np.array([5]), np.arange(n), np.array([12, 0, 5])]
+            got = tile_pair_reduce(mat, members, reduce)
+            assert got.shape == (len(members), len(members))
+            assert got.dtype == mat.dtype
+            assert np.array_equal(got, self.oracle(mat, members, reduce))
+
+    def test_pair_distances_is_set_distance(self, gasket):
+        _, cover = gasket
+        d = cover.space.dist
+        for lev in range(cover.depth + 1):
+            members = [np.fromiter(t.members, dtype=int) for t in cover.levels[lev]]
+            assert np.array_equal(cover.pair_distances(lev),
+                                  self.oracle(d, members, np.minimum))
 
 
 def reach_oracle(cover, level, length):

@@ -373,3 +373,140 @@ def test_chain_sandwich_property(table, lam):
     assert np.allclose(d, d.T)
     for k in range(table.n):
         assert np.all(d <= d[:, k][:, None] + d[k, :][None, :] + 1e-12)
+
+
+# -- plain per-pair and per-triple scans, the oracles for the kernels --
+
+
+def c_iii_oracle(cover, m):
+    """Per tile pair scan of condition (iii): (C_iii, witness)."""
+    c_iii, wit = 0.0, None
+    for lev in range(cover.depth + 1):
+        fam = cover.levels[lev]
+        if len(fam) < 2:
+            continue
+        sep = ~cover.reach_within(lev, 2 * cover.width + 1)
+        mem = cover.membership(lev)
+        for a in range(len(fam)):
+            bs = np.flatnonzero(sep[a])
+            ia = np.flatnonzero(mem[a])
+            for b in bs[bs > a]:
+                worst = int(m[np.ix_(ia, np.flatnonzero(mem[b]))].max())
+                if worst - lev > c_iii:
+                    c_iii = float(worst - lev)
+                    wit = {"tiles": [[lev, a], [lev, int(b)]], "max_m": worst}
+    return c_iii, wit
+
+
+def c_iv_oracle(m):
+    """Per pivot scan of condition (iv): (C_iv, witness triple)."""
+    c_iv, wit = 0.0, None
+    mf = m.astype(float)
+    for z in range(len(m)):
+        need = np.minimum.outer(mf[:, z], mf[z, :]) - mf
+        i, j = map(int, np.unravel_index(int(np.argmax(need)), need.shape))
+        if need[i, j] > c_iv:
+            c_iv, wit = float(need[i, j]), [i, j, z]
+    return c_iv, wit
+
+
+def empirical_oracle(q):
+    """Per pivot scan of the relaxed ultratriangle constant."""
+    n = len(q)
+    worst = 1.0
+    for z in range(n):
+        denom = np.maximum.outer(q[:, z], q[z, :])
+        np.fill_diagonal(denom, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(denom > 0, q / denom, np.inf)
+        ratio[np.arange(n), np.arange(n)] = 0.0
+        ratio[:, z] = 0.0
+        ratio[z, :] = 0.0
+        worst = max(worst, float(ratio.max()))
+    return worst
+
+
+def random_table(cover, seed):
+    """A symmetric table of random levels 0..N+1 with the sentinel diagonal."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, cover.depth + 2, size=(cover.n_points,) * 2)
+    m = np.minimum(m, m.T)
+    np.fill_diagonal(m, cover.depth + 1)
+    return ProximityTable(m=m, width=cover.width, truncation=cover.depth)
+
+
+class TestCombinatorialWitnesses:
+    @pytest.mark.parametrize("name", ["gasket", "interleaved", "dyadic"])
+    def test_iii_iv_match_scans(self, name, request):
+        _, cover = request.getfixturevalue(name)
+        tables = [compute_proximity(cover)] + [random_table(cover, s) for s in range(2)]
+        for table in tables:
+            chk = check_combinatorially_visual(cover, table)
+            c_iii, wit_iii = c_iii_oracle(cover, table.m)
+            c_iv, wit_iv = c_iv_oracle(table.m)
+            assert (chk.C_iii, chk.witnesses.get("iii")) == (c_iii, wit_iii)
+            assert (chk.C_iv, chk.witnesses.get("iv", {}).get("triple")) == (c_iv, wit_iv)
+            assert type(chk.C_iii) is float and type(chk.C_iv) is float
+
+    def test_iii_witness_at_first_level_of_a_tie(self):
+        # two halves, each split in two; the excess reaches 2 on both levels
+        space = FiniteMetricSpace(dist=np.abs(np.subtract.outer(np.arange(8.0), np.arange(8.0))))
+        cover = CoverSequence(space, [[range(8)], [range(4), range(4, 8)],
+                                      [(0, 1), (2, 3), (4, 5), (6, 7)]])
+        m = np.full((8, 8), 3)
+        m[:4, :4] = m[4:, 4:] = 4
+        np.fill_diagonal(m, 3)
+        table = ProximityTable(m=m, width=0, truncation=2)
+        chk = check_combinatorially_visual(cover, table)
+        assert (chk.C_iii, chk.witnesses["iii"]) == c_iii_oracle(cover, m)
+        assert chk.witnesses["iii"] == {"tiles": [[1, 0], [1, 1]], "max_m": 3}
+
+    def test_witnesses_are_nontrivial(self, gasket):
+        # the fixtures above exercise both witness searches
+        chk = check_combinatorially_visual(gasket[1])
+        assert chk.C_iii > 0 and chk.C_iv > 0
+
+    @pytest.mark.parametrize("name", ["gasket", "interleaved"])
+    def test_table_only_constant(self, name, request):
+        _, cover = request.getfixturevalue(name)
+        table = compute_proximity(cover)
+        lam = 1.05
+        assert quasi_metric_from_m(table, lam).K == max(lam ** c_iv_oracle(table.m)[0], 1.0)
+
+    @pytest.mark.parametrize("name", ["gasket", "interleaved", "dyadic", "cantor"])
+    def test_empirical_constant_matches_scan(self, name, request):
+        _, cover = request.getfixturevalue(name)
+        for lam in (1.05, 1.5):
+            q = lam ** (-compute_proximity(cover).m.astype(float))
+            np.fill_diagonal(q, 0.0)
+            assert empirical_quasi_constant(QuasiMetric(q=q, K=1.0)) == empirical_oracle(q)
+
+    def test_empirical_constant_small_and_zero_denominators(self):
+        for n in (1, 2, 3):
+            q = np.ones((n, n)) - np.eye(n)
+            assert empirical_quasi_constant(QuasiMetric(q=q, K=1.0)) == empirical_oracle(q)
+        # a zero q(0,1) is no zero denominator while z ranges over third points
+        q = np.ones((3, 3)) - np.eye(3)
+        q[0, 1] = q[1, 0] = 0.0
+        assert empirical_quasi_constant(QuasiMetric(q=q, K=1.0)) == empirical_oracle(q) == 1.0
+        # q(0,2) = q(2,1) = 0 makes a denominator 0: the constant is unbounded
+        q = np.ones((4, 4)) - np.eye(4)
+        q[0, 2] = q[2, 0] = q[2, 1] = q[1, 2] = 0.0
+        assert empirical_quasi_constant(QuasiMetric(q=q, K=1.0)) == empirical_oracle(q) == np.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_ultrametric_table(), st.sampled_from([1.05, 1.5, 2.0]),
+       st.integers(min_value=0, max_value=2))
+def test_empirical_constant_property(table, lam, bump):
+    # ``bump`` raises some off-diagonal entries so that the table is no longer
+    # an ultrametric valuation and the constant exceeds 1
+    m = table.m.copy()
+    if bump and table.n > 2:
+        m[0, 1] = m[1, 0] = max(int(m[0, 1]) - bump, 0)
+    q = lam ** (-m.astype(float))
+    np.fill_diagonal(q, 0.0)
+    assert empirical_quasi_constant(QuasiMetric(q=q, K=1.0)) == empirical_oracle(q)
+    c_iv, _ = c_iv_oracle(m)
+    assert quasi_metric_from_m(ProximityTable(m=m, width=0, truncation=table.truncation),
+                               1.01).K == max(1.01 ** c_iv, 1.0)

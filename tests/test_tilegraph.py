@@ -118,6 +118,22 @@ class TestHyperbolicity:
         assert np.isfinite(hyperbolicity_constant(g, mode="sampled", sample_triples=10_000))
 
 
+def hyperbolicity_oracle(graph):
+    """The per pivot scan of all vertex triples."""
+    g2 = graph.gromov2()
+    worst = 0
+    for z in range(graph.n_vertices):
+        worst = max(worst, int((np.minimum.outer(g2[:, z], g2[z, :]) - g2).max()))
+    return worst / 2.0
+
+
+@pytest.mark.parametrize("name", ["cantor", "dyadic", "tree", "interleaved", "gasket"])
+def test_exact_hyperbolicity_matches_scan(name, request):
+    _, cover = request.getfixturevalue(name)
+    g = build_tile_graph(cover)
+    assert hyperbolicity_constant(g, mode="exact") == hyperbolicity_oracle(g)
+
+
 class TestExtendedProximity:
     def test_singleton_tile_sentinel(self):
         _, cover = fixture("cantor", depth=4, sample_depth=3)  # deepest are singletons
