@@ -146,11 +146,7 @@ def phi_injectivity_check(boundary: BoundaryMetricApprox) -> tuple[bool, dict]:
 SNOWFLAKE_THRESHOLD_FACTOR = 0.6  # in units of log(lambda), the quantization step
 
 
-def phi_regularity_check(
-    space: FiniteMetricSpace,
-    boundary: BoundaryMetricApprox,
-    snowflake_threshold: float | None = None,
-) -> dict:
+def phi_regularity_check(space: FiniteMetricSpace, boundary: BoundaryMetricApprox) -> dict:
     """Classify the identification map: snowflake if possible, else power
     quasisymmetry, else FAIL.  Unresolved pairs are excluded via distance 0.
 
@@ -159,10 +155,9 @@ def phi_regularity_check(
     genuine snowflakes stay within the quantization scatter, while mixed-scale
     covers exceed it.
     """
-    if snowflake_threshold is None:
-        snowflake_threshold = SNOWFLAKE_THRESHOLD_FACTOR * np.log(boundary.lam)
     dinf = FiniteMetricSpace(dist=boundary.dist)
-    snow = snowflake_check(space, dinf, residual_threshold=snowflake_threshold)
+    threshold = SNOWFLAKE_THRESHOLD_FACTOR * np.log(boundary.lam)
+    snow = snowflake_check(space, dinf, residual_threshold=threshold)
     if snow is not None:
         return {"kind": "snowflake", "alpha": snow[0], "C": snow[1]}
     masked = _mask_unresolved(space, boundary)

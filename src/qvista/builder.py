@@ -16,7 +16,13 @@ import numpy as np
 
 from .covers import CoverSequence
 from .errors import DoublingUnbounded, ResolutionExceeded
-from .metricspace import FiniteMetricSpace, Net, maximal_separated_net, uniform_perfectness_probe
+from .metricspace import (
+    FiniteMetricSpace,
+    Net,
+    greedy_separated_subset,
+    maximal_separated_net,
+    uniform_perfectness_probe,
+)
 
 COLOR_SEPARATION_FACTOR = 10.0  # same-color net points are 10*delta-separated
 
@@ -55,16 +61,12 @@ def color_separated_set(space: FiniteMetricSpace, net: Net) -> ColoredNet:
     any ball of radius 10*delta, so it stays bounded on doubling spaces.
     """
     sep = COLOR_SEPARATION_FACTOR * net.delta
-    d = space.dist
     remaining = list(net.members)
     colors = {}
     cls = 0
     while remaining:
         cls += 1
-        chosen: list[int] = []
-        for m in remaining:
-            if all(d[m, c] >= sep for c in chosen):
-                chosen.append(m)
+        chosen = greedy_separated_subset(space.dist, remaining, sep)
         for m in chosen:
             colors[m] = cls
         remaining = [m for m in remaining if m not in colors]

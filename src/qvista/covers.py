@@ -340,11 +340,7 @@ def _ratio_record(
     )
 
 
-def verify_visual(
-    cover: CoverSequence,
-    thresholds: dict | None = None,
-    space: FiniteMetricSpace | None = None,
-) -> VerificationReport:
+def verify_visual(cover: CoverSequence, thresholds: dict | None = None) -> VerificationReport:
     """Check diam(X) ~ L^-n and separation dist(X,Y) >~ L^-n of U_w-separated pairs.
 
     Reports the exact best constants over the truncation:
@@ -354,8 +350,6 @@ def verify_visual(
     if cover.visual_parameter is None:
         raise MissingLambda("visual verification requires the cover's visual parameter")
     lam = cover.visual_parameter
-    if space is not None:
-        cover = cover.with_space(space)
     w = cover.width
     c1_best, c1_wit = 0.0, None
     c2_best, c2_wit = 0.0, None
@@ -397,22 +391,15 @@ def verify_visual(
     return report
 
 
-def verify_quasi_visual(
-    cover: CoverSequence,
-    thresholds: dict | None = None,
-    space: FiniteMetricSpace | None = None,
-    shrink_lambda: float = DEFAULT_SHRINK_LAMBDA,
-) -> VerificationReport:
+def verify_quasi_visual(cover: CoverSequence, thresholds: dict | None = None) -> VerificationReport:
     """Check the four scale-free cover conditions and extract best constants.
 
     (i)   diam(X) ~ diam(Y) for intersecting same-level pairs;
     (ii)  dist(X,Y) >~ diam(X) for U_w-separated same-level pairs;
     (iii) diam comparability across consecutive levels for intersecting tiles;
-    (iv)  the smallest k0 with max diam(Y)/diam(X) <= shrink_lambda over
-          intersecting pairs X in X^n, Y in X^{n+k0}.
+    (iv)  the smallest k0 with max diam(Y)/diam(X) <= DEFAULT_SHRINK_LAMBDA
+          over intersecting pairs X in X^n, Y in X^{n+k0}.
     """
-    if space is not None:
-        cover = cover.with_space(space)
     w = cover.width
     c1_best, c1_wit = 1.0, None
     c2_best, c2_wit = 0.0, None
@@ -461,12 +448,12 @@ def verify_quasi_visual(
                         "ratio": float(ratio[i, j]),
                         "level_pair": [lev, lev + 1],
                     }
-    # condition (iv): smallest k0 with contraction <= shrink_lambda
+    # condition (iv): smallest k0 with contraction <= DEFAULT_SHRINK_LAMBDA
     gap_max = _cross_level_gap_ratios(cover)[0]
     k0 = None
     achieved = None
     for k in range(1, cover.depth + 1):
-        if k in gap_max and gap_max[k] <= shrink_lambda:
+        if k in gap_max and gap_max[k] <= DEFAULT_SHRINK_LAMBDA:
             k0, achieved = k, gap_max[k]
             break
     t = {  # thresholds per condition
@@ -477,7 +464,7 @@ def verify_quasi_visual(
     cond_iv = ConditionRecord(
         condition="qv.iv",
         constant=achieved,
-        threshold=shrink_lambda,
+        threshold=DEFAULT_SHRINK_LAMBDA,
         verdict="PASS" if k0 is not None else "FAIL",
         witness=None if k0 is not None else {"gap_ratios": {str(k): v for k, v in gap_max.items()}},
         details={"k0": k0, "lambda": achieved},

@@ -25,12 +25,14 @@ from .errors import (
     RootFindFailure,
     SeedNotRepelling,
 )
-from .metricspace import FiniteMetricSpace
+from .metricspace import FiniteMetricSpace, greedy_separated_subset
 from .sphere import sphere_from_complex_array, spherical_dist_matrix
-from .spheregrid import SphereGrid, group_by_label
+from .spheregrid import SphereGrid, group_by_label, locate_cells
 
 MAX_PREIMAGE_COUNT = 4096
 ROOT_CLUSTER_TOL = 1e-7
+ANCHOR_CLUSTER_TOL = 1e-6  # relative; degree_probe's anchor preimages
+SUBSAMPLE_CELLS = 256  # cells a region keeps when probing its diameter or nearness
 
 
 def _strip_leading(c: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -311,13 +313,20 @@ class AmbientRegion:
     v1_index: int  # root ancestor in the level-1 family
     sample_points: tuple[int, ...] = ()
 
-    def diam(self, grid: SphereGrid, cap: int = 256) -> float:
-        cells = self.cells
-        if cells.size > cap:
-            cells = cells[np.linspace(0, cells.size - 1, cap).astype(int)]
-        v = grid.cell_unit_vectors(cells)
-        dots = np.clip(v @ v.T, -1, 1)
-        return float(np.arccos(dots).max())
+    def diam(self, grid: SphereGrid) -> float:
+        return _cells_diam(grid, self.cells)
+
+
+def _cell_subsample(cells: np.ndarray) -> np.ndarray:
+    """At most SUBSAMPLE_CELLS of the sorted ``cells``, evenly spread."""
+    if cells.size <= SUBSAMPLE_CELLS:
+        return cells
+    return cells[np.linspace(0, cells.size - 1, SUBSAMPLE_CELLS).astype(int)]
+
+
+def _cells_diam(grid: SphereGrid, cells: np.ndarray) -> float:
+    v = grid.cell_unit_vectors(_cell_subsample(cells))
+    return float(np.arccos(np.clip(v @ v.T, -1, 1)).max())
 
 
 @dataclass
@@ -341,10 +350,7 @@ def admissible_cover(
     radius-net of the sample, rasterized to grid regions."""
     grid = grid or SphereGrid()
     d = spherical_dist_matrix(sample.vecs)
-    centers: list[int] = []
-    for i in range(sample.n):
-        if all(d[i, c] >= radius for c in centers):
-            centers.append(i)
+    centers = greedy_separated_subset(d, range(sample.n), radius)
     regions = []
     for k, c in enumerate(centers):
         cells = grid.raster_spherical_ball(sample.vecs[c], radius)
@@ -362,102 +368,77 @@ def admissible_cover(
     return PullbackCover(map=map_, grid=grid, sample=sample, families=[regions])
 
 
-def _sample_cells(grid: SphereGrid, sample: JuliaSample) -> tuple[np.ndarray, np.ndarray]:
-    primary = grid.canonical_flat(sample.z)
-    twin = grid.twin_flat()[primary]
-    return primary, twin
-
-
-def pullback_cover(
-    pull: PullbackCover,
-    n_levels: int,
-    min_cells: int = 1,
-    keep_all: bool = False,
-) -> PullbackCover:
+def pullback_cover(pull: PullbackCover, n_levels: int, min_cells: int = 1) -> PullbackCover:
     """Extend the family chain to ``n_levels`` by one-step pull-backs.
 
     Cells whose g-image lands in a parent region are marked, split into
-    sphere components, and kept when they meet the sample (always kept with
-    ``keep_all``).  With ``min_cells`` above 1, a sample-meeting component
-    thinner than that raises ResolutionInsufficient (caller should double the
-    grid); by default thin components are kept, since tile membership is
-    decided by the dynamics and the raster only locates siblings.
+    sphere components, and kept when they meet the sample.  With
+    ``min_cells`` above 1, a sample-meeting component thinner than that
+    raises ResolutionInsufficient (caller should double the grid); by default
+    thin components are kept, since tile membership is decided by the
+    dynamics and the raster only locates siblings.
     """
     grid, map_, sample = pull.grid, pull.map, pull.sample
     img = map_.image_cells(grid)
-    prim, twin = _sample_cells(grid, sample)
+    prim = grid.canonical_flat(sample.z)
+    sample_cells = np.concatenate([prim, grid.twin_flat()[prim]])
     while pull.n_levels < n_levels:
         parents = pull.families[-1]
         level = pull.n_levels + 1
-        pc = np.concatenate([r.cells for r in parents])
-        pr = np.concatenate([np.full(r.cells.size, r.rid, dtype=np.int64) for r in parents])
-        order = np.argsort(pc, kind="stable")
-        pc, pr = pc[order], pr[order]
-        lo = np.searchsorted(pc, img, side="left")
-        hi = np.searchsorted(pc, img, side="right")
-        counts = hi - lo
-        hits = np.flatnonzero(counts > 0)
-        reps = counts[hits]
-        cells_rep = np.repeat(hits, reps)
-        offs = np.repeat(lo[hits], reps) + _ranges(reps)
-        parent_of = pr[offs]
+        cells, parent_of = locate_cells(img, [r.cells for r in parents])
         by_parent = np.argsort(parent_of, kind="stable")
-        cells_rep, parent_of = cells_rep[by_parent], parent_of[by_parent]
+        cells, parent_of = cells[by_parent], parent_of[by_parent]
         bounds = np.searchsorted(parent_of, np.arange(len(parents) + 1))
-        regions: list[AmbientRegion] = []
+        comps: list[np.ndarray] = []
+        comp_parent: list[int] = []
         for pid in range(len(parents)):
-            chunk = cells_rep[bounds[pid]:bounds[pid + 1]]
-            if not chunk.size:
+            chunk = cells[bounds[pid]:bounds[pid + 1]]
+            if chunk.size:
+                found = grid.components(chunk)
+                comps.extend(found)
+                comp_parent.extend([pid] * len(found))
+        # sample points per component, sorted: a point meets a component
+        # through its canonical cell or through that cell's twin
+        query, comp_of = locate_cells(sample_cells, comps)
+        hits = np.unique(comp_of * sample.n + query % sample.n)
+        cuts = np.searchsorted(hits // sample.n, np.arange(len(comps) + 1))
+        regions: list[AmbientRegion] = []
+        for k, (comp, pid) in enumerate(zip(comps, comp_parent)):
+            pts = hits[cuts[k]:cuts[k + 1]] % sample.n
+            if not pts.size:
                 continue
-            for comp in grid.components(chunk):
-                pts = _points_in_cells(prim, twin, comp)
-                if not keep_all and not pts.size:
-                    continue
-                if pts.size and comp.size < min_cells:
-                    raise ResolutionInsufficient(
-                        f"component of {comp.size} cells at level {level}; double the grid"
-                    )
-                regions.append(
-                    AmbientRegion(
-                        level=level,
-                        rid=len(regions),
-                        cells=comp,
-                        parent=pid,
-                        v1_index=parents[pid].v1_index,
-                        sample_points=tuple(int(i) for i in pts),
-                    )
+            if comp.size < min_cells:
+                raise ResolutionInsufficient(
+                    f"component of {comp.size} cells at level {level}; double the grid"
                 )
+            regions.append(
+                AmbientRegion(
+                    level=level,
+                    rid=len(regions),
+                    cells=comp,
+                    parent=pid,
+                    v1_index=parents[pid].v1_index,
+                    sample_points=tuple(int(i) for i in pts),
+                )
+            )
         if not regions:
             raise EmptyLevel(f"no admissible regions at level {level}")
         pull.families.append(regions)
     return pull
 
 
-def _ranges(reps: np.ndarray) -> np.ndarray:
-    if not reps.size:
-        return np.empty(0, dtype=np.int64)
-    total = int(reps.sum())
-    starts = np.repeat(np.cumsum(reps) - reps, reps)
-    return np.arange(total, dtype=np.int64) - starts
-
-
-def _points_in_cells(prim: np.ndarray, twin: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    inside = np.isin(prim, cells) | ((twin >= 0) & np.isin(twin, cells))
-    return np.flatnonzero(inside)
-
-
 def induce_tiles(pull: PullbackCover) -> CoverSequence:
     """Tiles X^n = region-and-sample intersections, X^0 = the whole sample.
 
-    Membership below level 1 is dynamics-exact: a point joins a region's tile
-    only when its projected image lies in the parent region's tile, and every
-    such candidate is attached to the geometrically nearest child region when
-    raster jitter leaves it outside all of them.  This makes the level shift
-    g(X^{n+1}) <= X^n exact at the index level, which the proximity-decay law
-    needs; the raster only decides which sibling a point belongs to.
+    Level-1 tiles are the sample points of the level-1 regions; these cover
+    the sample because the region centers form a maximal radius-net of it.
+    Membership below level 1 is dynamics-exact: the candidates of a parent
+    tile are the points whose projected image lies in it, and they are split
+    into the parent's child tiles by single-linkage clustering at the local
+    sample scale.  This makes the level shift g(X^{n+1}) <= X^n exact at the
+    index level, which the proximity-decay law needs.
     """
     sample = pull.sample
-    grid = pull.grid
     space = sample.space()
     g_idx = sample.self_map_indices()
     levels: list[list[tuple[int, ...]]] = [[tuple(range(sample.n))]]
@@ -468,14 +449,6 @@ def induce_tiles(pull: PullbackCover) -> CoverSequence:
         tiles: list[set[int]] = []
         if fam[0].level == 1:
             tiles = [set(r.sample_points) for r in fam]
-            uncovered = set(range(sample.n)) - set().union(*tiles)
-            for p in uncovered:
-                rid = _nearest_region(grid, sample.vecs[p], fam)
-                if rid is None:
-                    raise ResolutionInsufficient(
-                        f"sample point {p} lies in no level-1 region"
-                    )
-                tiles[rid].add(p)
         else:
             for parent_members in prev_tiles:
                 if not parent_members:
@@ -525,22 +498,6 @@ def _cluster_points_local(
     return group_by_label(idx, comp)
 
 
-def _nearest_region(grid: SphereGrid, vec: np.ndarray, fam: list[AmbientRegion]):
-    best, best_d = None, np.inf
-    for r in fam:
-        cells = r.cells
-        if cells.size > 128:
-            cells = cells[np.linspace(0, cells.size - 1, 128).astype(int)]
-        v = grid.cell_unit_vectors(cells)
-        dd = float(np.arccos(np.clip(v @ vec, -1, 1)).min())
-        if dd < best_d:
-            best, best_d = r.rid, dd
-    # a region counts as "near" within a few cells of raster jitter
-    if best_d <= 8.0 * grid.step:
-        return best
-    return None
-
-
 def verify_dynamical_qv(
     pull: PullbackCover,
     cover: CoverSequence | None = None,
@@ -573,13 +530,7 @@ def verify_dynamical_qv(
 # -- probes ------------------------------------------------------------------
 
 
-def degree_probe(
-    map_: RationalMap,
-    w0: complex,
-    r0: float,
-    n_max: int,
-    cluster_tol: float = 1e-6,
-) -> list[int]:
+def degree_probe(map_: RationalMap, w0: complex, r0: float, n_max: int) -> list[int]:
     """Max degree of g^n on components of g^-n(B(w0, r0)) for n = 1..n_max.
 
     A generic test value w* inside the ball is pulled back one root-solving
@@ -618,7 +569,7 @@ def degree_probe(
         pairs = nxt
         anchors = np.array([a for a, _w, _m in pairs])
         mults = np.array([m for _a, _w, m in pairs], dtype=np.int64)
-        groups = _cluster_complex(anchors, cluster_tol)
+        groups = _cluster_complex(anchors, ANCHOR_CLUSTER_TOL)
         maxima.append(int(max(mults[g].sum() for g in groups)))
     return maxima
 
@@ -638,46 +589,26 @@ def _cluster_complex(pts: np.ndarray, tol: float) -> list[np.ndarray]:
     return [np.array(g, dtype=np.int64) for g in groups]
 
 
-def _cells_mapping_into(img: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Grid cells whose image cell belongs to the sorted unique ``cells``."""
-    lo = np.searchsorted(cells, img)
-    inside = (lo < cells.size) & (cells[np.minimum(lo, cells.size - 1)] == img)
-    return np.flatnonzero(inside)
-
-
 def _offset_on_chart(w0: complex, ds: float) -> complex:
     # move ds along the sphere in a fixed direction, via the chart factor
     factor = (1.0 + abs(w0) ** 2) / 2.0
     return w0 + ds * factor * np.exp(0.7j)
 
 
-def _locate_in_regions(grid: SphereGrid, w: complex, fam: list[AmbientRegion]):
+def _component_near(grid: SphereGrid, w: complex, comps: list[np.ndarray]) -> int | None:
+    """Index of the first component that holds w's canonical cell or its
+    twin, or whose cell subsample comes within 4 grid steps of w."""
     if not np.isfinite(w):
         w = np.inf + 0j
-    cell = int(grid.canonical_flat(np.array([w]))[0])
-    twin = int(grid.twin_flat()[cell])
-    for r in fam:
-        if np.searchsorted(r.cells, cell) < r.cells.size and r.cells[
-            np.searchsorted(r.cells, cell)
-        ] == cell:
-            return r.rid
-        if twin >= 0:
-            k = np.searchsorted(r.cells, twin)
-            if k < r.cells.size and r.cells[k] == twin:
-                return r.rid
-    # ring-search fallback: nearest region within a few cells
-    best, best_d = None, np.inf
+    cell = grid.canonical_flat(np.array([w]))
+    _query, hit = locate_cells(np.append(cell, grid.twin_flat()[cell]), comps)
     vec = _vecs_of(np.array([w]))[0]
-    for r in fam:
-        cells = r.cells
-        if cells.size > 256:
-            cells = cells[np.linspace(0, cells.size - 1, 256).astype(int)]
-        v = grid.cell_unit_vectors(cells)
-        dd = float(np.arccos(np.clip(v @ vec, -1, 1)).min())
-        if dd < best_d:
-            best, best_d = r.rid, dd
-    if best_d <= 4.0 * grid.step:
-        return best
+    for k, comp in enumerate(comps):
+        if k in hit:
+            return k
+        v = grid.cell_unit_vectors(_cell_subsample(comp))
+        if float(np.arccos(np.clip(v @ vec, -1, 1)).min()) <= 4.0 * grid.step:
+            return k
     return None
 
 
@@ -687,16 +618,16 @@ def distortion_probe(
     n_configs: int = 8,
     n_level: int = 3,
     r0: float = 0.3,
-    fractions=(0.2, 0.4, 0.6, 0.8, 1.0),
     seed: int = 0,
     grid: SphereGrid | None = None,
 ) -> dict:
     """Tabulate diam ratios of nested pull-back components against the image scale.
 
     For seeded sample centers w0, the component of g^-n(B(w0, s*r0/2))
-    containing a tracked preimage of w0 is compared against the component for
-    s = 1; the envelope of ratios over the image-scale bins must be
-    non-decreasing and vanish at 0 within binning noise.
+    containing a tracked preimage of w0, for s in 0.2, 0.4, ..., 1, is
+    compared against the component for s = 1; the envelope of ratios over
+    the image-scale bins must be non-decreasing and vanish at 0 within
+    binning noise.
     """
     grid = grid or SphereGrid(K=1024)
     rng = np.random.default_rng(seed)
@@ -718,27 +649,17 @@ def distortion_probe(
         if len(branch) < n_level + 1:
             continue
         diams = {}
-        for s in fractions:
+        for s in (0.2, 0.4, 0.6, 0.8, 1.0):
             radius = 0.5 * s * r0
-            cells = np.unique(grid.raster_spherical_ball(sample.vecs[ci], radius))
-            comp_cells = cells
-            found = True
+            comp_cells = np.unique(grid.raster_spherical_ball(sample.vecs[ci], radius))
             for k in range(n_level):
-                chunk = _cells_mapping_into(img, comp_cells)
-                comps = grid.components(chunk)
-                holding = None
-                for comp in comps:
-                    region = AmbientRegion(level=0, rid=0, cells=comp, parent=-1, v1_index=0)
-                    if _locate_in_regions(grid, branch[k + 1], [region]) is not None:
-                        holding = comp
-                        break
+                comps = grid.components(locate_cells(img, [comp_cells])[0])
+                holding = _component_near(grid, branch[k + 1], comps)
                 if holding is None:
-                    found = False
                     break
-                comp_cells = holding
-            if found:
-                region = AmbientRegion(level=0, rid=0, cells=comp_cells, parent=-1, v1_index=0)
-                diams[s] = region.diam(grid)
+                comp_cells = comps[holding]
+            else:
+                diams[s] = _cells_diam(grid, comp_cells)
         if 1.0 not in diams or diams[1.0] == 0:
             continue
         for s, dm in diams.items():

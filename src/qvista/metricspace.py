@@ -7,6 +7,7 @@ probes work directly on the matrix; nothing here assumes coordinates exist.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +120,6 @@ class Net:
 
     delta: float
     members: tuple[int, ...]
-    maximal: bool = True
 
 
 def validate_metric(space: FiniteMetricSpace) -> ValidationResult:
@@ -169,26 +169,32 @@ def maximal_separated_net(space: FiniteMetricSpace, delta: float) -> Net:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    members: list[int] = []
-    d = space.dist
-    for i in range(space.n):
-        if all(d[i, m] >= delta for m in members):
-            members.append(i)
-    return Net(delta=float(delta), members=tuple(members), maximal=True)
+    members = greedy_separated_subset(space.dist, range(space.n), delta)
+    return Net(delta=float(delta), members=tuple(members))
+
+
+def greedy_separated_subset(dist: np.ndarray, candidates: Iterable[int], delta: float) -> list[int]:
+    """Keep each candidate i, in order, when dist[i, m] >= delta for every kept m.
+
+    Row i is the candidate and column m the kept point, also when ``dist`` is
+    not symmetric.  Candidates must be distinct.
+    """
+    blocked = np.zeros(dist.shape[0], dtype=bool)
+    kept: list[int] = []
+    for i in candidates:
+        if not blocked[i]:
+            kept.append(int(i))
+            # i blocks each j with dist[j, i] < delta; ~(>=) also blocks NaN entries
+            blocked |= ~(dist[:, i] >= delta)
+    return kept
 
 
 def separated_count_in_ball(
     space: FiniteMetricSpace, center: int, radius: float, lam: float
 ) -> int:
     """Greedy count of a lam*radius-separated subset of the open ball B(center, radius)."""
-    d = space.dist
-    ball = np.flatnonzero(d[center] < radius)
-    sep = lam * radius
-    chosen: list[int] = []
-    for i in ball:
-        if all(d[i, c] >= sep for c in chosen):
-            chosen.append(int(i))
-    return len(chosen)
+    ball = np.flatnonzero(space.dist[center] < radius)
+    return len(greedy_separated_subset(space.dist, ball, lam * radius))
 
 
 def _dyadic_radii(space: FiniteMetricSpace) -> list[float]:

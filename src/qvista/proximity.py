@@ -395,10 +395,7 @@ def visual_characterization_check(
 
 
 def fit_power_quasisymmetry(
-    space_d1: FiniteMetricSpace,
-    space_d2: FiniteMetricSpace,
-    nu_grid=NU_GRID,
-    cap: float = K_CAP,
+    space_d1: FiniteMetricSpace, space_d2: FiniteMetricSpace
 ) -> PowerDistortion | None:
     """Fit eta(t) = K max(t^nu, t^(1/nu)) certifying the identity map as a
     quasisymmetry between the two metrics; None when K exceeds the cap for
@@ -409,9 +406,9 @@ def fit_power_quasisymmetry(
         b = space_d2.dist if forward else space_d1.dist
         k_dir = None
         # descending nu: among equal K the least-distortion certificate wins
-        for nu in sorted(nu_grid, reverse=True):
+        for nu in sorted(NU_GRID, reverse=True):
             k = _min_k_for_nu(a, b, nu)
-            if k <= cap and (k_dir is None or k < k_dir[0] * (1 - 1e-9)):
+            if k <= K_CAP and (k_dir is None or k < k_dir[0] * (1 - 1e-9)):
                 k_dir = (k, nu)
         if k_dir is None:
             return None
@@ -512,7 +509,6 @@ def dynamical_checks(
     nu: float | None = None,
     shift_tolerance: float = 0.0,
     exact_image: bool = False,
-    ball_factor: float = 2.0,
 ) -> DynamicalReport:
     """Verify the level-shift property, proximity decay, and distortion bound.
 
@@ -522,7 +518,7 @@ def dynamical_checks(
     ``exact_image`` additionally requires the image set's containing tile to
     be unique per spec of the generating dynamics.  The distortion check fits
     the smallest C with d(g^n x, g^n y) <= C (d(x,y)/diam Z)^nu over pairs in
-    balls B(z0, ball_factor * diam Z) around members of (n+1)-tiles Z.
+    balls B(z0, 2 diam Z) around members of (n+1)-tiles Z.
     """
     g = np.asarray(point_map, dtype=np.int64)
     n_pts = cover.n_points
@@ -581,7 +577,7 @@ def dynamical_checks(
             if dm == 0:
                 continue
             z0 = min(t.members)
-            ball = np.flatnonzero(d[z0] < ball_factor * dm)
+            ball = np.flatnonzero(d[z0] < 2.0 * dm)
             if ball.size < 2:
                 continue
             sub = d[np.ix_(ball, ball)]

@@ -208,3 +208,28 @@ def group_by_label(items: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
     order = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
     return np.split(items[order], cuts)
+
+
+def locate_cells(cells: np.ndarray, sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Every (query, set) pair with ``cells[query]`` in ``sets[set]``.
+
+    ``sets`` are sorted, unique cell arrays that may overlap.  The pairs come
+    as two parallel arrays ordered by query index, then by set index; a query
+    of -1 (a missing twin) matches nothing.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    flat = np.concatenate([np.empty(0, dtype=np.int64), *sets])
+    owner = np.repeat(np.arange(len(sets), dtype=np.int64), [s.size for s in sets])
+    # stable, so the copies of one cell keep ascending set order
+    order = np.argsort(flat, kind="stable")
+    flat, owner = flat[order], owner[order]
+    lo = np.searchsorted(flat, cells, side="left")
+    counts = np.searchsorted(flat, cells, side="right") - lo
+    query = np.repeat(np.arange(cells.size, dtype=np.int64), counts)
+    return query, owner[np.repeat(lo, counts) + _ranges(counts)]
+
+
+def _ranges(reps: np.ndarray) -> np.ndarray:
+    """Concatenated aranges 0..r-1 for each count r in ``reps``."""
+    starts = np.repeat(np.cumsum(reps) - reps, reps)
+    return np.arange(starts.size, dtype=np.int64) - starts

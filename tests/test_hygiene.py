@@ -1,0 +1,57 @@
+"""Static scan of the package for unused imports and orphaned private helpers."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qvista"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every bare name loaded or stored, and every attribute name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's imports, with their line numbers."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = parse(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = {name: line for name, line in imported_names(tree).items() if name not in used}
+    assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def test_no_orphaned_private_helpers():
+    trees = {p.name: parse(p) for p in MODULES}
+    orphans = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not node.name.startswith("_"):
+                continue
+            if not any(node.name in referenced_names(t) for t in trees.values()):
+                orphans.append(f"{name}:{node.lineno} {node.name}")
+    assert not orphans, f"private helpers nothing references: {orphans}"
