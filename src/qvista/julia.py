@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .metricspace import FiniteMetricSpace, greedy_separated_subset
 from .sphere import sphere_from_complex_array, spherical_dist_matrix
-from .spheregrid import SphereGrid, group_by_label, locate_cells
+from .spheregrid import SphereGrid, group_by_label, locate_cells, run_indices
 
 MAX_PREIMAGE_COUNT = 4096
 ROOT_CLUSTER_TOL = 1e-7
@@ -65,6 +64,8 @@ class RationalMap:
     @classmethod
     def parse(cls, text: str) -> "RationalMap":
         """Parse e.g. "z^2 - 2", "(z^2+1)/(z^2-1)", complex coeffs "(1+2i)*z^3"."""
+        import sympy  # only parsing needs it, and it is slow to import
+
         z = sympy.Symbol("z")
         normalized = re.sub(r"(\d(?:\.\d*)?)\s*i\b", r"\1*I", text.replace("^", "**"))
         expr = sympy.sympify(
@@ -144,9 +145,9 @@ class RationalMap:
         """Per grid cell, the canonical cell of the image of its center (cached)."""
         key = (grid.K, grid.H)
         if key not in self._img_cache:
-            flat = np.arange(grid.n_cells, dtype=np.int64)
-            z = grid.cell_centers_z(flat)
-            self._img_cache[key] = grid.canonical_flat(self.eval(z)).astype(np.int64)
+            self._img_cache[key] = grid.fill_cells(
+                lambda flat: grid.canonical_flat(self.eval(grid.cell_centers_z(flat)))
+            )
         return self._img_cache[key]
 
     def fixed_points(self) -> list[tuple[complex, complex]]:
@@ -353,13 +354,12 @@ def admissible_cover(
     centers = greedy_separated_subset(d, range(sample.n), radius)
     regions = []
     for k, c in enumerate(centers):
-        cells = grid.raster_spherical_ball(sample.vecs[c], radius)
         inside = np.flatnonzero(d[c] < radius)
         regions.append(
             AmbientRegion(
                 level=1,
                 rid=k,
-                cells=np.unique(cells),
+                cells=grid.raster_spherical_ball(sample.vecs[c], radius),
                 parent=-1,
                 v1_index=k,
                 sample_points=tuple(int(i) for i in inside),
@@ -371,28 +371,31 @@ def admissible_cover(
 def pullback_cover(pull: PullbackCover, n_levels: int, min_cells: int = 1) -> PullbackCover:
     """Extend the family chain to ``n_levels`` by one-step pull-backs.
 
-    Cells whose g-image lands in a parent region are marked, split into
-    sphere components, and kept when they meet the sample.  With
-    ``min_cells`` above 1, a sample-meeting component thinner than that
-    raises ResolutionInsufficient (caller should double the grid); by default
-    thin components are kept, since tile membership is decided by the
-    dynamics and the raster only locates siblings.
+    The cells whose g-image lands in a parent region are gathered from the
+    inverse image of g on the raster (the cells bucketed by image cell, built
+    once per call), split into sphere components, and kept when they meet
+    the sample.  With ``min_cells`` above 1, a sample-meeting component
+    thinner than that raises ResolutionInsufficient (caller should double the
+    grid); by default thin components are kept, since tile membership is
+    decided by the dynamics and the raster only locates siblings.
     """
+    if n_levels < 1:
+        raise ValueError(f"n_levels must be at least 1, got {n_levels}")
     grid, map_, sample = pull.grid, pull.map, pull.sample
     img = map_.image_cells(grid)
+    # the cells mapping into cell c are pre[start[c]:start[c + 1]]
+    pre = np.argsort(img, kind="stable")
+    start = np.concatenate([[0], np.cumsum(np.bincount(img, minlength=grid.n_cells))])
     prim = grid.canonical_flat(sample.z)
     sample_cells = np.concatenate([prim, grid.twin_flat()[prim]])
     while pull.n_levels < n_levels:
         parents = pull.families[-1]
         level = pull.n_levels + 1
-        cells, parent_of = locate_cells(img, [r.cells for r in parents])
-        by_parent = np.argsort(parent_of, kind="stable")
-        cells, parent_of = cells[by_parent], parent_of[by_parent]
-        bounds = np.searchsorted(parent_of, np.arange(len(parents) + 1))
         comps: list[np.ndarray] = []
         comp_parent: list[int] = []
-        for pid in range(len(parents)):
-            chunk = cells[bounds[pid]:bounds[pid + 1]]
+        for pid, parent in enumerate(parents):
+            lo = start[parent.cells]
+            chunk = pre[run_indices(lo, start[parent.cells + 1] - lo)]
             if chunk.size:
                 found = grid.components(chunk)
                 comps.extend(found)
@@ -651,7 +654,7 @@ def distortion_probe(
         diams = {}
         for s in (0.2, 0.4, 0.6, 0.8, 1.0):
             radius = 0.5 * s * r0
-            comp_cells = np.unique(grid.raster_spherical_ball(sample.vecs[ci], radius))
+            comp_cells = grid.raster_spherical_ball(sample.vecs[ci], radius)
             for k in range(n_level):
                 comps = grid.components(locate_cells(img, [comp_cells])[0])
                 holding = _component_near(grid, branch[k + 1], comps)

@@ -33,6 +33,8 @@ class FiniteMetricSpace:
             raise ValueError(f"distance matrix must be square, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise ValueError("distance matrix must have finite entries")
+        if not np.array_equal(d, d.T):
+            raise ValueError("distance matrix must be symmetric")
         d = d.copy()
         d.flags.writeable = False
         object.__setattr__(self, "dist", d)
@@ -101,7 +103,7 @@ class ValidationResult:
     """Outcome of a metric-axiom scan: ok, or the first violation found."""
 
     ok: bool
-    violation: str | None = None  # NonSymmetric | ZeroOffDiagonal | TriangleViolation | ...
+    violation: str | None = None  # NonZeroDiagonal | NegativeEntry | ZeroOffDiagonal | TriangleViolation
     witness: tuple[int, ...] | None = None
     detail: str = ""
 
@@ -125,8 +127,9 @@ class Net:
 def validate_metric(space: FiniteMetricSpace) -> ValidationResult:
     """Scan the distance matrix for the first violated metric axiom.
 
-    Scan order: diagonal, negativity, symmetry, zero off-diagonal, triangle
-    inequality (by pivot k, then row-major).  Triangle checks tolerate an
+    Scan order: diagonal, negativity, zero off-diagonal, triangle inequality
+    (by pivot k, then row-major).  Symmetry needs no scan: the constructor
+    rejects a non-symmetric matrix.  Triangle checks tolerate an
     additive slack of 1e-9.
     """
     d = space.dist
@@ -138,12 +141,6 @@ def validate_metric(space: FiniteMetricSpace) -> ValidationResult:
     if np.any(d < 0):
         i, j = map(int, np.unravel_index(int(np.argmax(d < 0)), d.shape))
         return ValidationResult(False, "NegativeEntry", (i, j), f"d({i},{j})={d[i, j]!r}")
-    asym = np.abs(d - d.T)
-    if np.any(asym > 0):
-        i, j = map(int, np.unravel_index(int(np.argmax(asym > 0)), d.shape))
-        return ValidationResult(
-            False, "NonSymmetric", (i, j), f"d({i},{j})={d[i, j]!r} != d({j},{i})={d[j, i]!r}"
-        )
     zero = (d == 0) & ~np.eye(n, dtype=bool)
     if np.any(zero):
         i, j = map(int, np.unravel_index(int(np.argmax(zero)), d.shape))

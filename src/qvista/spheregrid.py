@@ -3,12 +3,20 @@
 Chart A is the z-plane square [-H, H]^2, chart B the w = 1/z plane square of
 the same size, overlapping on 1/H <= |z| <= H.  Every sphere point has a
 canonical cell (chart A when |z| <= 1, else chart B), and cells in the
-overlap know their twin in the other chart, so connected components computed
-per chart can be stitched into sphere components.
+overlap know their twin in the other chart.  Connected components are
+labelled per chart on a bounding-box raster, which also yields the distinct
+cells in ascending order, and stitched into sphere components by reading
+each twin's label from the other chart's label raster, with no sort to
+deduplicate the cells and no binary search for the twins.
+
+Whole-grid per-cell tables (the twin table here, the image table of a map)
+are filled in blocks of ``FILL_BLOCK`` cells, which bounds the temporaries of
+the elementwise maths instead of letting them scale with 2K^2.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +26,7 @@ from scipy.sparse.csgraph import connected_components
 
 CHART_HALF_WIDTH = 2.2
 EIGHT = np.ones((3, 3), dtype=int)  # 8-connectivity for component labeling
+FILL_BLOCK = 1 << 16  # cells per block when filling a whole-grid table
 
 
 @dataclass
@@ -27,6 +36,10 @@ class SphereGrid:
     K: int = 2048
     H: float = CHART_HALF_WIDTH
     _twin: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.K < 1:
+            raise ValueError(f"grid size K must be at least 1, got {self.K}")
 
     @property
     def step(self) -> float:
@@ -95,21 +108,35 @@ class SphereGrid:
         """Per cell, the other-chart cell containing the same sphere point
         (-1 when it falls outside the other chart's square)."""
         if self._twin is None:
-            flat = np.arange(self.n_cells, dtype=np.int64)
-            chart, c = self.chart_coord(flat)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv = 1.0 / np.where(c == 0, np.nan, c)
-            ok = np.isfinite(inv) & (np.abs(inv.real) <= self.H) & (np.abs(inv.imag) <= self.H)
-            iy, ix = self._coord_to_cell(np.where(ok, inv, 0))
-            other = np.where(chart == 0, self.K * self.K, 0)
-            twin = other + iy * self.K + ix
-            self._twin = np.where(ok, twin, -1).astype(np.int64)
+            self._twin = self.fill_cells(self._twin_block)
         return self._twin
+
+    def _twin_block(self, flat: np.ndarray) -> np.ndarray:
+        chart, c = self.chart_coord(flat)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / np.where(c == 0, np.nan, c)
+        ok = np.isfinite(inv) & (np.abs(inv.real) <= self.H) & (np.abs(inv.imag) <= self.H)
+        iy, ix = self._coord_to_cell(np.where(ok, inv, 0))
+        other = np.where(chart == 0, self.K * self.K, 0)
+        return np.where(ok, other + iy * self.K + ix, -1)
+
+    def fill_cells(self, per_cell: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """The int64 table ``per_cell(flat)`` over every flat id, computed in
+        blocks of ``FILL_BLOCK`` ids; ``per_cell`` must act elementwise."""
+        out = np.empty(self.n_cells, dtype=np.int64)
+        for lo in range(0, self.n_cells, FILL_BLOCK):
+            hi = min(lo + FILL_BLOCK, self.n_cells)
+            out[lo:hi] = per_cell(np.arange(lo, hi, dtype=np.int64))
+        return out
 
     # -- rasterization and components ---------------------------------------
 
     def raster_spherical_ball(self, center_vec: np.ndarray, radius: float) -> np.ndarray:
-        """Flat ids of all cells (both charts) whose center lies in the open ball."""
+        """Flat ids of all cells (both charts) whose center lies in the open ball.
+
+        The ids come strictly ascending: chart A's before chart B's, and each
+        chart's in row-major order, so callers need not sort or deduplicate.
+        """
         out = []
         for chart in (0, 1):
             cells = self._raster_ball_in_chart(chart, center_vec, radius)
@@ -154,48 +181,84 @@ class SphereGrid:
             dots = (2 * cc.real * v[0] + 2 * cc.imag * v[1] + (s - 1) * v[2]) / (s + 1)
         else:
             dots = (2 * cc.real * v[0] - 2 * cc.imag * v[1] + (1 - s) * v[2]) / (s + 1)
-        inside = np.arccos(np.clip(dots, -1, 1)) < radius
-        iy, ix = np.nonzero(inside)
+        inside = np.flatnonzero(np.arccos(np.clip(dots, -1, 1)) < radius)
+        iy, ix = np.divmod(inside, hi_x - lo_x)
         return (iy + lo_y) * self.K + (ix + lo_x)
 
     def components(self, cells: np.ndarray) -> list[np.ndarray]:
         """Connected components of a set of cells, stitched across charts.
 
-        Each component is an ascending array, and components are ordered by
-        their smallest cell.
+        ``cells`` may come in any order and may repeat cells.  Each component
+        is an ascending array, and components are ordered by their smallest
+        cell.
         """
-        cells = np.unique(np.asarray(cells, dtype=np.int64))
+        cells = np.asarray(cells, dtype=np.int64).ravel()
         if cells.size == 0:
             return []
         half = self.K * self.K
-        labels = np.full(cells.shape, -1, dtype=np.int64)
-        next_label = 0
-        chart_of = cells // half
+        in_b = cells >= half
+        charts = [_ChartLabels.of(cells[~in_b], self.K), _ChartLabels.of(cells[in_b] - half, self.K)]
+        offsets = [-1, charts[0].count - 1]  # labels 1..count -> sphere-wide 0..
+        # stitch along matched twins: a cell's twin lies in the other chart,
+        # whose label raster gives the twin's label (a missing twin, -1,
+        # falls outside every box)
+        twin = self.twin_flat()
+        src, dst = [], []
         for chart in (0, 1):
-            sel = np.flatnonzero(chart_of == chart)
-            if not sel.size:
-                continue
-            rem = cells[sel] - chart * half
-            iy, ix = np.divmod(rem, self.K)
-            lo_y, hi_y = iy.min(), iy.max() + 1
-            lo_x, hi_x = ix.min(), ix.max() + 1
-            mask = np.zeros((hi_y - lo_y, hi_x - lo_x), dtype=bool)
-            mask[iy - lo_y, ix - lo_x] = True
-            lab, n_lab = ndimage.label(mask, structure=EIGHT)
-            labels[sel] = lab[iy - lo_y, ix - lo_x] - 1 + next_label
-            next_label += n_lab
-        # stitch the per-chart labels along matched twin cells; bool data,
-        # since the conversion to CSR sums duplicate edges
-        twin = self.twin_flat()[cells]
-        src = np.flatnonzero(twin >= 0)
-        pos = np.minimum(np.searchsorted(cells, twin[src]), cells.size - 1)
-        match = cells[pos] == twin[src]
-        edges = csr_matrix(
-            (np.ones(int(match.sum()), dtype=bool), (labels[src[match]], labels[pos[match]])),
-            shape=(next_label, next_label),
-        )
+            own, other = charts[chart], charts[1 - chart]
+            hit = other.at(twin[own.ids + chart * half] - (1 - chart) * half)
+            ok = hit > 0
+            src.append(own.labels[ok] + offsets[chart])
+            dst.append(hit[ok] + offsets[1 - chart])
+        # bool data, since the conversion to CSR sums duplicate edges
+        n_lab = charts[0].count + charts[1].count
+        src, dst = np.concatenate(src), np.concatenate(dst)
+        edges = csr_matrix((np.ones(src.size, dtype=bool), (src, dst)), shape=(n_lab, n_lab))
         _n, comp = connected_components(edges, directed=False)
-        return group_by_label(cells, comp[labels])
+        # chart A ids precede chart B ids, so the cells stay ascending
+        flat = np.concatenate([charts[0].ids, charts[1].ids + half])
+        labels = np.concatenate([c.labels + off for c, off in zip(charts, offsets)])
+        return group_by_label(flat, comp[labels])
+
+
+@dataclass
+class _ChartLabels:
+    """8-connected components of a set of chart-local cell ids, labelled on
+    the set's bounding box."""
+
+    K: int
+    ids: np.ndarray  # the distinct ids, ascending
+    labels: np.ndarray  # label of each id, 1..count
+    raster: np.ndarray  # box label raster, 0 off the set
+    lo_y: int
+    lo_x: int
+    count: int
+
+    @classmethod
+    def of(cls, rem: np.ndarray, K: int) -> "_ChartLabels":
+        if not rem.size:
+            return cls(K, rem, np.zeros(0, dtype=np.int32), np.zeros((0, 0), dtype=np.int32), 0, 0, 0)
+        iy, ix = np.divmod(rem, K)
+        lo_y, lo_x = int(iy.min()), int(ix.min())
+        w = int(ix.max()) + 1 - lo_x
+        mask = np.zeros((int(iy.max()) + 1 - lo_y, w), dtype=bool)
+        mask.ravel()[(iy - lo_y) * w + (ix - lo_x)] = True
+        raster, count = ndimage.label(mask, structure=EIGHT)
+        # row-major order in the box is ascending id order: no sort needed
+        pos = np.flatnonzero(mask)
+        ids = pos + (pos // w) * (K - w) + (lo_y * K + lo_x)
+        return cls(K, ids, raster.ravel()[pos], raster, lo_y, lo_x, count)
+
+    def at(self, rem: np.ndarray) -> np.ndarray:
+        """Labels of any chart-local ids: 0 off the set or outside the box."""
+        ty, tx = np.divmod(rem, self.K)
+        ty -= self.lo_y
+        tx -= self.lo_x
+        h, w = self.raster.shape
+        ok = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
+        out = np.zeros(rem.shape, dtype=self.raster.dtype)
+        out[ok] = self.raster.ravel()[ty[ok] * w + tx[ok]]
+        return out
 
 
 def group_by_label(items: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
@@ -226,10 +289,11 @@ def locate_cells(cells: np.ndarray, sets: list[np.ndarray]) -> tuple[np.ndarray,
     lo = np.searchsorted(flat, cells, side="left")
     counts = np.searchsorted(flat, cells, side="right") - lo
     query = np.repeat(np.arange(cells.size, dtype=np.int64), counts)
-    return query, owner[np.repeat(lo, counts) + _ranges(counts)]
+    return query, owner[run_indices(lo, counts)]
 
 
-def _ranges(reps: np.ndarray) -> np.ndarray:
-    """Concatenated aranges 0..r-1 for each count r in ``reps``."""
-    starts = np.repeat(np.cumsum(reps) - reps, reps)
-    return np.arange(starts.size, dtype=np.int64) - starts
+def run_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated index runs ``starts[k] + (0 .. counts[k] - 1)``, in order."""
+    counts = np.asarray(counts, dtype=np.int64)
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()), dtype=np.int64)

@@ -119,3 +119,15 @@ def test_missing_input_is_io_error(tmp_path, capsys, argv):
     assert err.startswith("qvista: error:")
     assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("bad", [["--grid", "0", "--levels", "2"], ["--grid", "64", "--levels", "0"]])
+def test_julia_bad_grid_or_levels_is_usage_error(tmp_path, capsys, bad):
+    out = tmp_path / "julia.json"
+    code = main(["julia", "--map", "z^2", "--depth", "6", "--target-count", "64",
+                 "--cover-radius", "0.39", *bad, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qvista: error:")
+    assert "Traceback" not in err
+    assert not out.exists()

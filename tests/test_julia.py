@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -194,3 +199,23 @@ class TestProbes:
                                grid=SphereGrid(K=512))
         assert out["monotone"]
         assert out["rows"]
+
+
+def test_grid_and_level_counts_must_be_positive(zsq, zsq_sample):
+    for K in (0, -4):
+        with pytest.raises(ValueError, match="grid size"):
+            SphereGrid(K=K)
+    pull = admissible_cover(zsq, zsq_sample, np.pi / 8, grid=SphereGrid(K=64))
+    with pytest.raises(ValueError, match="n_levels"):
+        pullback_cover(pull, 0)
+
+
+def test_import_leaves_sympy_unloaded():
+    """Only RationalMap.parse needs sympy, so importing the module must not
+    pay for it."""
+    code = "import sys, qvista.julia; print('sympy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

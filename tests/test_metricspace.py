@@ -24,11 +24,6 @@ class TestValidate:
         i, j, k = res.witness
         assert d[i, j] > d[i, k] + d[k, j]
 
-    def test_nonsymmetric(self):
-        d = np.array([[0, 1.0], [1.5, 0]])
-        res = validate_metric(FiniteMetricSpace(dist=d))
-        assert res.violation == "NonSymmetric"
-
     def test_zero_off_diagonal(self):
         d = np.array([[0, 0.0], [0.0, 0]])
         res = validate_metric(FiniteMetricSpace(dist=d))
@@ -46,6 +41,10 @@ class TestValidate:
     def test_constructor_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             FiniteMetricSpace(dist=np.zeros((2, 3)))
+
+    def test_constructor_rejects_nonsymmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            FiniteMetricSpace(dist=np.array([[0.0, 1.0], [2.0, 0.0]]))
 
     def test_constructor_rejects_nonfinite(self):
         with pytest.raises(ValueError):

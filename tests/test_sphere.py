@@ -105,3 +105,23 @@ def test_basilica_pullback_families_golden():
         rows = [[r.parent, r.cells.tolist(), list(r.sample_points)] for r in fam]
         digests.append(hashlib.sha256(json.dumps(rows).encode()).hexdigest())
     assert digests == BASILICA_FAMILY_DIGESTS
+
+
+# the same digests for z^2-3 at the julia-cantor smoke size: depth 8, K = 128,
+# 3 levels, with 6 / 9 / 10 regions
+CANTOR_FAMILY_DIGESTS = [
+    "9d3e34bfc5a4e6d39a551806eb996c1be63da96045f849fb964f25069559370c",
+    "f7b15d7bed64a2e46f52f28e0eb926402c7b067704bf2cd9eeeb6b007cf05cb0",
+    "7a580ff656cc602718c9f5bcff61cda8277fc3f22fc87f001ca33c490e002a3b",
+]
+
+
+def test_cantor_pullback_families_golden():
+    g = RationalMap.parse("z^2-3")
+    pull = admissible_cover(g, julia_sample(g, 8), 0.25, grid=SphereGrid(K=128))
+    pull = pullback_cover(pull, 3)
+    digests = []
+    for fam in pull.families:
+        rows = [[r.parent, r.cells.tolist(), list(r.sample_points)] for r in fam]
+        digests.append(hashlib.sha256(json.dumps(rows).encode()).hexdigest())
+    assert digests == CANTOR_FAMILY_DIGESTS
