@@ -109,7 +109,7 @@ def boundary_metric(
     # Both diam(X u Y) and L^-(X.Y) depend only on the pair of deepest tiles,
     # and a pair of points is resolved exactly when its deepest tiles differ.
     tiles = np.unique(deepest)
-    members = [np.fromiter(graph.members_of(int(v)), dtype=int) for v in tiles]
+    members = [graph.members_of(int(v)) for v in tiles]
     # diam(X u Y) ~ sup of cross distances, within a factor 2
     cross = tile_pair_reduce(cover.space.dist, members, np.maximum)
     # L^-(X.Y): one scalar power per distinct product, since an array power may

@@ -188,7 +188,8 @@ def build_visual_width0(
     """
     if lam <= 1:
         raise ValueError("lam must exceed 1")
-    if depth > 0 and lam ** (-depth) < 2.0 * space.max_nearest_neighbor_distance():
+    mesh = float(space.nearest_neighbor_distances().max(initial=0.0))
+    if depth > 0 and lam ** (-depth) < 2.0 * mesh:
         raise ResolutionExceeded(
             f"lam^-{depth} = {lam ** (-depth)!r} is below twice the sample resolution"
         )

@@ -111,23 +111,6 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_space(path) -> FiniteMetricSpace:
-    return FiniteMetricSpace.load(path)
-
-
-def _load_cover(path, space) -> CoverSequence:
-    return CoverSequence.load(path, space)
-
-
-def _combinatorial_space(path) -> FiniteMetricSpace:
-    """Zero-metric placeholder when only the combinatorics matter."""
-    with open(path) as fh:
-        n = json.load(fh)["n"]
-    # all-distinct placeholder distances keep the constructor happy
-    d = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
-    return FiniteMetricSpace(dist=d)
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = _parser()
@@ -164,15 +147,15 @@ def _dispatch(args, seed: int) -> int:
         return 0
 
     if cmd == "build":
-        space = _load_space(args.space)
+        space = FiniteMetricSpace.load(args.space)
         build = build_visual_width1 if args.width == 1 else build_visual_width0
         cover = build(space, args.lam, args.depth)
         cover.save(args.out)
         return 0
 
     if cmd == "verify":
-        space = _load_space(args.space)
-        cover = _load_cover(args.cover, space)
+        space = FiniteMetricSpace.load(args.space)
+        cover = CoverSequence.load(args.cover, space)
         thresholds = None
         if args.thresholds:
             with open(args.thresholds) as fh:
@@ -197,15 +180,14 @@ def _dispatch(args, seed: int) -> int:
         return 0 if report.passed else 1
 
     if cmd == "proximity":
-        space = _load_space(args.space) if args.space else _combinatorial_space(args.cover)
-        cover = _load_cover(args.cover, space)
+        space = FiniteMetricSpace.load(args.space) if args.space else None
+        cover = CoverSequence.load(args.cover, space)
         table = compute_proximity(cover)
         table.save(args.out)
         return 0
 
     if cmd == "synthesize":
-        space = _combinatorial_space(args.cover)
-        cover = _load_cover(args.cover, space)
+        cover = CoverSequence.load(args.cover, None)
         metric, report = synthesize_visual_metric(cover, args.lam)
         metric.save(args.out)
         if args.report:
@@ -219,8 +201,8 @@ def _dispatch(args, seed: int) -> int:
         return 0 if report.passed else 1
 
     if cmd == "qscheck":
-        d1 = _load_space(args.d1)
-        d2 = _load_space(args.d2)
+        d1 = FiniteMetricSpace.load(args.d1)
+        d2 = FiniteMetricSpace.load(args.d2)
         snow = snowflake_check(d1, d2)
         qs = fit_power_quasisymmetry(d1, d2)
         result = {
@@ -239,8 +221,8 @@ def _dispatch(args, seed: int) -> int:
         return 0 if (snow or qs) else 1
 
     if cmd == "tilegraph":
-        space = _load_space(args.space) if args.space else _combinatorial_space(args.cover)
-        cover = _load_cover(args.cover, space)
+        space = FiniteMetricSpace.load(args.space) if args.space else None
+        cover = CoverSequence.load(args.cover, space)
         graph = build_tile_graph(cover)
         table = compute_proximity(cover)
         comparison = compare_m_gromov(graph, table)
@@ -267,8 +249,8 @@ def _dispatch(args, seed: int) -> int:
         return 0
 
     if cmd == "boundary":
-        space = _load_space(args.space)
-        cover = _load_cover(args.cover, space)
+        space = FiniteMetricSpace.load(args.space)
+        cover = CoverSequence.load(args.cover, space)
         graph = build_tile_graph(cover)
         bnd = boundary_metric(cover, graph, args.lam)
         ok, inj = phi_injectivity_check(bnd)

@@ -57,6 +57,11 @@ def bool_product(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def maxmin_product(a: np.ndarray) -> np.ndarray:
     """(max,min) matrix product: out[x, y] = max over z of min(a[x, z], a[z, y]).
 
@@ -100,11 +105,13 @@ class CoverSequence:
 
     def __init__(
         self,
-        space: FiniteMetricSpace,
+        space: FiniteMetricSpace | None,
         levels: Sequence[Sequence[Iterable[int]]],
         width: int = 0,
         visual_parameter: float | None = None,
     ):
+        """With ``space=None`` the cover is purely combinatorial: the level-0
+        tile sets the point count, and nothing that reads a metric applies."""
         if width < 0:
             raise ValueError("width must be a non-negative integer")
         if visual_parameter is not None and visual_parameter <= 1:
@@ -112,7 +119,7 @@ class CoverSequence:
         self.space = space
         self.width = int(width)
         self.visual_parameter = float(visual_parameter) if visual_parameter else None
-        n = space.n
+        n = space.n if space is not None else len(set().union(*levels[0])) if levels else 0
         all_points = frozenset(range(n))
         self.levels: list[list[Tile]] = []
         for lev, fam in enumerate(levels):
@@ -134,7 +141,9 @@ class CoverSequence:
             raise ValueError("need at least level 0")
         if len(self.levels[0]) != 1 or self.levels[0][0].members != all_points:
             raise ValueError("level 0 must consist of the single whole-space tile")
+        self._members: dict[int, tuple[np.ndarray, ...]] = {}
         self._membership: dict[int, np.ndarray] = {}
+        self._meets: dict[tuple[int, int], np.ndarray] = {}
         self._diams: dict[int, np.ndarray] = {}
         self._reach: dict[tuple[int, int], np.ndarray] = {}
 
@@ -147,39 +156,49 @@ class CoverSequence:
 
     @property
     def n_points(self) -> int:
-        return self.space.n
+        return len(self.levels[0][0].members)
 
     def tile(self, level: int, index: int) -> Tile:
         if not (0 <= level < len(self.levels) and 0 <= index < len(self.levels[level])):
             raise UnknownTile(f"no tile ({level},{index})")
         return self.levels[level][index]
 
+    def members(self, level: int) -> tuple[np.ndarray, ...]:
+        """Per tile of one level, its members as a sorted int64 array; cached
+        and read-only.  Reductions over members never depend on their order."""
+        if level not in self._members:
+            self._members[level] = tuple(
+                _read_only(np.sort(np.fromiter(t.members, dtype=np.int64, count=len(t.members))))
+                for t in self.levels[level]
+            )
+        return self._members[level]
+
     def membership(self, level: int) -> np.ndarray:
         """Boolean (n_tiles, n_points) membership matrix for one level."""
         if level not in self._membership:
-            fam = self.levels[level]
-            m = np.zeros((len(fam), self.n_points), dtype=bool)
-            for t in fam:
-                m[t.index, list(t.members)] = True
+            members = self.members(level)
+            m = np.zeros((len(members), self.n_points), dtype=bool)
+            for i, idx in enumerate(members):
+                m[i, idx] = True
             self._membership[level] = m
         return self._membership[level]
+
+    def meets(self, n: int, m: int) -> np.ndarray:
+        """Boolean matrix of intersecting pairs X in X^n, Y in X^m; cached and
+        read-only.  ``meets(n, n)`` is the same-level intersection graph."""
+        key = (n, m)
+        if key not in self._meets:
+            self._meets[key] = _read_only(bool_product(self.membership(n), self.membership(m).T))
+        return self._meets[key]
 
     def diams(self, level: int) -> np.ndarray:
         """Tile diameters at one level, under the bound space's metric."""
         if level not in self._diams:
             d = self.space.dist
-            fam = self.levels[level]
-            out = np.empty(len(fam))
-            for t in fam:
-                idx = np.fromiter(t.members, dtype=int)
-                out[t.index] = d[np.ix_(idx, idx)].max() if idx.size > 1 else 0.0
-            self._diams[level] = out
+            self._diams[level] = np.array(
+                [d[np.ix_(idx, idx)].max() if idx.size > 1 else 0.0 for idx in self.members(level)]
+            )
         return self._diams[level]
-
-    def adjacency(self, level: int) -> np.ndarray:
-        """Same-level intersection graph (diagonal True)."""
-        m = self.membership(level)
-        return bool_product(m, m.T)
 
     def reach_within(self, level: int, length: int) -> np.ndarray:
         """Tile pairs joined by a chain of at most ``length`` same-level tiles.
@@ -188,16 +207,14 @@ class CoverSequence:
         """
         key = (level, length)
         if key not in self._reach:
-            adj = self.adjacency(level)  # diagonal True, so reach only grows
+            adj = self.meets(level, level)  # diagonal True, so reach only grows
             reach = bool_product(np.eye(len(adj), dtype=bool), *[adj] * length)
-            reach.flags.writeable = False
-            self._reach[key] = reach
+            self._reach[key] = _read_only(reach)
         return self._reach[key]
 
     def pair_distances(self, level: int) -> np.ndarray:
         """Matrix of set distances dist(X, Y) between same-level tiles."""
-        members = [np.fromiter(t.members, dtype=int) for t in self.levels[level]]
-        return tile_pair_reduce(self.space.dist, members, np.minimum)
+        return tile_pair_reduce(self.space.dist, self.members(level), np.minimum)
 
     def with_space(self, space: FiniteMetricSpace) -> "CoverSequence":
         """Rebind the same combinatorial cover to another metric on the same points."""
@@ -223,15 +240,18 @@ class CoverSequence:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, space: FiniteMetricSpace) -> "CoverSequence":
-        if data.get("n") is not None and data["n"] != space.n:
+    def from_dict(cls, data: dict, space: FiniteMetricSpace | None) -> "CoverSequence":
+        if space is not None and data.get("n") not in (None, space.n):
             raise ValueError("cover was built for a different point count")
-        return cls(
+        cover = cls(
             space,
             data["levels"],
             width=data.get("width", 0),
             visual_parameter=data.get("lambda"),
         )
+        if data.get("n") not in (None, cover.n_points):
+            raise ValueError("cover was built for a different point count")
+        return cover
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -239,7 +259,7 @@ class CoverSequence:
             fh.write("\n")
 
     @classmethod
-    def load(cls, path, space: FiniteMetricSpace) -> "CoverSequence":
+    def load(cls, path, space: FiniteMetricSpace | None) -> "CoverSequence":
         with open(path) as fh:
             return cls.from_dict(json.load(fh), space)
 
@@ -391,6 +411,12 @@ def verify_visual(cover: CoverSequence, thresholds: dict | None = None) -> Verif
     return report
 
 
+def _diam_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den for tile diameters, with 0/0 read as 1 and x/0 as inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den == 0, np.where(num == 0, 1.0, np.inf), num / den)
+
+
 def verify_quasi_visual(cover: CoverSequence, thresholds: dict | None = None) -> VerificationReport:
     """Check the four scale-free cover conditions and extract best constants.
 
@@ -408,12 +434,9 @@ def verify_quasi_visual(cover: CoverSequence, thresholds: dict | None = None) ->
     for lev, fam in enumerate(cover.levels):
         diams = cover.diams(lev)
         if len(fam) > 1:
-            adj = cover.adjacency(lev) & ~np.eye(len(fam), dtype=bool)
+            adj = cover.meets(lev, lev) & ~np.eye(len(fam), dtype=bool)
             if adj.any():
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = np.where(adj, diams[:, None] / diams[None, :], 0.0)
-                    ratio = np.where(adj & (diams[None, :] == 0),
-                                     np.where(diams[:, None] == 0, 1.0, np.inf), ratio)
+                ratio = np.where(adj, _diam_ratio(diams[:, None], diams[None, :]), 0.0)
                 i, j = map(int, np.unravel_index(int(np.argmax(ratio)), ratio.shape))
                 if ratio[i, j] > c1_best:
                     c1_best = float(ratio[i, j])
@@ -428,17 +451,12 @@ def verify_quasi_visual(cover: CoverSequence, thresholds: dict | None = None) ->
                     c2_best = float(ratio[i, j])
                     c2_wit = {"tiles": [[lev, i], [lev, j]], "ratio": float(ratio[i, j])}
         if lev + 1 <= cover.depth:
-            inter = bool_product(cover.membership(lev), cover.membership(lev + 1).T)
+            inter = cover.meets(lev, lev + 1)
             if inter.any():
-                d_up, d_dn = diams, cover.diams(lev + 1)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    r1 = np.where(inter, d_up[:, None] / d_dn[None, :], 0.0)
-                    r1 = np.where(inter & (d_dn[None, :] == 0),
-                                  np.where(d_up[:, None] == 0, 1.0, np.inf), r1)
-                    r2 = np.where(inter, d_dn[None, :] / d_up[:, None], 0.0)
-                    r2 = np.where(inter & (d_up[:, None] == 0),
-                                  np.where(d_dn[None, :] == 0, 1.0, np.inf), r2)
-                ratio = np.maximum(r1, r2)
+                d_up, d_dn = diams[:, None], cover.diams(lev + 1)[None, :]
+                ratio = np.where(
+                    inter, np.maximum(_diam_ratio(d_up, d_dn), _diam_ratio(d_dn, d_up)), 0.0
+                )
                 i, j = map(int, np.unravel_index(int(np.argmax(ratio)), ratio.shape))
                 c3_by_pair[f"{lev},{lev + 1}"] = float(ratio[i, j])
                 if ratio[i, j] > c3_best:
@@ -494,12 +512,10 @@ def _cross_level_gap_ratios(
     gap_max: dict[int, float] = {}
     gap_min: dict[int, float] = {}
     for n in range(cover.depth + 1):
-        up = cover.membership(n)
         d_up = cover.diams(n)
         for m in range(n + 1, cover.depth + 1):
             k = m - n
-            inter = bool_product(up, cover.membership(m).T)
-            ok = inter & (d_up[:, None] > 0)
+            ok = cover.meets(n, m) & (d_up[:, None] > 0)
             if resolved is not None:
                 ok &= resolved[n][:, None] & resolved[m][None, :]
             if not ok.any():
@@ -544,19 +560,16 @@ def _resolved_tile_masks(cover: CoverSequence) -> list[np.ndarray]:
     local nearest-neighbor distances of their members, so that the measured
     diameter is not dominated by discretization error.  Level 0 is always
     excluded (the root carries the global diameter, not a scale rung)."""
-    d = cover.space.dist
-    n = cover.space.n
-    local_nn = (d + np.diag(np.full(n, np.inf))).min(axis=1) if n > 1 else np.zeros(n)
+    local_nn = cover.space.nearest_neighbor_distances()
     masks = []
     for lev in range(cover.depth + 1):
         diams = cover.diams(lev)
         ok = np.zeros(len(cover.levels[lev]), dtype=bool)
         if lev > 0:
-            for t in cover.levels[lev]:
-                idx = np.fromiter(t.members, dtype=int)
-                ok[t.index] = (
+            for i, idx in enumerate(cover.members(lev)):
+                ok[i] = (
                     idx.size >= 2
-                    and diams[t.index] >= RESOLUTION_FLOOR_NN * float(local_nn[idx].max())
+                    and diams[i] >= RESOLUTION_FLOOR_NN * float(local_nn[idx].max())
                 )
         masks.append(ok)
     return masks
@@ -605,15 +618,12 @@ def quasiball_check(cover: CoverSequence) -> tuple[float, float]:
         diams = cover.diams(lev)
         reach = cover.reach_within(lev, 2 * w + 1)
         mem = cover.membership(lev)
-        for t in fam:
+        for t, idx in zip(fam, cover.members(lev)):
             dm = diams[t.index]
             if dm == 0:
                 continue  # degenerate tile; reported by the visual verifier
-            hood = np.zeros(cover.n_points, dtype=bool)
-            for j in np.flatnonzero(reach[t.index]):
-                hood |= mem[j]
+            hood = mem[reach[t.index]].any(axis=0)
             outside = ~hood
-            idx = np.fromiter(t.members, dtype=int)
             inside_max = d[np.ix_(idx, np.flatnonzero(hood))].max(axis=1)
             R0 = max(R0, float(inside_max.max()) / dm)
             if outside.any():
@@ -631,11 +641,10 @@ def ball_tile_comparability(cover: CoverSequence, R: float) -> float:
     for lev, fam in enumerate(cover.levels):
         diams = cover.diams(lev)
         mem = cover.membership(lev)
-        for t in fam:
+        for t, idx in zip(fam, cover.members(lev)):
             dm = diams[t.index]
             if dm == 0:
                 continue
-            idx = np.fromiter(t.members, dtype=int)
             near = (d[idx] < R * dm).any(axis=0)  # points inside some B(x, R diam X)
             meets = (mem & near[None, :]).any(axis=1)
             for j in np.flatnonzero(meets):

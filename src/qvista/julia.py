@@ -26,7 +26,7 @@ from .errors import (
 )
 from .metricspace import FiniteMetricSpace, greedy_separated_subset
 from .sphere import sphere_from_complex_array, spherical_dist_matrix
-from .spheregrid import SphereGrid, group_by_label, locate_cells, run_indices
+from .spheregrid import SphereGrid, group_by_label, inverse_image, locate_cells
 
 MAX_PREIMAGE_COUNT = 4096
 ROOT_CLUSTER_TOL = 1e-7
@@ -208,7 +208,8 @@ def _cluster_roots(roots: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
 
 @dataclass
 class JuliaSample:
-    """Inverse-iteration sample of a Julia set, stored on the sphere."""
+    """Inverse-iteration sample of a Julia set, stored on the sphere, with its
+    metric, self-map and projection error computed once by ``julia_sample``."""
 
     map: RationalMap
     z: np.ndarray  # complex chart values (inf allowed)
@@ -216,25 +217,25 @@ class JuliaSample:
     depth: int
     seed: int
     mesh: float  # max nearest-neighbor spherical distance
+    _space: FiniteMetricSpace = field(repr=False)
+    _self_map: np.ndarray = field(repr=False)
+    _projection_error: float = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.z.shape[0]
 
     def space(self) -> FiniteMetricSpace:
-        return FiniteMetricSpace(dist=spherical_dist_matrix(self.vecs), coords=self.vecs)
+        """The sample under the spherical metric."""
+        return self._space
 
     def self_map_indices(self) -> np.ndarray:
         """Nearest-sample projection of g, as an index self-map."""
-        img = self.map.eval(self.z)
-        iv = _vecs_of(img)
-        return np.argmax(iv @ self.vecs.T, axis=1)
+        return self._self_map
 
     def projection_error(self) -> float:
-        img = self.map.eval(self.z)
-        iv = _vecs_of(img)
-        dots = np.clip((iv * self.vecs[self.self_map_indices()]).sum(axis=1), -1, 1)
-        return float(np.arccos(dots).max())
+        """Largest spherical distance from g(x) to its nearest-sample projection."""
+        return self._projection_error
 
 
 def _vecs_of(z: np.ndarray) -> np.ndarray:
@@ -256,7 +257,6 @@ def julia_sample(
     """
     z0 = map_.repelling_fixed_point()
     pts = np.array([z0], dtype=complex)
-    rng = np.random.default_rng(seed)
     for _ in range(depth):
         collected = [
             map_.preimages(w)[0] for w in pts if np.isfinite(w)
@@ -267,17 +267,22 @@ def julia_sample(
     if pts.size > target_count:
         pts = _farthest_point_prune(pts, target_count)
     vecs = _vecs_of(pts)
-    d = spherical_dist_matrix(vecs)
-    mesh = float((d + np.diag(np.full(pts.size, np.inf))).min(axis=1).max()) if pts.size > 1 else 0.0
-    sample = JuliaSample(map=map_, z=pts, vecs=vecs, depth=depth, seed=seed, mesh=mesh)
-    img = map_.eval(pts)
-    iv = _vecs_of(img)
-    gaps = np.arccos(np.clip(iv @ vecs.T, -1, 1)).min(axis=1)
+    space = FiniteMetricSpace(dist=spherical_dist_matrix(vecs), coords=vecs)
+    mesh = float(space.nearest_neighbor_distances().max())
+    iv = _vecs_of(map_.eval(pts))
+    dots = iv @ vecs.T
+    self_map = np.argmax(dots, axis=1)
+    self_map.flags.writeable = False
+    proj = np.arccos(np.clip((iv * vecs[self_map]).sum(axis=1), -1, 1))
+    gaps = np.arccos(np.clip(dots, -1, 1, out=dots), out=dots).min(axis=1)
     if pts.size > 1 and float(gaps.max()) > 2.0 * max(mesh, 1e-9):
         raise RootFindFailure(
             f"forward invariance violated: image strays {gaps.max()!r} from the sample"
         )
-    return sample
+    return JuliaSample(
+        map=map_, z=pts, vecs=vecs, depth=depth, seed=seed, mesh=mesh,
+        _space=space, _self_map=self_map, _projection_error=float(proj.max()),
+    )
 
 
 def _dedupe_sphere(pts: np.ndarray) -> np.ndarray:
@@ -350,7 +355,7 @@ def admissible_cover(
     """Level-1 family: spherical balls of the given radius around a maximal
     radius-net of the sample, rasterized to grid regions."""
     grid = grid or SphereGrid()
-    d = spherical_dist_matrix(sample.vecs)
+    d = sample.space().dist
     centers = greedy_separated_subset(d, range(sample.n), radius)
     regions = []
     for k, c in enumerate(centers):
@@ -372,20 +377,18 @@ def pullback_cover(pull: PullbackCover, n_levels: int, min_cells: int = 1) -> Pu
     """Extend the family chain to ``n_levels`` by one-step pull-backs.
 
     The cells whose g-image lands in a parent region are gathered from the
-    inverse image of g on the raster (the cells bucketed by image cell, built
-    once per call), split into sphere components, and kept when they meet
-    the sample.  With ``min_cells`` above 1, a sample-meeting component
-    thinner than that raises ResolutionInsufficient (caller should double the
-    grid); by default thin components are kept, since tile membership is
-    decided by the dynamics and the raster only locates siblings.
+    inverse image of g on the raster, split into sphere components, and kept
+    when they meet the sample.  With ``min_cells`` above 1, a sample-meeting
+    component thinner than that raises ResolutionInsufficient (caller should
+    double the grid); by default thin components are kept.  Tile membership
+    is decided by the dynamics in ``induce_tiles``, which reads only the
+    level-1 regions: the regions below level 1 decide only how many levels
+    there are, and whether a level comes out empty (EmptyLevel).
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be at least 1, got {n_levels}")
     grid, map_, sample = pull.grid, pull.map, pull.sample
-    img = map_.image_cells(grid)
-    # the cells mapping into cell c are pre[start[c]:start[c + 1]]
-    pre = np.argsort(img, kind="stable")
-    start = np.concatenate([[0], np.cumsum(np.bincount(img, minlength=grid.n_cells))])
+    preimage = inverse_image(map_.image_cells(grid))
     prim = grid.canonical_flat(sample.z)
     sample_cells = np.concatenate([prim, grid.twin_flat()[prim]])
     while pull.n_levels < n_levels:
@@ -394,8 +397,7 @@ def pullback_cover(pull: PullbackCover, n_levels: int, min_cells: int = 1) -> Pu
         comps: list[np.ndarray] = []
         comp_parent: list[int] = []
         for pid, parent in enumerate(parents):
-            lo = start[parent.cells]
-            chunk = pre[run_indices(lo, start[parent.cells + 1] - lo)]
+            chunk = preimage(parent.cells)
             if chunk.size:
                 found = grid.components(chunk)
                 comps.extend(found)
@@ -435,18 +437,20 @@ def induce_tiles(pull: PullbackCover) -> CoverSequence:
 
     Level-1 tiles are the sample points of the level-1 regions; these cover
     the sample because the region centers form a maximal radius-net of it.
-    Membership below level 1 is dynamics-exact: the candidates of a parent
-    tile are the points whose projected image lies in it, and they are split
-    into the parent's child tiles by single-linkage clustering at the local
-    sample scale.  This makes the level shift g(X^{n+1}) <= X^n exact at the
-    index level, which the proximity-decay law needs.
+    They are the only regions read here: the regions below level 1 set only
+    the number of levels.  Membership below level 1 is dynamics-exact: the
+    candidates of a parent tile are the points whose projected image lies in
+    it, and they are split into the parent's child tiles by single-linkage
+    clustering at the local sample scale.  This makes the level shift
+    g(X^{n+1}) <= X^n exact at the index level, which the proximity-decay law
+    needs.
     """
     sample = pull.sample
     space = sample.space()
     g_idx = sample.self_map_indices()
     levels: list[list[tuple[int, ...]]] = [[tuple(range(sample.n))]]
     d_all = space.dist
-    local_nn = (d_all + np.diag(np.full(sample.n, np.inf))).min(axis=1)
+    local_nn = space.nearest_neighbor_distances()
     prev_tiles: list[set[int]] = []
     for fam in pull.families:
         tiles: list[set[int]] = []
@@ -518,14 +522,14 @@ def verify_dynamical_qv(
         cover = induce_tiles(pull)
     qv = verify_quasi_visual(cover, thresholds=thresholds)
     rates = derive_rho_tau_nu(cover)
-    g_idx = pull.sample.self_map_indices()
-    slack = 4.0 * pull.grid.step + 2.0 * pull.sample.mesh + pull.sample.projection_error()
-    dyn = dynamical_checks(cover, g_idx, nu=rates.nu, shift_tolerance=slack)
+    sample = pull.sample
+    slack = 4.0 * pull.grid.step + 2.0 * sample.mesh + sample.projection_error()
+    dyn = dynamical_checks(cover, sample.self_map_indices(), nu=rates.nu, shift_tolerance=slack)
     return {
         "qv": qv,
         "dynamical": dyn,
         "rates": rates,
-        "projection_error": pull.sample.projection_error(),
+        "projection_error": sample.projection_error(),
         "passed": qv.passed and dyn.passed,
     }
 
@@ -634,7 +638,7 @@ def distortion_probe(
     """
     grid = grid or SphereGrid(K=1024)
     rng = np.random.default_rng(seed)
-    img = map_.image_cells(grid)
+    preimage = inverse_image(map_.image_cells(grid))
     rows = []
     centers = rng.choice(sample.n, size=min(n_configs, sample.n), replace=False)
     for ci in centers:
@@ -656,7 +660,7 @@ def distortion_probe(
             radius = 0.5 * s * r0
             comp_cells = grid.raster_spherical_ball(sample.vecs[ci], radius)
             for k in range(n_level):
-                comps = grid.components(locate_cells(img, [comp_cells])[0])
+                comps = grid.components(preimage(comp_cells))
                 holding = _component_near(grid, branch[k + 1], comps)
                 if holding is None:
                     break

@@ -61,12 +61,11 @@ class FiniteMetricSpace:
         pos = off[off > 0]
         return float(pos.min()) if pos.size else 0.0
 
-    def max_nearest_neighbor_distance(self) -> float:
-        """Largest distance from a point to its nearest distinct point."""
+    def nearest_neighbor_distances(self) -> np.ndarray:
+        """Per point, the distance to its nearest distinct point (zeros when n < 2)."""
         if self.n < 2:
-            return 0.0
-        d = self.dist + np.diag(np.full(self.n, np.inf))
-        return float(d.min(axis=1).max())
+            return np.zeros(self.n)
+        return (self.dist + np.diag(np.full(self.n, np.inf))).min(axis=1)
 
     # -- serialization ----------------------------------------------------
 
@@ -277,7 +276,7 @@ def uniform_perfectness_probe(
     if space.n < 2:
         raise ValueError("need at least 2 points")
     d = space.dist
-    r_lo = space.max_nearest_neighbor_distance()
+    r_lo = float(space.nearest_neighbor_distances().max())
     r_hi = space.diameter()
     grid = []
     r = r_lo

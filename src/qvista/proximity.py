@@ -222,9 +222,8 @@ def check_combinatorially_visual(
     unresolved_tiles = 0
     wit_ii = None
     for lev, fam in enumerate(cover.levels):
-        for t in fam:
-            idx = np.fromiter(t.members, dtype=int)
-            sub = m[np.ix_(idx, idx)].copy()
+        for t, idx in zip(fam, cover.members(lev)):
+            sub = m[np.ix_(idx, idx)]
             np.fill_diagonal(sub, sentinel)
             best = int(sub.min()) if idx.size > 1 else sentinel
             if best >= sentinel:
@@ -241,8 +240,7 @@ def check_combinatorially_visual(
         sep = np.triu(~cover.reach_within(lev, 2 * cover.width + 1), 1)
         if not sep.any():
             continue
-        mem = cover.membership(lev)
-        worst = tile_pair_reduce(m, [np.flatnonzero(r) for r in mem], np.maximum)
+        worst = tile_pair_reduce(m, cover.members(lev), np.maximum)
         a, b = np.unravel_index(int(np.argmax(np.where(sep, worst, -1))), sep.shape)
         if worst[a, b] - lev > c_iii:
             c_iii = float(worst[a, b] - lev)
@@ -530,20 +528,19 @@ def dynamical_checks(
     shift_violations = []
     for lev in range(1, depth):
         mem_up = cover.membership(lev)
-        for t in cover.levels[lev + 1]:
-            img = np.unique(g[np.fromiter(t.members, dtype=int)])
+        hosts = cover.members(lev)
+        for t, idx in zip(cover.levels[lev + 1], cover.members(lev + 1)):
+            img = np.unique(g[idx])
             contained = mem_up[:, img].all(axis=1)
             if contained.any():
                 if exact_image and not any(
-                    frozenset(int(i) for i in img) == cover.levels[lev][a].members
-                    for a in np.flatnonzero(contained)
+                    np.array_equal(img, hosts[a]) for a in np.flatnonzero(contained)
                 ):
                     shift_violations.append({"tile": list(t.id), "reason": "not exact image"})
                 continue
             # nearest-tile slack: how far the image set sticks out of its best host
             best = np.inf
-            for a in range(mem_up.shape[0]):
-                ia = np.flatnonzero(mem_up[a])
+            for ia in hosts:
                 gap = float(d[np.ix_(img, ia)].min(axis=1).max())
                 best = min(best, gap)
             if best > shift_tolerance:
@@ -557,12 +554,12 @@ def dynamical_checks(
     gn = np.arange(n_pts)
     for k in range(1, depth + 1):
         gn = g[gn]
-        lhs = m[np.ix_(gn, gn)]
-        bad = lhs < rhs - k
+        rhs -= 1  # min(m, depth) - k, in place: no n x n temporary per step
+        bad = m[np.ix_(gn, gn)] < rhs
         if bad.any():
             i, j = map(int, np.unravel_index(int(np.argmax(bad)), bad.shape))
             prox_violations.append(
-                {"n": k, "pair": [i, j], "m": int(m[i, j]), "m_image": int(lhs[i, j])}
+                {"n": k, "pair": [i, j], "m": int(m[i, j]), "m_image": int(m[gn[i], gn[j]])}
             )
 
     if nu is None:
@@ -572,11 +569,10 @@ def dynamical_checks(
     for k in range(1, depth):
         gn = g[gn]
         diams = cover.diams(k + 1)
-        for t in cover.levels[k + 1]:
-            dm = diams[t.index]
+        for dm, idx in zip(diams, cover.members(k + 1)):
             if dm == 0:
                 continue
-            z0 = min(t.members)
+            z0 = idx[0]
             ball = np.flatnonzero(d[z0] < 2.0 * dm)
             if ball.size < 2:
                 continue

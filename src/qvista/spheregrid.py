@@ -145,42 +145,32 @@ class SphereGrid:
         return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
     def _raster_ball_in_chart(self, chart: int, center_vec: np.ndarray, radius: float) -> np.ndarray:
-        # bounding box via the chart projection of the ball center and the
-        # worst-case metric factor (<= 2 chart units per spherical unit)
         v = np.asarray(center_vec, dtype=float)
-        if chart == 0:
-            denom = 1.0 - v[2]
-            if denom <= 1e-12:
-                c = None
-            else:
-                c = complex(v[0] / denom, v[1] / denom)
-        else:
-            denom = 1.0 + v[2]
-            if denom <= 1e-12:
-                c = None
-            else:
-                c = complex(v[0] / denom, -v[1] / denom)
+        flip = 1.0 if chart == 0 else -1.0  # chart B mirrors the y and z axes
         axis = self.axis_centers()
-        if c is None or abs(c) > self.H + 2.0:
-            lo_x, hi_x, lo_y, hi_y = 0, self.K, 0, self.K
+        # a chart is the stereographic projection from its pole (z = inf for
+        # A, z = 0 for B): a point at polar angle t from it lands at radius cot(t/2)
+        rho = np.hypot(v[0], v[1])
+        theta = np.arctan2(rho, flip * v[2])
+        if theta <= radius:
+            lo_x, hi_x, lo_y, hi_y = 0, self.K, 0, self.K  # the cap holds the pole
         else:
-            # |dz| = (1+|z|^2)/2 * ds along the ball; pad generously
-            factor = (1.0 + (abs(c) + 2.0) ** 2) / 2.0
-            pad = radius * factor + 2 * self.step
-            lo_x = max(0, np.searchsorted(axis, c.real - pad) - 1)
-            hi_x = min(self.K, np.searchsorted(axis, c.real + pad) + 1)
-            lo_y = max(0, np.searchsorted(axis, c.imag - pad) - 1)
-            hi_y = min(self.K, np.searchsorted(axis, c.imag + pad) + 1)
-        if lo_x >= hi_x or lo_y >= hi_y:
-            return np.empty(0, dtype=np.int64)
+            # the cap's image is the disk whose diameter joins the images of
+            # polar angles theta -+ radius along the center's azimuth; the
+            # near end is signed, negative once theta + radius passes pi
+            far = 1.0 / np.tan(0.5 * (theta - radius))
+            near = 1.0 / np.tan(0.5 * (theta + radius))
+            mid = 0.5 * (far + near) * (complex(v[0], flip * v[1]) / rho if rho > 0 else 1.0)
+            pad = 0.5 * (far - near) + 2 * self.step
+            lo_x = max(0, np.searchsorted(axis, mid.real - pad) - 1)
+            hi_x = min(self.K, np.searchsorted(axis, mid.real + pad) + 1)
+            lo_y = max(0, np.searchsorted(axis, mid.imag - pad) - 1)
+            hi_y = min(self.K, np.searchsorted(axis, mid.imag + pad) + 1)
         xs = axis[lo_x:hi_x]
         ys = axis[lo_y:hi_y]
         cc = xs[None, :] + 1j * ys[:, None]
         s = np.abs(cc) ** 2
-        if chart == 0:
-            dots = (2 * cc.real * v[0] + 2 * cc.imag * v[1] + (s - 1) * v[2]) / (s + 1)
-        else:
-            dots = (2 * cc.real * v[0] - 2 * cc.imag * v[1] + (1 - s) * v[2]) / (s + 1)
+        dots = (2 * cc.real * v[0] + flip * 2 * cc.imag * v[1] + flip * (s - 1) * v[2]) / (s + 1)
         inside = np.flatnonzero(np.arccos(np.clip(dots, -1, 1)) < radius)
         iy, ix = np.divmod(inside, hi_x - lo_x)
         return (iy + lo_y) * self.K + (ix + lo_x)
@@ -282,7 +272,10 @@ def locate_cells(cells: np.ndarray, sets: list[np.ndarray]) -> tuple[np.ndarray,
     """
     cells = np.asarray(cells, dtype=np.int64)
     flat = np.concatenate([np.empty(0, dtype=np.int64), *sets])
-    owner = np.repeat(np.arange(len(sets), dtype=np.int64), [s.size for s in sets])
+    # only the set entries some query asks for are sorted
+    pos = np.flatnonzero(np.isin(flat, cells, kind="table"))
+    owner = np.searchsorted(np.cumsum([s.size for s in sets], dtype=np.int64), pos, side="right")
+    flat = flat[pos]
     # stable, so the copies of one cell keep ascending set order
     order = np.argsort(flat, kind="stable")
     flat, owner = flat[order], owner[order]
@@ -290,6 +283,21 @@ def locate_cells(cells: np.ndarray, sets: list[np.ndarray]) -> tuple[np.ndarray,
     counts = np.searchsorted(flat, cells, side="right") - lo
     query = np.repeat(np.arange(cells.size, dtype=np.int64), counts)
     return query, owner[run_indices(lo, counts)]
+
+
+def inverse_image(img: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """A function from distinct cells to the cells that ``img`` maps into them,
+    bucket by bucket in the given order, each bucket ascending.  The inverse
+    image it reads (a stable sort by image, and the bucket starts) is built
+    once here and lives as long as that function."""
+    pre = np.argsort(img, kind="stable")
+    start = np.concatenate([[0], np.cumsum(np.bincount(img, minlength=img.size))])
+
+    def gather(cells: np.ndarray) -> np.ndarray:
+        lo = start[cells]
+        return pre[run_indices(lo, start[cells + 1] - lo)]
+
+    return gather
 
 
 def run_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .covers import CoverSequence, bool_product, maxmin_product, tile_pair_reduce
+from .covers import CoverSequence, maxmin_product, tile_pair_reduce
 from .errors import TripleBudgetExceeded, UnknownVertex
 from .proximity import ProximityTable
 
@@ -40,14 +40,13 @@ class TileGraph:
         rows, cols = [], []
         for lev in range(cover.depth + 1):
             base = self._vindex[(lev, 0)]
-            adj = cover.adjacency(lev) & ~np.eye(len(cover.levels[lev]), dtype=bool)
+            adj = cover.meets(lev, lev) & ~np.eye(len(cover.levels[lev]), dtype=bool)
             r, c = np.nonzero(adj)
             rows.extend(base + r)
             cols.extend(base + c)
             if lev < cover.depth:
                 base2 = self._vindex[(lev + 1, 0)]
-                inter = bool_product(cover.membership(lev), cover.membership(lev + 1).T)
-                r, c = np.nonzero(inter)
+                r, c = np.nonzero(cover.meets(lev, lev + 1))
                 rows.extend(base + r)
                 cols.extend(base2 + c)
                 rows.extend(base2 + c)
@@ -70,9 +69,10 @@ class TileGraph:
         except KeyError:
             raise UnknownVertex(f"no vertex {vid!r}") from None
 
-    def members_of(self, i: int) -> frozenset[int]:
+    def members_of(self, i: int) -> np.ndarray:
+        """Sorted, read-only member array of vertex i's tile."""
         lev, idx = self.vertex_ids[i]
-        return self.cover.levels[lev][idx].members
+        return self.cover.members(lev)[idx]
 
     def gromov2(self) -> np.ndarray:
         """Doubled Gromov products 2 (X . Y) = |X| + |Y| - |X - Y|, base = root."""
@@ -134,14 +134,12 @@ def extended_proximity(
 ) -> int:
     """m(X, Y) = min over member pairs of the point proximity (sentinel-capped)."""
     i, j = graph.vertex(x), graph.vertex(y)
-    ia = np.fromiter(graph.members_of(i), dtype=int)
-    ib = np.fromiter(graph.members_of(j), dtype=int)
-    return int(table.m[np.ix_(ia, ib)].min())
+    return int(table.m[np.ix_(graph.members_of(i), graph.members_of(j))].min())
 
 
 def extended_proximity_matrix(graph: TileGraph, table: ProximityTable) -> np.ndarray:
     """All-pairs extended proximity over graph vertices."""
-    members = [np.fromiter(graph.members_of(i), dtype=int) for i in range(graph.n_vertices)]
+    members = [graph.members_of(i) for i in range(graph.n_vertices)]
     return tile_pair_reduce(table.m, members, np.minimum)
 
 
@@ -195,10 +193,7 @@ def cluster(graph: TileGraph, x: tuple[int, int], r: int) -> frozenset[int]:
     """Neighborhood cluster V_r(X): union of members of tiles within distance r."""
     i = graph.vertex(x)
     near = np.flatnonzero(graph.dist[i] <= r)
-    out: set[int] = set()
-    for j in near:
-        out |= graph.members_of(int(j))
-    return frozenset(out)
+    return frozenset(np.concatenate([graph.members_of(int(j)) for j in near]).tolist())
 
 
 def cluster_cover_sequence(graph: TileGraph, r: int, width: int = 1) -> CoverSequence:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -81,6 +82,30 @@ def test_synthesize_exit_codes(tmp_path):
     # lam^C = 3 > 2 is a usage error
     assert main(["synthesize", "--cover", str(built), "--lambda", "3",
                  "--out", str(tmp_path / "too_large.json")]) == 2
+
+
+# SHA-256 of each output without its manifest (which names the input paths)
+METRIC_FREE_DIGESTS = {
+    "prox.json": "8b180fcfc78921dbadeeaec6b1d6861caa552f97afce734419d1070bb0988966",
+    "metric.json": "c6d62cfcd01ba5cf5de4f80e07c96148bcddcad81ea6e08bb3988ef2cb52c89e",
+    "report.json": "3ab1b1ed35a7e2e721a47e23268ba4e1d836c3f2233dd0f7a7a494ff91c46b19",
+    "graph.json": "77830118125ea92a6a09dda5628fc8c54de4c0194ce45b23c2c84fa3c09e2ffd",
+}
+
+
+def test_metric_free_commands_golden(tmp_path):
+    """proximity, synthesize and tilegraph read no metric without --space."""
+    _, built = _cantor_chain(tmp_path)
+    assert main(["proximity", "--cover", str(built), "--out", str(tmp_path / "prox.json")]) == 0
+    assert main(["synthesize", "--cover", str(built), "--lambda", "1.5",
+                 "--out", str(tmp_path / "metric.json"),
+                 "--report", str(tmp_path / "report.json")]) == 0
+    assert main(["tilegraph", "--cover", str(built), "--out", str(tmp_path / "graph.json")]) == 0
+    for name, want in METRIC_FREE_DIGESTS.items():
+        data = json.loads((tmp_path / name).read_text())
+        data.pop("manifest", None)
+        got = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+        assert got == want, name
 
 
 def test_qscheck_space_against_itself(tmp_path):

@@ -184,7 +184,7 @@ class TestReachWithin:
     def test_matches_chain_oracle(self, name, request):
         _, cover = request.getfixturevalue(name)
         for lev in range(len(cover.levels)):
-            assert np.array_equal(cover.adjacency(lev), reach_oracle(cover, lev, 1))
+            assert np.array_equal(cover.meets(lev, lev), reach_oracle(cover, lev, 1))
             for length in range(4):
                 assert np.array_equal(cover.reach_within(lev, length),
                                       reach_oracle(cover, lev, length))
@@ -196,6 +196,42 @@ class TestReachWithin:
         assert cover.reach_within(2, 2) is not reach
         with pytest.raises(ValueError):
             reach[0, 0] = False
+
+
+class TestTileIncidence:
+    @pytest.mark.parametrize("name", ["cantor", "interleaved", "gasket"])
+    def test_members_and_meets_match_frozensets(self, name, request):
+        _, cover = request.getfixturevalue(name)
+        for n in range(cover.depth + 1):
+            members = cover.members(n)
+            for t, idx in zip(cover.levels[n], members):
+                assert idx.dtype == np.int64
+                assert idx.tolist() == sorted(t.members)
+            for m in range(cover.depth + 1):
+                want = [[bool(x.members & y.members) for y in cover.levels[m]]
+                        for x in cover.levels[n]]
+                assert cover.meets(n, m).tolist() == want
+
+    def test_cached_and_read_only(self, dyadic):
+        _, cover = dyadic
+        members, meets = cover.members(2), cover.meets(1, 2)
+        assert cover.members(2) is members
+        assert cover.meets(1, 2) is meets
+        assert cover.meets(2, 1) is not meets
+        with pytest.raises(ValueError):
+            members[0][0] = 1
+        with pytest.raises(ValueError):
+            meets[0, 0] = False
+
+    def test_metric_free_cover(self, cantor):
+        space, cover = cantor
+        bare = CoverSequence(None, cover.to_dict()["levels"], width=cover.width)
+        assert bare.space is None
+        assert bare.n_points == space.n
+        for lev in range(cover.depth + 1):
+            assert np.array_equal(bare.reach_within(lev, 3), cover.reach_within(lev, 3))
+        with pytest.raises(ValueError, match="different point count"):
+            CoverSequence.from_dict({**cover.to_dict(), "n": space.n + 1}, None)
 
 
 class TestVerifyVisual:

@@ -122,6 +122,32 @@ class TestJuliaSample:
     def test_space_is_metric(self, zsq_sample):
         assert validate_metric(zsq_sample.space()).ok
 
+    def test_geometry_computed_once(self, monkeypatch):
+        """One distance matrix and one evaluation of g on the sample per
+        pipeline run, and the sample hands out its cached values read-only."""
+        import qvista.julia as julia
+
+        dist_calls, eval_shapes = [], []
+        dist, evaluate = julia.spherical_dist_matrix, RationalMap.eval
+        monkeypatch.setattr(julia, "spherical_dist_matrix",
+                            lambda v: dist_calls.append(len(v)) or dist(v))
+        monkeypatch.setattr(RationalMap, "eval",
+                            lambda g, z: eval_shapes.append(np.shape(z)) or evaluate(g, z))
+        g = RationalMap.parse("z^2")
+        sample = julia_sample(g, 7)
+        pull = pullback_cover(admissible_cover(g, sample, np.pi / 8, grid=SphereGrid(K=64)), 3)
+        cover = induce_tiles(pull)
+        verify_dynamical_qv(pull, cover)
+        assert dist_calls == [sample.n]
+        assert eval_shapes.count((sample.n,)) == 1
+        assert cover.space is sample.space()
+        assert sample.self_map_indices() is sample.self_map_indices()
+        assert isinstance(sample.projection_error(), float)
+        with pytest.raises(ValueError):
+            sample.self_map_indices()[0] = 0
+        with pytest.raises(ValueError):
+            sample.space().dist[0, 1] = 0.0
+
     def test_target_count_prune(self, zsq):
         s = julia_sample(zsq, 8, target_count=100)
         assert s.n == 100

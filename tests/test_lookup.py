@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qvista.metricspace import greedy_separated_subset
-from qvista.spheregrid import locate_cells
+from qvista.spheregrid import inverse_image, locate_cells
 
 
 def isin_oracle(cells, sets):
@@ -42,6 +42,23 @@ def test_locate_cells_overlap_order():
     query, owner = locate_cells(np.array([4, 1]), [np.array([1, 4]), np.array([0, 4]), np.array([4])])
     assert query.tolist() == [0, 0, 0, 1]
     assert owner.tolist() == [0, 1, 2, 0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inverse_image_matches_isin(seed):
+    rng = np.random.default_rng(seed)
+    img = rng.integers(0, 300, size=300)
+    img[rng.choice(300, size=40, replace=False)] = 7  # a crowded bucket
+    preimage = inverse_image(img)
+    for size in (0, 1, 5, 60, 300):
+        cells = rng.choice(300, size=size, replace=False)
+        if size > 1 and 7 not in cells:
+            cells[0] = 7
+        got = preimage(cells)
+        assert got.dtype == np.int64
+        assert np.array_equal(np.sort(got), np.flatnonzero(np.isin(img, cells)))
+        # bucket by bucket in the order of the query, each bucket ascending
+        assert got.tolist() == [i for c in cells for i in np.flatnonzero(img == c)]
 
 
 def greedy_oracle(d, candidates, delta):

@@ -142,3 +142,11 @@ class TestPerfectnessProbe:
         space, _ = cantor
         probe = uniform_perfectness_probe(space)
         assert probe.lambda_up >= 1.0 / 3.0 - 1e-9
+
+
+def test_nearest_neighbor_distances():
+    d = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 2.5], [4.0, 2.5, 0.0]])
+    assert FiniteMetricSpace(dist=d).nearest_neighbor_distances().tolist() == [1.0, 1.0, 2.5]
+    for n in (0, 1):
+        nn = FiniteMetricSpace(dist=np.zeros((n, n))).nearest_neighbor_distances()
+        assert nn.tolist() == [0.0] * n

@@ -120,6 +120,34 @@ def test_raster_ball_is_strictly_ascending(K):
         assert np.all(np.diff(cells) > 0)
 
 
+def raster_ball_oracle(grid, v, radius):
+    """Every cell of both charts whose center lies in the open ball, by a
+    scan of the whole chart."""
+    xs = grid.axis_centers()
+    cc = xs[None, :] + 1j * xs[:, None]
+    s = np.abs(cc) ** 2
+    a = (2 * cc.real * v[0] + 2 * cc.imag * v[1] + (s - 1) * v[2]) / (s + 1)
+    b = (2 * cc.real * v[0] - 2 * cc.imag * v[1] + (1 - s) * v[2]) / (s + 1)
+    dots = np.concatenate([a.ravel(), b.ravel()])
+    return np.flatnonzero(np.arccos(np.clip(dots, -1, 1)) < radius)
+
+
+@pytest.mark.parametrize("K", [37, 64])
+def test_raster_ball_matches_full_chart_scan(K):
+    rng = np.random.default_rng(K)
+    grid = SphereGrid(K=K)
+    vecs = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]  # both poles
+    vecs += [sphere_from_complex(np.exp(1j * t)) for t in (0.0, 0.4, np.pi / 2, 2.0)]  # |z| = 1
+    vecs += [sphere_from_complex(z) for z in (0.05, 0.3j, 6.0, -20.0 + 3j)]  # near a pole
+    rand = rng.normal(size=(12, 3))
+    vecs += list(rand / np.linalg.norm(rand, axis=1, keepdims=True))
+    for v in vecs:
+        # small caps, caps reaching across a pole, and caps up to radius 2.5
+        for radius in (0.01, 0.1, 0.3, 0.8, 1.2, 1.6, 2.0, 2.5, *rng.uniform(0.01, 2.5, 3)):
+            got = grid.raster_spherical_ball(v, radius)
+            assert np.array_equal(got, raster_ball_oracle(grid, v, radius)), (v, radius)
+
+
 # K = 200 gives 80000 cells: more than one block, and not a whole number of them
 BLOCKED_K = 200
 
