@@ -23,7 +23,7 @@ from .proximity import (
     snowflake_check,
     synthesize_visual_metric,
 )
-from .reporting import RunManifest, default_seed, file_sha256, write_report
+from .reporting import RunManifest, default_seed, file_sha256, report_render, write_report
 from .tilegraph import (
     build_tile_graph,
     cluster_cover_sequence,
@@ -173,10 +173,7 @@ def _dispatch(args, seed: int) -> int:
         if args.out:
             write_report(report, args.out, manifest, fmt=args.format)
         else:
-            from .reporting import report_render, _plain
-            data = _plain(report)
-            data["manifest"] = _plain(manifest.to_dict())
-            sys.stdout.write(report_render(data, args.format).decode())
+            sys.stdout.write(report_render(report, args.format, manifest).decode())
         return 0 if report.passed else 1
 
     if cmd == "proximity":
@@ -271,7 +268,7 @@ def _dispatch(args, seed: int) -> int:
 
     if cmd == "julia":
         map_ = RationalMap.parse(args.map_text)
-        sample = julia_sample(map_, args.depth, seed=seed, target_count=args.target_count)
+        sample = julia_sample(map_, args.depth, target_count=args.target_count)
         grid = SphereGrid(K=args.grid)
         pull = admissible_cover(map_, sample, args.cover_radius, grid=grid)
         pull = pullback_cover(pull, args.levels)

@@ -215,7 +215,6 @@ class JuliaSample:
     z: np.ndarray  # complex chart values (inf allowed)
     vecs: np.ndarray  # unit 3-vectors
     depth: int
-    seed: int
     mesh: float  # max nearest-neighbor spherical distance
     _space: FiniteMetricSpace = field(repr=False)
     _self_map: np.ndarray = field(repr=False)
@@ -248,11 +247,11 @@ def _vecs_of(z: np.ndarray) -> np.ndarray:
 
 
 def julia_sample(
-    map_: RationalMap, depth: int, seed: int = 0, target_count: int = MAX_PREIMAGE_COUNT
+    map_: RationalMap, depth: int, target_count: int = MAX_PREIMAGE_COUNT
 ) -> JuliaSample:
     """Inverse iteration from a repelling fixed point, pruned to a target count.
 
-    The seed is a fixed point, so preimage generations are nested and the
+    It starts from a fixed point, so preimage generations are nested and the
     final set is forward invariant up to root-finding error.
     """
     z0 = map_.repelling_fixed_point()
@@ -280,7 +279,7 @@ def julia_sample(
             f"forward invariance violated: image strays {gaps.max()!r} from the sample"
         )
     return JuliaSample(
-        map=map_, z=pts, vecs=vecs, depth=depth, seed=seed, mesh=mesh,
+        map=map_, z=pts, vecs=vecs, depth=depth, mesh=mesh,
         _space=space, _self_map=self_map, _projection_error=float(proj.max()),
     )
 

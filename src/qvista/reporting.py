@@ -4,11 +4,19 @@ Every CLI run embeds a manifest (command, input hashes, parameters, seed,
 version) in its report; reruns with an identical manifest must produce byte
 identical output, which canonical JSON (sorted keys, shortest round-trip
 floats) guarantees.
+
+The canonical bytes of a report ``x`` are exactly what
+``json.dumps(_plain(x), sort_keys=True)`` writes with an indent of 1, plus a
+newline.  ``report_render`` produces them without the stdlib's pure-Python
+indenting encoder: it splices the indentation in itself, renders each list of
+scalars with one C-encoder call, and formats a rectangular float matrix with
+one ``repr`` per distinct float.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -74,16 +82,96 @@ def _plain(obj):
     return obj
 
 
-def report_render(report, fmt: str = "json") -> bytes:
-    """Canonical JSON (sorted keys, repr floats) or a plain text summary."""
+def report_render(report, fmt: str = "json", manifest: RunManifest | None = None) -> bytes:
+    """Canonical JSON or a plain text summary of ``report``, with ``manifest``
+    merged in under the key ``"manifest"`` (a non-dict report moves under
+    ``"report"``).
+
+    The JSON bytes equal ``json.dumps(_plain(x), sort_keys=True)`` with an
+    indent of 1, plus a newline, where ``x`` is the merged report.  They are built without
+    the stdlib's pure-Python indenting encoder: the C encoder renders each list
+    of scalars, and a rectangular matrix of floats formats each distinct float
+    (by bit pattern, so ``-0.0`` stays apart from ``0.0``) with one ``repr``.
+    """
     data = _plain(report)
+    if manifest is not None:
+        if not isinstance(data, dict):
+            data = {"report": data}
+        data["manifest"] = _plain(manifest.to_dict())
     if fmt == "json":
-        return (json.dumps(data, sort_keys=True, indent=1) + "\n").encode()
+        parts: list[str] = []
+        _render_json(data, 0, parts)
+        parts.append("\n")
+        return "".join(parts).encode()
     if fmt == "text":
         lines: list[str] = []
-        _render_text(data, lines, indent=0)
+        _render_text(data, lines, 0)
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _render_json(data, depth: int, parts: list[str]) -> None:
+    """Append what ``json.dumps(data, sort_keys=True)`` writes with an indent
+    of 1 for plain data nested ``depth`` levels deep."""
+    inner = "\n" + " " * (depth + 1)
+    close = "\n" + " " * depth
+    if isinstance(data, dict):
+        if not data:
+            parts.append("{}")
+            return
+        sep = "{" + inner
+        for key in sorted(data):
+            parts.append(sep + json.dumps(key) + ": ")
+            _render_json(data[key], depth + 1, parts)
+            sep = "," + inner
+        parts.append(close + "}")
+    elif isinstance(data, list):
+        if not data:
+            parts.append("[]")
+        elif _is_float_matrix(data):
+            parts.append(_render_float_matrix(data, depth))
+        elif not any(isinstance(v, (dict, list)) for v in data):
+            row = json.dumps(data, separators=("," + inner, ": "))  # one C-encoder call
+            parts.append("[" + inner + row[1:-1] + close + "]")
+        else:
+            sep = "[" + inner
+            for v in data:
+                parts.append(sep)
+                _render_json(v, depth + 1, parts)
+                sep = "," + inner
+            parts.append(close + "]")
+    else:
+        parts.append(json.dumps(data))
+
+
+def _is_float_matrix(rows) -> bool:
+    """A list of equally long, non-empty lists whose items are all ``float``."""
+    if type(rows[0]) is not list or not rows[0]:
+        return False
+    width = len(rows[0])
+    if any(type(r) is not list or len(r) != width for r in rows):
+        return False
+    return set(map(type, itertools.chain.from_iterable(rows))) == {float}
+
+
+def _render_float_matrix(rows: list[list[float]], depth: int) -> str:
+    """The indented JSON of a float matrix at ``depth``, one ``repr`` per
+    distinct float.  ``_plain`` has already turned non-finite floats into
+    strings, and ``repr`` is the encoder's format for a finite float."""
+    bits = np.array(rows, dtype=np.float64).view(np.uint64).ravel()
+    distinct, index = np.unique(bits, return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    items = text[index].tolist()
+    width = len(rows[0])
+    pad = "\n" + " " * (depth + 1)
+    row_open = "[" + pad + " "
+    item_sep = "," + pad + " "
+    row_close = pad + "]"
+    body = ("," + pad).join(
+        row_open + item_sep.join(items[i:i + width]) + row_close
+        for i in range(0, len(items), width)
+    )
+    return "[" + pad + body + "\n" + " " * depth + "]"
 
 
 def _render_text(data, lines: list[str], indent: int) -> None:
@@ -108,9 +196,6 @@ def _render_text(data, lines: list[str], indent: int) -> None:
 
 
 def write_report(report, path, manifest: RunManifest | None = None, fmt: str = "json") -> None:
-    data = _plain(report)
-    if manifest is not None:
-        data = dict(data) if isinstance(data, dict) else {"report": data}
-        data["manifest"] = _plain(manifest.to_dict())
+    data = report_render(report, fmt, manifest)
     with open(path, "wb") as fh:
-        fh.write(report_render(data, fmt))
+        fh.write(data)

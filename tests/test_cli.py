@@ -72,6 +72,17 @@ def _cantor_chain(tmp_path):
     return space, built
 
 
+def test_verify_stdout_matches_report_file(tmp_path, capsys):
+    space, built = _cantor_chain(tmp_path)
+    out = tmp_path / "verify.out"
+    for fmt in ("json", "text"):
+        args = ["verify", "--space", str(space), "--cover", str(built), "--format", fmt]
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_synthesize_exit_codes(tmp_path):
     _, built = _cantor_chain(tmp_path)
     report = tmp_path / "report.json"

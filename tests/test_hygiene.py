@@ -1,4 +1,5 @@
-"""Static scan of the package for unused imports and orphaned private helpers."""
+"""Static scan of the package for unused imports, orphaned private helpers and
+private names reached across modules."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,28 @@ def test_no_orphaned_private_helpers():
             if not any(node.name in referenced_names(t) for t in trees.values()):
                 orphans.append(f"{name}:{node.lineno} {node.name}")
     assert not orphans, f"private helpers nothing references: {orphans}"
+
+
+def is_private(name: str) -> bool:
+    """A single-underscore name; dunders such as ``__version__`` are public."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_across_modules(path):
+    """No module imports another's private name or reads one off a sibling module."""
+    tree = parse(path)
+    siblings = {p.stem for p in MODULES}
+    hits, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qvista")):
+            for alias in node.names:
+                if is_private(alias.name):
+                    hits.append(f"{path.name}:{node.lineno} imports {alias.name}")
+                elif node.module in (None, "qvista") and alias.name in siblings:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and is_private(node.attr)):
+            hits.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    assert not hits, f"private names used outside their module: {hits}"
