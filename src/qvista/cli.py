@@ -32,6 +32,7 @@ from .tilegraph import (
 )
 from .boundary import boundary_metric, phi_injectivity_check, phi_regularity_check
 from .julia import (
+    MAX_PREIMAGE_COUNT,
     RationalMap,
     admissible_cover,
     degree_probe,
@@ -105,7 +106,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--cover-radius", type=float, default=0.25)
     p.add_argument("--levels", type=int, default=5)
     p.add_argument("--grid", type=int, default=2048)
-    p.add_argument("--target-count", type=int, default=4096)
+    p.add_argument("--target-count", type=int, default=None,
+                   help="default: degree ** depth, at most %d" % MAX_PREIMAGE_COUNT)
     p.add_argument("--degree-probes", type=int, default=0)
     p.add_argument("--out", required=True)
     return ap
@@ -268,7 +270,10 @@ def _dispatch(args, seed: int) -> int:
 
     if cmd == "julia":
         map_ = RationalMap.parse(args.map_text)
-        sample = julia_sample(map_, args.depth, target_count=args.target_count)
+        target_count = args.target_count
+        if target_count is None:
+            target_count = min(map_.degree ** args.depth, MAX_PREIMAGE_COUNT)
+        sample = julia_sample(map_, args.depth, target_count=target_count)
         grid = SphereGrid(K=args.grid)
         pull = admissible_cover(map_, sample, args.cover_radius, grid=grid)
         pull = pullback_cover(pull, args.levels)
@@ -302,6 +307,8 @@ def _dispatch(args, seed: int) -> int:
                 "cover_radius": args.cover_radius,
                 "levels": args.levels,
                 "grid": args.grid,
+                "target_count": target_count,
+                "degree_probes": args.degree_probes,
             },
             seed=seed,
         )

@@ -111,8 +111,15 @@ class RationalMap:
         den = np.polyval(self.q, z) ** 2
         return complex(num / den) if den != 0 else complex(np.inf)
 
-    def preimages(self, w: complex) -> tuple[np.ndarray, np.ndarray]:
-        """Solutions of g(z) = w with multiplicities (clustered); finite w.
+    def preimages(self, w) -> tuple[np.ndarray, np.ndarray]:
+        """Solutions of g(z) = w with multiplicities, for finite targets w.
+
+        For an array of B targets the result is a pair of (B, d) arrays: row b
+        holds the distinct solutions for w[b] in its leading slots, each with
+        its multiplicity, and the slots after them have multiplicity 0 (and
+        point nan).  A scalar w gives its distinct solutions alone.  All rows
+        are solved by stacking their companion matrices into one eigenvalue
+        call per polynomial shape, which gives the roots ``np.roots`` gives.
 
         A multiple solution (w a critical value) is reported once, at the mean
         of its cluster of numerical roots, with its multiplicity.  The
@@ -123,22 +130,32 @@ class RationalMap:
         Missing degree (leading-coefficient cancellation) is attributed to a
         preimage at infinity when g(inf) matches w; otherwise it is an error.
         """
-        if not np.isfinite(complex(w)):
+        w = np.asarray(w, dtype=complex)
+        if not np.isfinite(w).all():
             raise RootFindFailure("preimages of infinity not supported here")
+        targets = w.reshape(-1)
         p, q = self._padded()
-        c = p - complex(w) * q
-        c = _strip_leading(c, tol=1e-13)
-        roots = np.roots(c) if c.size > 1 else np.empty(0, dtype=complex)
-        pts, mult = _cluster_roots(roots, ROOT_CLUSTER_TOL)
-        missing = self.degree - int(mult.sum())
-        if missing > 0:
+        c = p - targets[:, None] * q
+        roots, count = _root_rows(c)
+        pts, mult = _cluster_roots(roots, count, ROOT_CLUSTER_TOL)
+        missing = self.degree - mult.sum(axis=1)
+        lost = np.flatnonzero(missing)
+        if lost.size:
             g_inf = self.eval(np.array([np.inf + 0j]))[0]
-            if np.isfinite(g_inf) and abs(g_inf - complex(w)) > 1e-6:
-                raise RootFindFailure(
-                    f"lost {missing} roots solving g(z)={w!r} and g(inf) does not match"
-                )
-            pts = np.append(pts, np.inf + 0j)
-            mult = np.append(mult, missing)
+            if np.isfinite(g_inf):
+                stray = lost[np.abs(g_inf - targets[lost]) > 1e-6]
+                if stray.size:
+                    b = stray[0]
+                    raise RootFindFailure(
+                        f"lost {missing[b]} roots solving g(z)={complex(targets[b])!r} "
+                        "and g(inf) does not match"
+                    )
+            slot = (mult[lost] > 0).sum(axis=1)
+            pts[lost, slot] = np.inf
+            mult[lost, slot] = missing[lost]
+        if w.ndim == 0:
+            keep = mult[0] > 0
+            return pts[0][keep], mult[0][keep]
         return pts, mult
 
     def image_cells(self, grid: SphereGrid) -> np.ndarray:
@@ -165,8 +182,9 @@ class RationalMap:
         c = _strip_leading(np.asarray(c, dtype=complex), tol=1e-13)
         if c.size <= 1:
             return []
-        roots, _ = _cluster_roots(np.roots(c), ROOT_CLUSTER_TOL)
-        return [(complex(r), self.derivative(complex(r))) for r in roots]
+        roots = np.roots(c)[None, :]
+        pts, mult = _cluster_roots(roots, np.array([roots.shape[1]]), ROOT_CLUSTER_TOL)
+        return [(complex(r), self.derivative(complex(r))) for r in pts[0][mult[0] > 0]]
 
     def repelling_fixed_point(self) -> complex:
         best = None
@@ -187,22 +205,88 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cluster_roots(roots: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Merge numerically split copies of a multiple root.
+def _root_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of each row of the coefficient matrix ``c`` (highest power first).
 
-    Clusters are those of ``_cluster_complex``: a root joins the first
-    cluster whose first root lies within ``tol`` (relative above modulus 1).
-    Each cluster is reported once, at the mean of its roots, with its size as
-    the multiplicity: a perturbed k-fold root splits into k roots whose mean
-    is accurate to O(eps), while any single one is off by O(eps**(1/k)).  A
-    double root splits by about sqrt(eps) (~1.5e-8), which
-    ``ROOT_CLUSTER_TOL`` covers; roots of multiplicity 3 or more split by
-    ~eps**(1/3) (~6e-6) and are not covered.  A simple root is returned
-    unchanged.
+    Row b's roots are those ``np.roots`` finds once coefficients below 1e-13
+    of the row's largest are stripped from the front: the eigenvalues of the
+    companion matrix of the row without its exactly zero trailing
+    coefficients, followed by one root 0 per such coefficient.  Rows of equal
+    shape share one stacked eigenvalue call.  Returns the roots in the leading
+    ``count[b]`` slots of a (B, d) array, d = ``c.shape[1] - 1``, 0 elsewhere.
     """
-    groups = [[complex(roots[i]) for i in g] for g in _cluster_complex(roots, tol)]
-    pts = np.array([sum(g[1:], g[0]) / len(g) for g in groups], dtype=complex)
-    mult = np.array([len(g) for g in groups], dtype=np.int64)
+    rows, d = c.shape[0], c.shape[1] - 1
+    mag = np.abs(c)
+    big = mag > 1e-13 * mag.max(axis=1, keepdims=True)
+    lead = np.where(big.any(axis=1), big.argmax(axis=1), d)
+    trail = (c != 0)[:, ::-1].argmax(axis=1)
+    count = d - lead
+    roots = np.zeros((rows, d), dtype=complex)
+    shapes = lead * (d + 1) + trail
+    for key in np.unique(shapes[count > trail]):
+        b = np.flatnonzero(shapes == key)
+        first, size = int(lead[b[0]]), d - int(lead[b[0]]) - int(trail[b[0]])
+        coef = c[b, first:first + size + 1]
+        comp = np.zeros((b.size, size, size), dtype=complex)
+        comp[:, np.arange(1, size), np.arange(size - 1)] = 1.0
+        comp[:, 0, :] = -coef[:, 1:] / coef[:, :1]
+        roots[b, :size] = np.linalg.eigvals(comp)
+    return roots, count
+
+
+def _greedy_labels(pts: np.ndarray, count: np.ndarray, tol: float) -> np.ndarray:
+    """Greedy clusters of the leading ``count[b]`` points of each row of ``pts``.
+
+    In slot order, a point joins the first cluster of its row whose first
+    point lies within ``tol`` of it (relative above modulus 1), or opens the
+    next cluster.  Returns per slot its cluster number within the row, -1 past
+    ``count``.  The loop runs over slots, each step across all rows.
+    """
+    rows, slots = pts.shape
+    labels = np.full((rows, slots), -1, dtype=np.int64)
+    opened = np.zeros(rows, dtype=np.int64)
+    first = np.zeros((rows, slots), dtype=bool)  # slots that opened a cluster
+    for j in range(slots):
+        target = opened.copy()
+        if j:
+            reps = pts[:, :j]
+            near = first[:, :j] & (
+                np.abs(pts[:, j:j + 1] - reps) <= tol * np.maximum(1.0, np.abs(reps))
+            )
+            hit = near.argmax(axis=1)
+            joins = near[np.arange(rows), hit]
+            target[joins] = labels[joins, hit[joins]]
+        live = j < count
+        labels[live, j] = target[live]
+        first[:, j] = live & (target == opened)
+        opened += first[:, j]
+    return labels
+
+
+def _cluster_roots(
+    roots: np.ndarray, count: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge numerically split copies of a multiple root, row by row.
+
+    Clusters are those of ``_greedy_labels`` over each row's leading
+    ``count[b]`` roots.  Each cluster is reported once, in the slot of its
+    number, at the mean of its roots, with its size as the multiplicity: a
+    perturbed k-fold root splits into k roots whose mean is accurate to
+    O(eps), while any single one is off by O(eps**(1/k)).  A double root
+    splits by about sqrt(eps) (~1.5e-8), which ``ROOT_CLUSTER_TOL`` covers;
+    roots of multiplicity 3 or more split by ~eps**(1/3) (~6e-6) and are not
+    covered.  Unused slots get multiplicity 0 and point nan.
+    """
+    labels = _greedy_labels(roots, count, tol)
+    rows = np.arange(roots.shape[0])
+    # -0.0 + x == x, so each sum starts exactly at its cluster's first root
+    total = np.full(roots.shape, complex(-0.0, -0.0))
+    mult = np.zeros(roots.shape, dtype=np.int64)
+    for j in range(roots.shape[1]):
+        b = rows[labels[:, j] >= 0]
+        total[b, labels[b, j]] += roots[b, j]
+        mult[b, labels[b, j]] += 1
+    pts = np.divide(total, mult, out=np.full(roots.shape, np.nan + 0j), where=mult > 0)
     return pts, mult
 
 
@@ -252,15 +336,18 @@ def julia_sample(
     """Inverse iteration from a repelling fixed point, pruned to a target count.
 
     It starts from a fixed point, so preimage generations are nested and the
-    final set is forward invariant up to root-finding error.
+    final set is forward invariant up to root-finding error.  Each generation
+    is one batched ``preimages`` call.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
     z0 = map_.repelling_fixed_point()
     pts = np.array([z0], dtype=complex)
     for _ in range(depth):
-        collected = [
-            map_.preimages(w)[0] for w in pts if np.isfinite(w)
-        ]
-        pts = _dedupe_sphere(np.concatenate(collected)) if collected else pts
+        targets = pts[np.isfinite(pts)]
+        if targets.size:
+            roots, mult = map_.preimages(targets)
+            pts = _dedupe_sphere(roots[mult > 0])
         if pts.size > 4 * target_count:
             pts = _farthest_point_prune(pts, 2 * target_count)
     if pts.size > target_count:
@@ -440,68 +527,52 @@ def induce_tiles(pull: PullbackCover) -> CoverSequence:
     the number of levels.  Membership below level 1 is dynamics-exact: the
     candidates of a parent tile are the points whose projected image lies in
     it, and they are split into the parent's child tiles by single-linkage
-    clustering at the local sample scale.  This makes the level shift
-    g(X^{n+1}) <= X^n exact at the index level, which the proximity-decay law
-    needs.
+    clustering at the local sample scale, linking points within 3 times the
+    larger of their nearest-neighbour distances.  Within one parent, branches
+    are far apart while the sample is locally dense, so this separates the
+    sample traces of the components of the parent's preimage.  One
+    components call labels the (parent, candidate) pairs of a whole level.
+    This makes the level shift g(X^{n+1}) <= X^n exact at the index level,
+    which the proximity-decay law needs.
     """
     sample = pull.sample
     space = sample.space()
     g_idx = sample.self_map_indices()
     levels: list[list[tuple[int, ...]]] = [[tuple(range(sample.n))]]
-    d_all = space.dist
-    local_nn = space.nearest_neighbor_distances()
-    prev_tiles: list[set[int]] = []
+    near = space.dist <= 3.0 * space.nearest_neighbor_distances()[:, None]
+    link = csr_matrix(near | near.T)  # d <= 3 max(nn_i, nn_j)
+    tiles: list[np.ndarray] = []
     for fam in pull.families:
-        tiles: list[set[int]] = []
         if fam[0].level == 1:
-            tiles = [set(r.sample_points) for r in fam]
+            tiles = [np.array(r.sample_points, dtype=np.int64) for r in fam]
         else:
-            for parent_members in prev_tiles:
-                if not parent_members:
-                    continue
-                in_parent = np.zeros(sample.n, dtype=bool)
-                in_parent[list(parent_members)] = True
-                candidates = np.flatnonzero(in_parent[g_idx])
-                # sample traces of the components of the parent's preimage:
-                # within one parent, branches are far apart while the sample
-                # is locally dense, so local-scale clustering separates them
-                for group in _cluster_points_local(d_all, local_nn, candidates):
-                    tiles.append(set(int(p) for p in group))
+            holds = np.zeros((len(tiles), sample.n), dtype=bool)
+            owner = np.repeat(np.arange(len(tiles)), [t.size for t in tiles])
+            holds[owner, np.concatenate(tiles)] = True
+            # nodes: (parent, candidate) pairs in ascending order, linked within a parent
+            parent, point = np.nonzero(holds[:, g_idx])
+            pairs = link[point][:, point].tocoo()
+            same = parent[pairs.row] == parent[pairs.col]
+            graph = csr_matrix(
+                (np.ones(same.sum(), dtype=bool), (pairs.row[same], pairs.col[same])),
+                shape=(point.size, point.size),
+            )
+            _n, comp = connected_components(graph, directed=False)
+            # components are numbered by their lowest node, so tiles come out
+            # by parent, then by lowest point, each one sorted
+            tiles = group_by_label(point, comp)
             # one-point traces at component edges are raster- and
             # candidate-boundary artifacts; drop them when covered elsewhere
-            count = np.zeros(sample.n, dtype=np.int64)
-            for v in tiles:
-                count[list(v)] += 1
-            tiles = [
-                v
-                for v in tiles
-                if not (len(v) == 1 and count[next(iter(v))] > 1)
-            ]
-        covered = set().union(*tiles) if tiles else set()
-        if len(covered) < sample.n:
-            missing = sorted(set(range(sample.n)) - covered)
+            count = np.bincount(point, minlength=sample.n)
+            tiles = [t for t in tiles if not (t.size == 1 and count[t[0]] > 1)]
+        covered = np.zeros(sample.n, dtype=bool)
+        covered[np.concatenate(tiles)] = True
+        if not covered.all():
             raise ResolutionInsufficient(
-                f"{len(missing)} sample points uncovered at level {fam[0].level}"
+                f"{sample.n - int(covered.sum())} sample points uncovered at level {fam[0].level}"
             )
-        prev_tiles = tiles
-        fam_tiles = [tuple(sorted(v)) for v in tiles if v]
-        if not fam_tiles:
-            raise EmptyLevel(f"level {fam[0].level} induced no tiles")
-        levels.append(fam_tiles)
+        levels.append([tuple(t.tolist()) for t in tiles])
     return CoverSequence(space, levels, width=1, visual_parameter=None)
-
-
-def _cluster_points_local(
-    dist: np.ndarray, local_nn: np.ndarray, idx: np.ndarray, factor: float = 3.0
-) -> list[np.ndarray]:
-    """Single-linkage clusters linking points within ``factor`` local
-    nearest-neighbor distances of each other."""
-    if idx.size == 0:
-        return []
-    d = dist[np.ix_(idx, idx)]
-    gap = factor * np.maximum.outer(local_nn[idx], local_nn[idx])
-    _n, comp = connected_components(csr_matrix(d <= gap), directed=False)
-    return group_by_label(idx, comp)
 
 
 def verify_dynamical_qv(
@@ -554,45 +625,28 @@ def degree_probe(map_: RationalMap, w0: complex, r0: float, n_max: int) -> list[
         # the ball is the whole sphere: a single component of full degree
         return [map_.degree ** n for n in range(1, n_max + 1)]
     w_star = _offset_on_chart(w0, 0.3 * r0)
-    # pairs (anchor point, test point, multiplicity of the test branch)
-    pairs: list[tuple[complex, complex, int]] = [(w0, w_star, 1)]
+    # pairs (anchor point, test point, multiplicity of the test branch), as columns
+    anchors = np.array([w0])
+    probes = np.array([w_star])
+    mults = np.ones(1, dtype=np.int64)
     maxima: list[int] = []
     for _n in range(1, n_max + 1):
-        nxt: list[tuple[complex, complex, int]] = []
-        for anchor, probe, m in pairs:
-            if not (np.isfinite(anchor) and np.isfinite(probe)):
-                raise RootFindFailure("probe branch escaped to infinity")
-            a_roots, _a_mult = map_.preimages(anchor)
-            p_roots, p_mult = map_.preimages(probe)
-            a_fin = a_roots[np.isfinite(a_roots)]
-            if not a_fin.size:
-                raise RootFindFailure("anchor preimages all at infinity")
-            for w, mu in zip(p_roots, p_mult):
-                if not np.isfinite(w):
-                    continue
-                a = a_fin[np.argmin(np.abs(a_fin - w))]
-                nxt.append((complex(a), complex(w), int(m * mu)))
-        pairs = nxt
-        anchors = np.array([a for a, _w, _m in pairs])
-        mults = np.array([m for _a, _w, m in pairs], dtype=np.int64)
-        groups = _cluster_complex(anchors, ANCHOR_CLUSTER_TOL)
-        maxima.append(int(max(mults[g].sum() for g in groups)))
+        if not (np.isfinite(anchors).all() and np.isfinite(probes).all()):
+            raise RootFindFailure("probe branch escaped to infinity")
+        roots, mult = map_.preimages(np.concatenate([anchors, probes]))
+        a_roots, p_roots, p_mult = roots[:anchors.size], roots[anchors.size:], mult[anchors.size:]
+        a_ok, keep = np.isfinite(a_roots), np.isfinite(p_roots)  # unused slots hold nan
+        if not a_ok.any(axis=1).all():
+            raise RootFindFailure("anchor preimages all at infinity")
+        # each test preimage is matched to the nearest anchor preimage of its pair
+        a_fin, p_fin = np.where(a_ok, a_roots, 0), np.where(keep, p_roots, 0)
+        gap = np.where(a_ok[:, None, :], np.abs(p_fin[:, :, None] - a_fin[:, None, :]), np.inf)
+        nearest = np.take_along_axis(a_roots, gap.argmin(axis=2), axis=1)
+        anchors, probes = nearest[keep], p_roots[keep]
+        mults = (mults[:, None] * p_mult)[keep]
+        labels = _greedy_labels(anchors[None, :], np.array([anchors.size]), ANCHOR_CLUSTER_TOL)
+        maxima.append(int(np.bincount(labels[0], weights=mults).max()))
     return maxima
-
-
-def _cluster_complex(pts: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Greedy clusters of complex points at relative tolerance ``tol``."""
-    reps: list[complex] = []
-    groups: list[list[int]] = []
-    for i, z in enumerate(pts):
-        for k, r in enumerate(reps):
-            if abs(z - r) <= tol * max(1.0, abs(r)):
-                groups[k].append(i)
-                break
-        else:
-            reps.append(complex(z))
-            groups.append([i])
-    return [np.array(g, dtype=np.int64) for g in groups]
 
 
 def _offset_on_chart(w0: complex, ds: float) -> complex:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ class FiniteMetricSpace:
     dist: np.ndarray
     coords: np.ndarray | None = None
     labels: tuple[str, ...] | None = None
+    _nn: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
@@ -62,10 +63,16 @@ class FiniteMetricSpace:
         return float(pos.min()) if pos.size else 0.0
 
     def nearest_neighbor_distances(self) -> np.ndarray:
-        """Per point, the distance to its nearest distinct point (zeros when n < 2)."""
-        if self.n < 2:
-            return np.zeros(self.n)
-        return (self.dist + np.diag(np.full(self.n, np.inf))).min(axis=1)
+        """Per point, the distance to its nearest distinct point (zeros when
+        n < 2); computed once per space and read-only."""
+        if self._nn is None:
+            if self.n < 2:
+                nn = np.zeros(self.n)
+            else:
+                nn = (self.dist + np.diag(np.full(self.n, np.inf))).min(axis=1)
+            nn.flags.writeable = False
+            object.__setattr__(self, "_nn", nn)
+        return self._nn
 
     # -- serialization ----------------------------------------------------
 

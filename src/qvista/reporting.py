@@ -69,6 +69,10 @@ def _plain(obj):
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        # a row of finite plain floats needs no conversion (the sum of a row
+        # is finite only when every item is)
+        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+            return list(obj)
         return [_plain(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)

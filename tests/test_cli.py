@@ -31,6 +31,24 @@ def test_julia_degree_probes(tmp_path):
     assert report["degree_probes"] == [[1, 1, 1, 1]] * 2
 
 
+def test_julia_manifest_records_target_count(tmp_path):
+    """Runs that write different reports must not share a manifest: the
+    target count is recorded, and by default it is degree ** depth."""
+    base = ["julia", "--map", "z^2", "--depth", "6", "--levels", "2", "--grid", "128",
+            "--cover-radius", "0.39"]
+    manifests, sizes = [], []
+    for extra in ([], ["--target-count", "48"]):
+        out = tmp_path / f"julia{len(extra)}.json"
+        assert main([*base, *extra, "--out", str(out)]) in (0, 1)
+        report = json.loads(out.read_text())
+        manifests.append(report["manifest"])
+        sizes.append(report["sample_size"])
+    assert sizes == [64, 48]
+    assert [m["parameters"]["target_count"] for m in manifests] == [64, 48]
+    assert manifests[0]["parameters"]["degree_probes"] == 0
+    assert manifests[0] != manifests[1]
+
+
 def test_metric_chain_exit_codes(tmp_path):
     space, cover = tmp_path / "space.json", tmp_path / "cover.json"
     built = tmp_path / "built.json"
@@ -157,7 +175,8 @@ def test_missing_input_is_io_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("bad", [["--grid", "0", "--levels", "2"], ["--grid", "64", "--levels", "0"]])
+@pytest.mark.parametrize("bad", [["--grid", "0", "--levels", "2"], ["--grid", "64", "--levels", "0"],
+                                 ["--depth", "-1"]])
 def test_julia_bad_grid_or_levels_is_usage_error(tmp_path, capsys, bad):
     out = tmp_path / "julia.json"
     code = main(["julia", "--map", "z^2", "--depth", "6", "--target-count", "64",

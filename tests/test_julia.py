@@ -1,14 +1,18 @@
+import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qvista.errors import ResolutionInsufficient, SeedNotRepelling
+from qvista.errors import ResolutionInsufficient, RootFindFailure, SeedNotRepelling
 from qvista.julia import (
+    ROOT_CLUSTER_TOL,
     RationalMap,
+    _cluster_roots,
     admissible_cover,
     degree_probe,
     distortion_probe,
@@ -96,6 +100,118 @@ class TestRationalMap:
         seed = m.repelling_fixed_point()
         assert abs(seed - z0) < 1e-9
         assert abs(m.derivative(seed) - (1 + 1e-6)) < 1e-9
+
+
+def reference_preimages(g, w):
+    """The per-point solve: ``np.roots`` of p - w q after stripping leading
+    coefficients below 1e-13 of the largest, greedy clustering of the roots
+    at ROOT_CLUSTER_TOL with each cluster at the mean of its roots, and the
+    missing degree at infinity."""
+    p = np.concatenate([np.zeros(g.degree + 1 - g.p.size, dtype=complex), g.p])
+    q = np.concatenate([np.zeros(g.degree + 1 - g.q.size, dtype=complex), g.q])
+    c = p - complex(w) * q
+    keep = np.flatnonzero(np.abs(c) > 1e-13 * np.abs(c).max())
+    roots = np.roots(c[keep[0]:])
+    groups: list[list[complex]] = []
+    for z in roots:
+        for grp in groups:
+            if abs(z - grp[0]) <= ROOT_CLUSTER_TOL * max(1.0, abs(grp[0])):
+                grp.append(complex(z))
+                break
+        else:
+            groups.append([complex(z)])
+    pts = [sum(grp[1:], grp[0]) / len(grp) for grp in groups]
+    mult = [len(grp) for grp in groups]
+    missing = g.degree - sum(mult)
+    if missing:
+        g_inf = g.eval(np.array([np.inf + 0j]))[0]
+        if np.isfinite(g_inf) and abs(g_inf - complex(w)) > 1e-6:
+            raise RootFindFailure("g(inf) does not match")
+        pts.append(complex(np.inf))
+        mult.append(missing)
+    return np.array(pts, dtype=complex), np.array(mult, dtype=np.int64)
+
+
+class TestPreimagesBatched:
+    """The batched solver against the per-point solve, row by row, bit for bit."""
+
+    @staticmethod
+    def assert_rows_match(g, targets):
+        pts, mult = g.preimages(np.asarray(targets, dtype=complex))
+        assert pts.shape == mult.shape == (len(targets), g.degree)
+        for b, w in enumerate(targets):
+            ref_pts, ref_mult = reference_preimages(g, w)
+            used = mult[b] > 0
+            assert mult[b][used].tolist() == ref_mult.tolist()
+            assert pts[b][used].tobytes() == ref_pts.tobytes()
+            assert used.tolist() == [True] * ref_mult.size + [False] * (g.degree - ref_mult.size)
+            assert np.isnan(pts[b][~used]).all()
+            scalar_pts, scalar_mult = g.preimages(complex(w))
+            assert scalar_pts.tobytes() == ref_pts.tobytes()
+            assert scalar_mult.tolist() == ref_mult.tolist()
+
+    @pytest.mark.parametrize("text", ["z^2-1", "z^2+i", "z^3-0.5*z+0.3", "(z^2+1)/(z^2-1)"])
+    def test_generic_targets(self, text):
+        rng = np.random.default_rng(7)
+        targets = rng.normal(size=25) + 1j * rng.normal(size=25)
+        self.assert_rows_match(RationalMap.parse(text), targets)
+
+    def test_double_roots_among_simple_rows(self, cheb):
+        # -2 is the Chebyshev critical value: the double root 0, multiplicity 2
+        self.assert_rows_match(cheb, [0.3 + 0.1j, -2.0, 1.7, -2.0 + 1e-3j])
+        pts, mult = cheb.preimages(np.array([0.3 + 0.1j, -2.0 + 0j]))
+        assert mult[1].tolist() == [2, 0] and pts[1, 0] == 0
+        # a split double root, merged at ROOT_CLUSTER_TOL: z^2 + z + 0.3 = 0.05
+        g = RationalMap.parse("z^2+z+0.3")
+        self.assert_rows_match(g, [0.05, 1 + 1j])
+        assert g.preimages(np.array([0.05 + 0j]))[1][0].tolist() == [2, 0]
+
+    def test_leading_cancellation_root_at_infinity(self):
+        g = RationalMap.parse("(z^2+1)/(z^2-1)")  # g(inf) = 1
+        self.assert_rows_match(g, [0.5j, 1.0, 2.0])
+        pts, mult = g.preimages(np.array([1.0 + 0j]))
+        assert mult.tolist() == [[2, 0]] and np.isinf(pts[0, 0])
+        # a leading coefficient below 1e-13 of the largest, with g(inf) = 1e-5 != 0
+        stray = RationalMap(p=[1e-5, 0, 1e9], q=[1, 0, 1])
+        with pytest.raises(RootFindFailure):
+            reference_preimages(stray, 0.0)
+        with pytest.raises(RootFindFailure):
+            stray.preimages(np.array([1.0, 0.0, 2.0], dtype=complex))
+
+    def test_trailing_zero_at_w_equal_c(self):
+        # z^2 + i = i has the double root 0; z^3 - z/2 + 0.3 = 0.3 has the simple root 0
+        self.assert_rows_match(RationalMap.parse("z^2+i"), [1j, 0.2 - 1j])
+        self.assert_rows_match(RationalMap.parse("z^3-0.5*z+0.3"), [0.3, 1.1j, 0.3, -2.0])
+
+    def test_cluster_roots_rules(self):
+        # a cluster of one is its root divided by 1, as the per-point solve has
+        # it, so signed zeros survive
+        roots = np.array([[complex(-0.0, -1.0), complex(2.0, -0.0), 3.0, 3.0 + 1e-9j]])
+        pts, mult = _cluster_roots(roots, np.array([4]), ROOT_CLUSTER_TOL)
+        ref = [complex(roots[0, 0]) / 1, complex(roots[0, 1]) / 1,
+               (complex(roots[0, 2]) + complex(roots[0, 3])) / 2]
+        assert mult.tolist() == [[1, 1, 2, 0]]
+        assert pts[0, :3].tobytes() == np.array(ref).tobytes()
+        # a root within reach of two clusters joins the first one opened
+        tol = ROOT_CLUSTER_TOL
+        pts, mult = _cluster_roots(np.array([[0.0, 1.5 * tol, 0.8 * tol]], dtype=complex),
+                                   np.array([3]), tol)
+        assert mult.tolist() == [[2, 1, 0]]
+        assert pts[0, 0] == 0.4 * tol
+
+    def test_empty_batch(self, zsq):
+        pts, mult = zsq.preimages(np.empty(0, dtype=complex))
+        assert pts.shape == mult.shape == (0, 2)
+
+    @pytest.mark.parametrize("text, digest", [
+        ("z^2-1", "4bab97a50ba6bb5136cb079bf164099b73210fda1fa82f919d9bb2651dda44d9"),
+        ("z^2-3", "da1842de3e4f5025a527c693e8e8bd88fb1eba2ba53b8ca6f77921d0d8a939b2"),
+        ("z^2+i", "2b6ae745e0a145c0ea9cea738a6c7c60661361f83893a64afdbc080f504f10eb"),
+    ])
+    def test_sample_golden(self, text, digest):
+        """SHA-256 of the depth-10 sample points, pinned from the per-point solve."""
+        z = julia_sample(RationalMap.parse(text), 10).z
+        assert hashlib.sha256(z.tobytes()).hexdigest() == digest
 
 
 class TestJuliaSample:
@@ -199,6 +315,66 @@ class TestCovers:
         pull = admissible_cover(zsq, zsq_sample, np.pi / 8, grid=SphereGrid(K=512))
         with pytest.raises(ResolutionInsufficient):
             pullback_cover(pull, 4, min_cells=10_000)
+
+
+def oracle_tiles(pull) -> list[list[tuple[int, ...]]]:
+    """Tiles parent by parent: each parent's candidates (points whose
+    projected image lies in it) split by flood fill over links of length at
+    most 3 times the larger nearest-neighbour distance, groups ordered by
+    their lowest point; one-point groups dropped where covered elsewhere."""
+    sample = pull.sample
+    d, g = sample.space().dist, sample.self_map_indices()
+    nn = np.sort(d, axis=1)[:, 1]
+    levels = [[tuple(range(sample.n))]]
+    tiles: list[list[int]] = []
+    for fam in pull.families:
+        if fam[0].level == 1:
+            tiles = [sorted(r.sample_points) for r in fam]
+        else:
+            split = []
+            for parent in tiles:
+                members = set(parent)
+                unseen = [x for x in range(sample.n) if g[x] in members]
+                while unseen:
+                    group, stack = [], [unseen.pop(0)]
+                    while stack:
+                        y = stack.pop()
+                        group.append(y)
+                        linked = [z for z in unseen if d[y, z] <= 3 * max(nn[y], nn[z])]
+                        unseen = [z for z in unseen if z not in linked]
+                        stack.extend(linked)
+                    split.append(sorted(group))
+            count = Counter(x for t in split for x in t)
+            tiles = [t for t in split if not (len(t) == 1 and count[t[0]] > 1)]
+        assert set().union(*tiles) == set(range(sample.n))
+        levels.append([tuple(t) for t in tiles])
+    return levels
+
+
+class TestInduceTiles:
+    @pytest.mark.parametrize("text", ["z^2-1", "z^2-3"])
+    def test_matches_per_parent_oracle(self, text):
+        g = RationalMap.parse(text)
+        pull = pullback_cover(admissible_cover(g, julia_sample(g, 8), 0.25, grid=SphereGrid(K=256)), 3)
+        cover = induce_tiles(pull)
+        got = [[t.sorted_members() for t in level] for level in cover.levels]
+        assert got == oracle_tiles(pull)
+
+    def test_one_solve_per_generation_one_labelling_per_level(self, monkeypatch):
+        import qvista.julia as julia
+
+        solves, labellings = [], []
+        eigvals, components = np.linalg.eigvals, julia.connected_components
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solves.append(a.shape) or eigvals(a))
+        g = RationalMap.parse("z^2-1")
+        sample = julia_sample(g, 10)
+        assert sample.n == 1024
+        assert 1 <= len(solves) <= 10
+        pull = pullback_cover(admissible_cover(g, julia_sample(g, 8), 0.25, grid=SphereGrid(K=256)), 3)
+        monkeypatch.setattr(julia, "connected_components",
+                            lambda *a, **k: labellings.append(1) or components(*a, **k))
+        cover = induce_tiles(pull)
+        assert len(labellings) <= cover.depth
 
 
 class TestProbes:

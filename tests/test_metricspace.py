@@ -150,3 +150,12 @@ def test_nearest_neighbor_distances():
     for n in (0, 1):
         nn = FiniteMetricSpace(dist=np.zeros((n, n))).nearest_neighbor_distances()
         assert nn.tolist() == [0.0] * n
+
+
+def test_nearest_neighbor_distances_cached_read_only():
+    space = FiniteMetricSpace(dist=np.array([[0.0, 2.0], [2.0, 0.0]]))
+    nn = space.nearest_neighbor_distances()
+    assert space.nearest_neighbor_distances() is nn
+    assert nn.tolist() == [2.0, 2.0]
+    with pytest.raises(ValueError):
+        nn[0] = 0.0
