@@ -269,12 +269,12 @@ def _dispatch(args, seed: int) -> int:
         return 0 if ok else 1
 
     if cmd == "julia":
+        grid = SphereGrid(K=args.grid)  # rejects a bad size before any work
         map_ = RationalMap.parse(args.map_text)
         target_count = args.target_count
         if target_count is None:
             target_count = min(map_.degree ** args.depth, MAX_PREIMAGE_COUNT)
         sample = julia_sample(map_, args.depth, target_count=target_count)
-        grid = SphereGrid(K=args.grid)
         pull = admissible_cover(map_, sample, args.cover_radius, grid=grid)
         pull = pullback_cover(pull, args.levels)
         cover = induce_tiles(pull)

@@ -400,7 +400,7 @@ class AmbientRegion:
 
     level: int
     rid: int
-    cells: np.ndarray  # sorted flat cell ids
+    cells: np.ndarray  # sorted int32 flat cell ids
     parent: int  # rid in the previous level, -1 at level 1
     v1_index: int  # root ancestor in the level-1 family
     sample_points: tuple[int, ...] = ()
@@ -562,9 +562,11 @@ def induce_tiles(pull: PullbackCover) -> CoverSequence:
             # by parent, then by lowest point, each one sorted
             tiles = group_by_label(point, comp)
             # one-point traces at component edges are raster- and
-            # candidate-boundary artifacts; drop them when covered elsewhere
-            count = np.bincount(point, minlength=sample.n)
-            tiles = [t for t in tiles if not (t.size == 1 and count[t[0]] > 1)]
+            # candidate-boundary artifacts; drop them when a tile of several
+            # points holds the point, so no point loses its last tile
+            in_multi = np.zeros(sample.n, dtype=bool)
+            in_multi[point[np.bincount(comp)[comp] > 1]] = True
+            tiles = [t for t in tiles if t.size > 1 or not in_multi[t[0]]]
         covered = np.zeros(sample.n, dtype=bool)
         covered[np.concatenate(tiles)] = True
         if not covered.all():

@@ -29,6 +29,7 @@ from .metricspace import FiniteMetricSpace
 
 NU_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))  # 0.05 .. 1.00
 K_CAP = 1e6
+ROW_BLOCK = 1 << 16  # entries per row block of the quadratic scans in dynamical_checks
 
 
 @dataclass(frozen=True)
@@ -517,6 +518,13 @@ def dynamical_checks(
     be unique per spec of the generating dynamics.  The distortion check fits
     the smallest C with d(g^n x, g^n y) <= C (d(x,y)/diam Z)^nu over pairs in
     balls B(z0, 2 diam Z) around members of (n+1)-tiles Z.
+
+    Both quadratic scans stream in row blocks of at most ``ROW_BLOCK``
+    entries, so neither builds an n x n or ball x ball temporary beside the
+    proximity table: the distortion scan takes the rows of each ball against
+    the whole ball, and the decay check stops at the first block that holds a
+    violation, whose first entry is still the first violating pair in
+    row-major order.
     """
     g = np.asarray(point_map, dtype=np.int64)
     n_pts = cover.n_points
@@ -546,21 +554,23 @@ def dynamical_checks(
             if best > shift_tolerance:
                 shift_violations.append({"tile": list(t.id), "excess": best})
 
-    table = compute_proximity(cover)
-    m = table.m
-    # sentinel pairs certify proximity only up to the truncation depth
-    rhs = np.minimum(m, depth)
+    m = compute_proximity(cover).m
     prox_violations = []
+    step = max(1, ROW_BLOCK // n_pts)
     gn = np.arange(n_pts)
     for k in range(1, depth + 1):
         gn = g[gn]
-        rhs -= 1  # min(m, depth) - k, in place: no n x n temporary per step
-        bad = m[np.ix_(gn, gn)] < rhs
-        if bad.any():
-            i, j = map(int, np.unravel_index(int(np.argmax(bad)), bad.shape))
-            prox_violations.append(
-                {"n": k, "pair": [i, j], "m": int(m[i, j]), "m_image": int(m[gn[i], gn[j]])}
-            )
+        for lo in range(0, n_pts, step):
+            rows = slice(lo, lo + step)
+            # sentinel pairs certify proximity only up to the truncation depth
+            bad = m[np.ix_(gn[rows], gn)] < np.minimum(m[rows], depth) - k
+            if bad.any():
+                i, j = map(int, np.unravel_index(int(np.argmax(bad)), bad.shape))
+                i += lo
+                prox_violations.append(
+                    {"n": k, "pair": [i, j], "m": int(m[i, j]), "m_image": int(m[gn[i], gn[j]])}
+                )
+                break
 
     if nu is None:
         nu = 1.0
@@ -576,12 +586,15 @@ def dynamical_checks(
             ball = np.flatnonzero(d[z0] < 2.0 * dm)
             if ball.size < 2:
                 continue
-            sub = d[np.ix_(ball, ball)]
-            img = d[np.ix_(gn[ball], gn[ball])]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bound = (sub / dm) ** nu
-                ratio = np.where(bound > 0, img / bound, 0.0)
-            dist_C = max(dist_C, float(ratio.max()))
+            img_ball = gn[ball]
+            step = max(1, ROW_BLOCK // ball.size)
+            for lo in range(0, ball.size, step):
+                sub = d[np.ix_(ball[lo:lo + step], ball)]
+                img = d[np.ix_(img_ball[lo:lo + step], img_ball)]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    bound = (sub / dm) ** nu
+                    ratio = np.where(bound > 0, img / bound, 0.0)
+                dist_C = max(dist_C, float(ratio.max()))
 
     return DynamicalReport(
         shift_ok=not shift_violations,

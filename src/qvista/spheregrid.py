@@ -12,6 +12,11 @@ deduplicate the cells and no binary search for the twins.
 Whole-grid per-cell tables (the twin table here, the image table of a map)
 are filled in blocks of ``FILL_BLOCK`` cells, which bounds the temporaries of
 the elementwise maths instead of letting them scale with 2K^2.
+
+Cell ids are int32 from end to end: the whole-grid tables, the raster of a
+ball, the components, the inverse image and what it gathers.  Only index
+temporaries stay intp.  The 2K^2 cell count must itself fit int32 (the
+inverse image's bucket starts run up to it), so K is at most ``MAX_K``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from scipy.sparse.csgraph import connected_components
 CHART_HALF_WIDTH = 2.2
 EIGHT = np.ones((3, 3), dtype=int)  # 8-connectivity for component labeling
 FILL_BLOCK = 1 << 16  # cells per block when filling a whole-grid table
+MAX_K = 32767  # largest K with 2K^2 < 2^31, so every cell id and count fits int32
 
 
 @dataclass
@@ -40,6 +46,11 @@ class SphereGrid:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError(f"grid size K must be at least 1, got {self.K}")
+        if self.K > MAX_K:
+            raise ValueError(
+                f"grid size K must be at most {MAX_K}, so that the 2K^2 cell ids fit int32; "
+                f"got {self.K}"
+            )
 
     @property
     def step(self) -> float:
@@ -121,9 +132,9 @@ class SphereGrid:
         return np.where(ok, other + iy * self.K + ix, -1)
 
     def fill_cells(self, per_cell: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """The int64 table ``per_cell(flat)`` over every flat id, computed in
+        """The int32 table ``per_cell(flat)`` over every flat id, computed in
         blocks of ``FILL_BLOCK`` ids; ``per_cell`` must act elementwise."""
-        out = np.empty(self.n_cells, dtype=np.int64)
+        out = np.empty(self.n_cells, dtype=np.int32)
         for lo in range(0, self.n_cells, FILL_BLOCK):
             hi = min(lo + FILL_BLOCK, self.n_cells)
             out[lo:hi] = per_cell(np.arange(lo, hi, dtype=np.int64))
@@ -142,7 +153,7 @@ class SphereGrid:
             cells = self._raster_ball_in_chart(chart, center_vec, radius)
             if cells.size:
                 out.append(cells + chart * self.K * self.K)
-        return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+        return np.concatenate(out) if out else np.empty(0, dtype=np.int32)
 
     def _raster_ball_in_chart(self, chart: int, center_vec: np.ndarray, radius: float) -> np.ndarray:
         v = np.asarray(center_vec, dtype=float)
@@ -173,16 +184,16 @@ class SphereGrid:
         dots = (2 * cc.real * v[0] + flip * 2 * cc.imag * v[1] + flip * (s - 1) * v[2]) / (s + 1)
         inside = np.flatnonzero(np.arccos(np.clip(dots, -1, 1)) < radius)
         iy, ix = np.divmod(inside, hi_x - lo_x)
-        return (iy + lo_y) * self.K + (ix + lo_x)
+        return ((iy + lo_y) * self.K + (ix + lo_x)).astype(np.int32)
 
     def components(self, cells: np.ndarray) -> list[np.ndarray]:
         """Connected components of a set of cells, stitched across charts.
 
         ``cells`` may come in any order and may repeat cells.  Each component
-        is an ascending array, and components are ordered by their smallest
-        cell.
+        is an ascending int32 array, and components are ordered by their
+        smallest cell.
         """
-        cells = np.asarray(cells, dtype=np.int64).ravel()
+        cells = np.asarray(cells, dtype=np.int32).ravel()
         if cells.size == 0:
             return []
         half = self.K * self.K
@@ -217,7 +228,7 @@ class _ChartLabels:
     the set's bounding box."""
 
     K: int
-    ids: np.ndarray  # the distinct ids, ascending
+    ids: np.ndarray  # the distinct ids, ascending, int32
     labels: np.ndarray  # label of each id, 1..count
     raster: np.ndarray  # box label raster, 0 off the set
     lo_y: int
@@ -236,7 +247,7 @@ class _ChartLabels:
         raster, count = ndimage.label(mask, structure=EIGHT)
         # row-major order in the box is ascending id order: no sort needed
         pos = np.flatnonzero(mask)
-        ids = pos + (pos // w) * (K - w) + (lo_y * K + lo_x)
+        ids = (pos + (pos // w) * (K - w) + (lo_y * K + lo_x)).astype(np.int32)
         return cls(K, ids, raster.ravel()[pos], raster, lo_y, lo_x, count)
 
     def at(self, rem: np.ndarray) -> np.ndarray:
@@ -271,7 +282,7 @@ def locate_cells(cells: np.ndarray, sets: list[np.ndarray]) -> tuple[np.ndarray,
     of -1 (a missing twin) matches nothing.
     """
     cells = np.asarray(cells, dtype=np.int64)
-    flat = np.concatenate([np.empty(0, dtype=np.int64), *sets])
+    flat = np.concatenate([np.empty(0, dtype=np.int32), *sets])
     # only the set entries some query asks for are sorted
     pos = np.flatnonzero(np.isin(flat, cells, kind="table"))
     owner = np.searchsorted(np.cumsum([s.size for s in sets], dtype=np.int64), pos, side="right")
@@ -287,11 +298,12 @@ def locate_cells(cells: np.ndarray, sets: list[np.ndarray]) -> tuple[np.ndarray,
 
 def inverse_image(img: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """A function from distinct cells to the cells that ``img`` maps into them,
-    bucket by bucket in the given order, each bucket ascending.  The inverse
-    image it reads (a stable sort by image, and the bucket starts) is built
-    once here and lives as long as that function."""
-    pre = np.argsort(img, kind="stable")
-    start = np.concatenate([[0], np.cumsum(np.bincount(img, minlength=img.size))])
+    bucket by bucket in the given order, each bucket ascending, as int32.  The
+    inverse image it reads (a stable sort by image, and the bucket starts) is
+    built once here as int32 arrays and lives as long as that function."""
+    start = np.zeros(img.size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(img, minlength=img.size), out=start[1:])
+    pre = np.argsort(img, kind="stable").astype(np.int32)
 
     def gather(cells: np.ndarray) -> np.ndarray:
         lo = start[cells]

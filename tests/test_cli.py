@@ -186,3 +186,32 @@ def test_julia_bad_grid_or_levels_is_usage_error(tmp_path, capsys, bad):
     assert err.startswith("qvista: error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_julia_singleton_traces_keep_their_points(tmp_path):
+    """At depth 11, 32 points of z^2-3 are one-point traces in each of their
+    level-5 parents; a one-point trace goes only where a tile of several
+    points holds its point, so these keep their tiles and the run verifies."""
+    out = tmp_path / "julia.json"
+    code = main(["julia", "--map", "z^2-3", "--depth", "11", "--levels", "5", "--grid", "256",
+                 "--out", str(out)])
+    assert code in (0, 1)
+    report = json.loads(out.read_text())
+    assert report["sample_size"] == 2048
+    assert report["passed"] is (code == 0)
+
+
+def test_julia_grid_beyond_int32_ids_is_usage_error(tmp_path, capsys, monkeypatch):
+    from qvista.spheregrid import SphereGrid
+
+    def no_table(*_args):
+        raise AssertionError("a whole-grid table was allocated before the size check")
+
+    monkeypatch.setattr(SphereGrid, "fill_cells", no_table)
+    out = tmp_path / "julia.json"
+    assert main(["julia", "--map", "z^2", "--grid", "32768", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qvista: error:")
+    assert "32767" in err
+    assert "Traceback" not in err
+    assert not out.exists()

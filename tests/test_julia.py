@@ -2,7 +2,6 @@ import hashlib
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -321,7 +320,8 @@ def oracle_tiles(pull) -> list[list[tuple[int, ...]]]:
     """Tiles parent by parent: each parent's candidates (points whose
     projected image lies in it) split by flood fill over links of length at
     most 3 times the larger nearest-neighbour distance, groups ordered by
-    their lowest point; one-point groups dropped where covered elsewhere."""
+    their lowest point; one-point groups dropped where a group of several
+    points holds their point."""
     sample = pull.sample
     d, g = sample.space().dist, sample.self_map_indices()
     nn = np.sort(d, axis=1)[:, 1]
@@ -344,8 +344,8 @@ def oracle_tiles(pull) -> list[list[tuple[int, ...]]]:
                         unseen = [z for z in unseen if z not in linked]
                         stack.extend(linked)
                     split.append(sorted(group))
-            count = Counter(x for t in split for x in t)
-            tiles = [t for t in split if not (len(t) == 1 and count[t[0]] > 1)]
+            multi = {x for t in split if len(t) > 1 for x in t}
+            tiles = [t for t in split if len(t) > 1 or t[0] not in multi]
         assert set().union(*tiles) == set(range(sample.n))
         levels.append([tuple(t) for t in tiles])
     return levels

@@ -55,7 +55,7 @@ def test_inverse_image_matches_isin(seed):
         if size > 1 and 7 not in cells:
             cells[0] = 7
         got = preimage(cells)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         assert np.array_equal(np.sort(got), np.flatnonzero(np.isin(img, cells)))
         # bucket by bucket in the order of the query, each bucket ascending
         assert got.tolist() == [i for c in cells for i in np.flatnonzero(img == c)]

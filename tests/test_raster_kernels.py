@@ -6,9 +6,10 @@ from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from qvista.julia import RationalMap
+from qvista.julia import RationalMap, admissible_cover, julia_sample, pullback_cover
+from qvista.metricspace import greedy_separated_subset
 from qvista.sphere import sphere_from_complex
-from qvista.spheregrid import EIGHT, FILL_BLOCK, SphereGrid, group_by_label
+from qvista.spheregrid import EIGHT, FILL_BLOCK, MAX_K, SphereGrid, group_by_label, inverse_image
 
 
 def components_oracle(grid, cells):
@@ -48,7 +49,7 @@ def assert_same_components(grid, cells):
     want = components_oracle(grid, cells)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.dtype == np.int64
+        assert g.dtype == np.int32
         assert np.array_equal(g, w)
     return got
 
@@ -116,7 +117,7 @@ def test_raster_ball_is_strictly_ascending(K):
     vecs[:2] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]  # both poles
     for v in vecs:
         cells = grid.raster_spherical_ball(v, rng.uniform(0.01, 1.5))
-        assert cells.dtype == np.int64
+        assert cells.dtype == np.int32
         assert np.all(np.diff(cells) > 0)
 
 
@@ -152,9 +153,8 @@ def test_raster_ball_matches_full_chart_scan(K):
 BLOCKED_K = 200
 
 
-def test_blocked_twin_matches_unblocked():
-    grid = SphereGrid(K=BLOCKED_K)
-    assert grid.n_cells > FILL_BLOCK and grid.n_cells % FILL_BLOCK != 0
+def twin_oracle(grid):
+    """The twin table in one unblocked int64 pass over every cell."""
     flat = np.arange(grid.n_cells, dtype=np.int64)
     chart, c = grid.chart_coord(flat)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -164,9 +164,21 @@ def test_blocked_twin_matches_unblocked():
     ix = np.floor((w.real + grid.H) / grid.step).astype(np.int64)
     iy = np.floor((w.imag + grid.H) / grid.step).astype(np.int64)
     twin = np.where(chart == 0, grid.K * grid.K, 0) + iy * grid.K + ix
-    want = np.where(ok, twin, -1).astype(np.int64)
+    return np.where(ok, twin, -1).astype(np.int64)
+
+
+def image_oracle(g, grid):
+    """The image table in one unblocked int64 pass over every cell."""
+    flat = np.arange(grid.n_cells, dtype=np.int64)
+    return grid.canonical_flat(g.eval(grid.cell_centers_z(flat))).astype(np.int64)
+
+
+def test_blocked_twin_matches_unblocked():
+    grid = SphereGrid(K=BLOCKED_K)
+    assert grid.n_cells > FILL_BLOCK and grid.n_cells % FILL_BLOCK != 0
+    want = twin_oracle(grid)
     got = grid.twin_flat()
-    assert got.dtype == np.int64
+    assert got.dtype == np.int32
     assert np.array_equal(got, want)
 
 
@@ -174,9 +186,49 @@ def test_blocked_twin_matches_unblocked():
 def test_blocked_image_cells_matches_unblocked(text):
     g = RationalMap.parse(text)
     grid = SphereGrid(K=BLOCKED_K)
-    flat = np.arange(grid.n_cells, dtype=np.int64)
-    want = grid.canonical_flat(g.eval(grid.cell_centers_z(flat))).astype(np.int64)
+    want = image_oracle(g, grid)
     got = g.image_cells(grid)
-    assert got.dtype == np.int64
+    assert got.dtype == np.int32
     assert np.array_equal(got, want)
     assert g.image_cells(grid) is got  # cached under (K, H)
+
+
+def test_raster_ids_are_int32_end_to_end():
+    """Every raster table and cell set is int32 and equals its int64 reference."""
+    g = RationalMap.parse("z^2-1")
+    grid = SphereGrid(K=64)
+    img, want_img = g.image_cells(grid), image_oracle(g, grid)
+    twin = grid.twin_flat()
+    seam = sphere_from_complex(1.0)  # a ball across the chart seam
+    ball = grid.raster_spherical_ball(seam, 0.3)
+    comps = grid.components(ball[::-1])
+    gathered = inverse_image(img)(ball)
+    for got in (img, twin, ball, *comps, gathered):
+        assert got.dtype == np.int32
+    assert np.array_equal(img, want_img)
+    assert np.array_equal(twin, twin_oracle(grid))
+    assert np.array_equal(ball, raster_ball_oracle(grid, seam, 0.3))
+    want_comps = components_oracle(grid, ball)
+    assert len(comps) == len(want_comps)
+    assert all(np.array_equal(c, w) for c, w in zip(comps, want_comps))
+    assert np.array_equal(np.sort(gathered), np.flatnonzero(np.isin(want_img, ball)))
+
+    sample = julia_sample(g, 6)
+    pull = pullback_cover(admissible_cover(g, sample, 0.25, grid=grid), 3)
+    centers = greedy_separated_subset(sample.space().dist, range(sample.n), 0.25)
+    for r, c in zip(pull.families[0], centers, strict=True):
+        assert r.cells.dtype == np.int32
+        assert np.array_equal(r.cells, raster_ball_oracle(grid, sample.vecs[c], 0.25))
+    for parents, fam in zip(pull.families, pull.families[1:]):
+        for r in fam:
+            assert r.cells.dtype == np.int32
+            pre = np.flatnonzero(np.isin(want_img, parents[r.parent].cells))
+            assert any(np.array_equal(r.cells, c) for c in components_oracle(grid, pre))
+
+
+def test_grid_size_is_limited_to_int32_ids():
+    assert MAX_K == 32767
+    grid = SphereGrid(K=MAX_K)  # builds no table until one is asked for
+    assert grid.n_cells < 2**31 <= 2 * (MAX_K + 1) ** 2
+    with pytest.raises(ValueError, match="at most 32767"):
+        SphereGrid(K=MAX_K + 1)
