@@ -57,6 +57,35 @@ def bool_product(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def connected_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Component label of each node 0..n-1 of the undirected graph with edges
+    ``src[e] -- dst[e]`` (repeats allowed).
+
+    Components are numbered 0, 1, ... in the order of their lowest node, as
+    scipy's ``connected_components`` numbers them.  Each round hooks every
+    tree root onto the lowest root across its edges, then jumps pointers
+    until each node points at its root.  Pointers only ever go to lower
+    nodes, so a root is the lowest node of its tree, and an edge inside a
+    tree stays inside one, so each round keeps only the edges that crossed.
+    """
+    root = np.arange(n)
+    src = np.asarray(src, dtype=np.intp)
+    dst = np.asarray(dst, dtype=np.intp)
+    while src.size:
+        a, b = root[src], root[dst]
+        cross = a != b
+        src, dst, a, b = src[cross], dst[cross], a[cross], b[cross]
+        low = np.minimum(a, b)
+        np.minimum.at(root, a, low)
+        np.minimum.at(root, b, low)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a

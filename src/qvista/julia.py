@@ -14,10 +14,8 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .covers import CoverSequence
+from .covers import CoverSequence, connected_components
 from .errors import (
     EmptyLevel,
     ResolutionInsufficient,
@@ -26,7 +24,7 @@ from .errors import (
 )
 from .metricspace import FiniteMetricSpace, greedy_separated_subset
 from .sphere import sphere_from_complex_array, spherical_dist_matrix
-from .spheregrid import SphereGrid, group_by_label, inverse_image, locate_cells
+from .spheregrid import SphereGrid, group_by_label, inverse_image, locate_cells, run_indices
 
 MAX_PREIMAGE_COUNT = 4096
 ROOT_CLUSTER_TOL = 1e-7
@@ -60,6 +58,19 @@ class RationalMap:
     @property
     def degree(self) -> int:
         return max(self.p.size, self.q.size) - 1
+
+    @property
+    def root_cluster_tol(self) -> float:
+        """Distance within which numerical roots of g(z) = w or g(z) = z merge
+        into one multiple root (relative above modulus 1).
+
+        A k-fold root splits by about eps**(1/k), and ``ROOT_CLUSTER_TOL`` is
+        sized for the sqrt(eps) split of a double root, so it is raised to
+        the power 2/d.  A d-fold root, the highest multiplicity g(z) = w can
+        have, then merges; at d = 2 the tolerance is ``ROOT_CLUSTER_TOL``
+        exactly.
+        """
+        return ROOT_CLUSTER_TOL ** (2.0 / self.degree)
 
     @classmethod
     def parse(cls, text: str) -> "RationalMap":
@@ -122,10 +133,9 @@ class RationalMap:
         call per polynomial shape, which gives the roots ``np.roots`` gives.
 
         A multiple solution (w a critical value) is reported once, at the mean
-        of its cluster of numerical roots, with its multiplicity.  The
-        clustering tolerance ``ROOT_CLUSTER_TOL`` is sized for the sqrt(eps)
-        split of a double root; a solution of multiplicity 3 or more splits
-        by about eps**(1/k) and may come back as several simple ones.
+        of its cluster of numerical roots, with its multiplicity; the roots
+        cluster at ``root_cluster_tol``, which merges every multiplicity up
+        to the degree.
 
         Missing degree (leading-coefficient cancellation) is attributed to a
         preimage at infinity when g(inf) matches w; otherwise it is an error.
@@ -137,7 +147,7 @@ class RationalMap:
         p, q = self._padded()
         c = p - targets[:, None] * q
         roots, count = _root_rows(c)
-        pts, mult = _cluster_roots(roots, count, ROOT_CLUSTER_TOL)
+        pts, mult = _cluster_roots(roots, count, self.root_cluster_tol)
         missing = self.degree - mult.sum(axis=1)
         lost = np.flatnonzero(missing)
         if lost.size:
@@ -173,9 +183,8 @@ class RationalMap:
         A multiple fixed point (multiplier 1, as for the parabolic z^2 + 1/4)
         is reported once, at the mean of its cluster of numerical roots, so
         its multiplier comes out as 1 to O(eps) instead of 1 + O(sqrt(eps)).
-        The clustering tolerance ``ROOT_CLUSTER_TOL`` is sized for the
-        sqrt(eps) split of a double root; fixed points of multiplicity 3 or
-        more split by about eps**(1/k) and are not covered.
+        The roots cluster at ``root_cluster_tol``, which merges a fixed point
+        of multiplicity up to the degree.
         """
         p, q = self._padded()
         c = np.polysub(p, np.polymul(q, np.array([1.0, 0.0], dtype=complex)))
@@ -183,7 +192,7 @@ class RationalMap:
         if c.size <= 1:
             return []
         roots = np.roots(c)[None, :]
-        pts, mult = _cluster_roots(roots, np.array([roots.shape[1]]), ROOT_CLUSTER_TOL)
+        pts, mult = _cluster_roots(roots, np.array([roots.shape[1]]), self.root_cluster_tol)
         return [(complex(r), self.derivative(complex(r))) for r in pts[0][mult[0] > 0]]
 
     def repelling_fixed_point(self) -> complex:
@@ -273,9 +282,9 @@ def _cluster_roots(
     number, at the mean of its roots, with its size as the multiplicity: a
     perturbed k-fold root splits into k roots whose mean is accurate to
     O(eps), while any single one is off by O(eps**(1/k)).  A double root
-    splits by about sqrt(eps) (~1.5e-8), which ``ROOT_CLUSTER_TOL`` covers;
-    roots of multiplicity 3 or more split by ~eps**(1/3) (~6e-6) and are not
-    covered.  Unused slots get multiplicity 0 and point nan.
+    splits by about sqrt(eps) (~1.5e-8) and a triple one by about
+    eps**(1/3) (~6e-6); ``RationalMap.root_cluster_tol`` sizes ``tol`` for
+    the map's degree.  Unused slots get multiplicity 0 and point nan.
     """
     labels = _greedy_labels(roots, count, tol)
     rows = np.arange(roots.shape[0])
@@ -533,14 +542,18 @@ def induce_tiles(pull: PullbackCover) -> CoverSequence:
     sample traces of the components of the parent's preimage.  One
     components call labels the (parent, candidate) pairs of a whole level.
     This makes the level shift g(X^{n+1}) <= X^n exact at the index level,
-    which the proximity-decay law needs.
+    which the proximity-decay law needs.  Overlapping parents can share a
+    child; each distinct point set is kept once per level.
     """
     sample = pull.sample
     space = sample.space()
     g_idx = sample.self_map_indices()
     levels: list[list[tuple[int, ...]]] = [[tuple(range(sample.n))]]
     near = space.dist <= 3.0 * space.nearest_neighbor_distances()[:, None]
-    link = csr_matrix(near | near.T)  # d <= 3 max(nn_i, nn_j)
+    # the link graph, d <= 3 max(nn_i, nn_j), as neighbour lists: point p's
+    # neighbours are linked[start[p]:start[p + 1]]
+    row, linked = np.nonzero(near | near.T)
+    start = np.searchsorted(row, np.arange(sample.n + 1))
     tiles: list[np.ndarray] = []
     for fam in pull.families:
         if fam[0].level == 1:
@@ -551,13 +564,12 @@ def induce_tiles(pull: PullbackCover) -> CoverSequence:
             holds[owner, np.concatenate(tiles)] = True
             # nodes: (parent, candidate) pairs in ascending order, linked within a parent
             parent, point = np.nonzero(holds[:, g_idx])
-            pairs = link[point][:, point].tocoo()
-            same = parent[pairs.row] == parent[pairs.col]
-            graph = csr_matrix(
-                (np.ones(same.sum(), dtype=bool), (pairs.row[same], pairs.col[same])),
-                shape=(point.size, point.size),
-            )
-            _n, comp = connected_components(graph, directed=False)
+            node = np.full(holds.shape, -1)
+            node[parent, point] = np.arange(point.size)
+            degree = start[point + 1] - start[point]
+            src = np.repeat(np.arange(point.size), degree)
+            dst = node[parent[src], linked[run_indices(start[point], degree)]]
+            comp = connected_components(point.size, src[dst >= 0], dst[dst >= 0])
             # components are numbered by their lowest node, so tiles come out
             # by parent, then by lowest point, each one sorted
             tiles = group_by_label(point, comp)
@@ -567,6 +579,9 @@ def induce_tiles(pull: PullbackCover) -> CoverSequence:
             in_multi = np.zeros(sample.n, dtype=bool)
             in_multi[point[np.bincount(comp)[comp] > 1]] = True
             tiles = [t for t in tiles if t.size > 1 or not in_multi[t[0]]]
+            # overlapping parents can hold the same child: keep it once, in
+            # the place of its first copy
+            tiles = list({t.tobytes(): t for t in tiles}.values())
         covered = np.zeros(sample.n, dtype=bool)
         covered[np.concatenate(tiles)] = True
         if not covered.all():

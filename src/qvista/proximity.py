@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import floyd_warshall
 
 from .covers import (
     CoverSequence,
@@ -30,6 +29,8 @@ from .metricspace import FiniteMetricSpace
 NU_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))  # 0.05 .. 1.00
 K_CAP = 1e6
 ROW_BLOCK = 1 << 16  # entries per row block of the quadratic scans in dynamical_checks
+CHAIN_PIVOT_BLOCK = 64  # pivots per block of the chain metric's Floyd-Warshall
+CHAIN_ROW_CHUNK = 32  # rows per chunk it updates at once
 
 
 @dataclass(frozen=True)
@@ -338,17 +339,66 @@ def chain_metrize(qm: QuasiMetric) -> FiniteMetricSpace:
     """Shortest-path metrization: d = min over chains of the sum of q-steps.
 
     Requires K <= 2; then the chain metric satisfies q/(2K) <= d <= q
-    entrywise (verified exhaustively here).
+    entrywise (verified exhaustively here).  The chains come from a
+    Floyd-Warshall in numpy whose result is bitwise equal to scipy's
+    ``floyd_warshall(q, directed=False)``.  It needs q > 0 off the diagonal
+    and rejects any other q: scipy would read a 0 there as a missing edge,
+    while a quasi-metric is 0 only on the diagonal.
     """
     if qm.K > 2.0:
         raise KTooLarge(f"quasi-metric constant {qm.K!r} exceeds 2")
-    d = floyd_warshall(qm.q, directed=False)
+    if not (qm.q[~np.eye(qm.n, dtype=bool)] > 0).all():
+        raise ValueError("quasi-metric must be positive off the diagonal")
+    d = _shortest_chains(qm.q)
     lower = qm.q / (2.0 * qm.K)
     if not np.all(d <= qm.q * (1 + 1e-12)):
         raise AssertionError("chain metric exceeds q somewhere")
     if not np.all(d >= lower * (1 - 1e-12)):
         raise AssertionError("chain metric dips below q/(2K) somewhere")
     return FiniteMetricSpace(dist=d)
+
+
+def _shortest_chains(q: np.ndarray) -> np.ndarray:
+    """All-pairs shortest chains of the symmetrized min(q, q^T), by
+    Floyd-Warshall with pivots in increasing order.
+
+    Every entry is the float that the textbook loop, d[i, j] = min(d[i, j],
+    d[i, k] + d[k, j]) for k, i, j in turn, leaves there.  d stays exactly
+    symmetric, since each sum is the same two floats either way round, so
+    only the upper triangle is updated, by row chunks, and mirrored at the
+    end.  Pivots go in blocks of b.  Before a block is applied, its pivot
+    rows are brought up to date with the block's earlier pivots, O(b^2 n);
+    by symmetry pivot row k then also holds the column d[i, k] that each
+    row i reads.  A chunk skips pivot k when no sum through k can beat the
+    chunk's largest entry: d[i, k] + min_{j != k} d[k, j] >= max d for each
+    row i of the chunk (j = k and j = i improve nothing).
+    """
+    n = q.shape[0]
+    d = np.minimum(q, q.T)
+    np.fill_diagonal(d, 0.0)
+    scratch = np.empty(CHAIN_ROW_CHUNK * n)
+    for k0 in range(0, n, CHAIN_PIVOT_BLOCK):
+        k1 = min(k0 + CHAIN_PIVOT_BLOCK, n)
+        b = k1 - k0
+        # the pivot rows, each read from the upper triangle
+        piv = d[k0:k1].copy()
+        piv[:, :k0] = d[:k0, k0:k1].T
+        piv[:, k0:k1] = np.where(np.tri(b, dtype=bool), d[k0:k1, k0:k1].T, d[k0:k1, k0:k1])
+        for a in range(b - 1):
+            piv[a + 1:] = np.minimum(piv[a + 1:], piv[a + 1:, k0 + a, None] + piv[a])
+        off = piv.copy()
+        off[np.arange(b), np.arange(k0, k1)] = np.inf
+        step = off.min(axis=1)  # the shortest step out of each pivot
+        for i0 in range(0, n, CHAIN_ROW_CHUNK):
+            i1 = min(i0 + CHAIN_ROW_CHUNK, n)
+            chunk = d[i0:i1, i0:]
+            sums = scratch[:chunk.size].reshape(chunk.shape)
+            for a in np.flatnonzero(piv[:, i0:i1].min(axis=1) + step < chunk.max()):
+                np.add(piv[a, i0:i1, None], piv[a, None, i0:], out=sums)
+                np.minimum(chunk, sums, out=chunk)
+    for i0 in range(CHAIN_ROW_CHUNK, n, CHAIN_ROW_CHUNK):
+        d[i0:i0 + CHAIN_ROW_CHUNK, :i0] = d[:i0, i0:i0 + CHAIN_ROW_CHUNK].T
+    return d
 
 
 def synthesize_visual_metric(

@@ -9,6 +9,11 @@ cells in ascending order, and stitched into sphere components by reading
 each twin's label from the other chart's label raster, with no sort to
 deduplicate the cells and no binary search for the twins.
 
+The per-chart labelling is the only step that needs scipy (``ndimage.label``).
+It imports it on first use, so importing this module, or running anything
+that never labels a raster, loads no scipy module.  The stitching runs on
+``covers.connected_components``.
+
 Whole-grid per-cell tables (the twin table here, the image table of a map)
 are filled in blocks of ``FILL_BLOCK`` cells, which bounds the temporaries of
 the elementwise maths instead of letting them scale with 2K^2.
@@ -25,9 +30,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+
+from .covers import connected_components
 
 CHART_HALF_WIDTH = 2.2
 EIGHT = np.ones((3, 3), dtype=int)  # 8-connectivity for component labeling
@@ -211,11 +215,8 @@ class SphereGrid:
             ok = hit > 0
             src.append(own.labels[ok] + offsets[chart])
             dst.append(hit[ok] + offsets[1 - chart])
-        # bool data, since the conversion to CSR sums duplicate edges
         n_lab = charts[0].count + charts[1].count
-        src, dst = np.concatenate(src), np.concatenate(dst)
-        edges = csr_matrix((np.ones(src.size, dtype=bool), (src, dst)), shape=(n_lab, n_lab))
-        _n, comp = connected_components(edges, directed=False)
+        comp = connected_components(n_lab, np.concatenate(src), np.concatenate(dst))
         # chart A ids precede chart B ids, so the cells stay ascending
         flat = np.concatenate([charts[0].ids, charts[1].ids + half])
         labels = np.concatenate([c.labels + off for c, off in zip(charts, offsets)])
@@ -237,6 +238,8 @@ class _ChartLabels:
 
     @classmethod
     def of(cls, rem: np.ndarray, K: int) -> "_ChartLabels":
+        from scipy import ndimage  # only labelling needs it, and it is slow to import
+
         if not rem.size:
             return cls(K, rem, np.zeros(0, dtype=np.int32), np.zeros((0, 0), dtype=np.int32), 0, 0, 0)
         iy, ix = np.divmod(rem, K)

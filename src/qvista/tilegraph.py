@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
-from .covers import CoverSequence, maxmin_product, tile_pair_reduce
+from .covers import CoverSequence, bool_product, maxmin_product, tile_pair_reduce
 from .errors import TripleBudgetExceeded, UnknownVertex
 from .proximity import ProximityTable
 
@@ -37,24 +35,16 @@ class TileGraph:
         self._vindex = {vid: i for i, vid in enumerate(self.vertex_ids)}
         self.levels = np.array([lev for lev, _ in self.vertex_ids], dtype=np.int64)
         n = len(self.vertex_ids)
-        rows, cols = [], []
+        # vertices run level by level, so each level is one block of rows
+        ends = np.cumsum([len(fam) for fam in cover.levels])
+        block = [slice(end - len(fam), end) for end, fam in zip(ends, cover.levels)]
+        adj = np.zeros((n, n), dtype=bool)
         for lev in range(cover.depth + 1):
-            base = self._vindex[(lev, 0)]
-            adj = cover.meets(lev, lev) & ~np.eye(len(cover.levels[lev]), dtype=bool)
-            r, c = np.nonzero(adj)
-            rows.extend(base + r)
-            cols.extend(base + c)
+            adj[block[lev], block[lev]] = cover.meets(lev, lev)
             if lev < cover.depth:
-                base2 = self._vindex[(lev + 1, 0)]
-                r, c = np.nonzero(cover.meets(lev, lev + 1))
-                rows.extend(base + r)
-                cols.extend(base2 + c)
-                rows.extend(base2 + c)
-                cols.extend(base + r)
-        graph = csr_matrix(
-            (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
-        )
-        d = shortest_path(graph, method="D", unweighted=True, directed=False)
+                adj[block[lev], block[lev + 1]] = cover.meets(lev, lev + 1)
+                adj[block[lev + 1], block[lev]] = cover.meets(lev, lev + 1).T
+        d = hop_distances(adj)
         if np.isinf(d).any():
             raise ValueError("tile graph is disconnected; some level misses the root chain")
         self.dist = d.astype(np.int64)
@@ -85,6 +75,26 @@ class TileGraph:
             "vertices": [{"level": int(l), "tile": int(t)} for l, t in self.vertex_ids],
             "edges": [list(e) for e in edges],
         }
+
+
+def hop_distances(adj: np.ndarray) -> np.ndarray:
+    """Hop counts between all vertex pairs of the undirected graph with the
+    symmetric boolean adjacency ``adj``, whose diagonal is ignored.
+
+    Float, with inf between components, as scipy's ``shortest_path`` with
+    ``unweighted=True`` gives them.  A breadth-first search from every vertex
+    at once: each layer is one ``bool_product`` of the frontier with ``adj``.
+    """
+    n = adj.shape[0]
+    dist = np.full((n, n), np.inf)
+    reached = np.eye(n, dtype=bool)
+    frontier, hops = reached, 0
+    while frontier.any():
+        dist[frontier] = hops
+        frontier = bool_product(frontier, adj) & ~reached
+        reached |= frontier
+        hops += 1
+    return dist
 
 
 def build_tile_graph(cover: CoverSequence) -> TileGraph:
@@ -233,10 +243,7 @@ class ClusterGraph:
     dist: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        adj = (self.source.dist <= 2 * self.r + 1).astype(np.int8)
-        np.fill_diagonal(adj, 0)
-        d = shortest_path(csr_matrix(adj), method="D", unweighted=True, directed=False)
-        self.dist = d.astype(np.int64)
+        self.dist = hop_distances(self.source.dist <= 2 * self.r + 1).astype(np.int64)
 
     @property
     def vertex_ids(self):

@@ -1,9 +1,48 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qvista.cli import main
+
+
+def scipy_modules_after(code: str) -> str:
+    """The sorted list of scipy modules, as printed, that a fresh interpreter
+    has loaded once ``code`` has run."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only the raster labeller needs scipy, so starting the CLI must not pay for it."""
+    assert scipy_modules_after("import qvista.cli") == "[]"
+
+
+def test_metric_chain_leaves_scipy_unloaded():
+    code = """
+from qvista import fixtures
+from qvista.boundary import boundary_metric
+from qvista.covers import verify_quasi_visual, verify_visual
+from qvista.proximity import compute_proximity, synthesize_visual_metric
+from qvista.tilegraph import build_tile_graph, hyperbolicity_constant
+_space, cover = fixtures.fixture("cantor", depth=3, sample_depth=4)
+assert verify_visual(cover).passed and verify_quasi_visual(cover).passed
+compute_proximity(cover)
+_metric, report = synthesize_visual_metric(cover, 1.5)
+assert report.passed
+graph = build_tile_graph(cover)
+hyperbolicity_constant(graph)
+boundary_metric(cover, graph, 3.0)
+"""
+    assert scipy_modules_after(code) == "[]"
 
 
 def test_julia_zsq_passes(tmp_path):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components as scipy_components
 
 from qvista.covers import (
     CoverSequence,
     ball_tile_comparability,
     bool_product,
+    connected_components,
     derive_rho_tau_nu,
     maxmin_product,
     quasiball_check,
@@ -95,6 +98,46 @@ class TestBoolProduct:
             assert got.dtype == bool
             assert np.array_equal(got, self.reference(*mats))
             assert not got[0].any() and not got[:, -1].any()
+
+
+def scipy_labels(n, src, dst):
+    graph = csr_matrix((np.ones(src.size, dtype=bool), (src, dst)), shape=(n, n))
+    return scipy_components(graph, directed=False)[1]
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count and an edge list over it, with repeats, self-loops and
+    (most often) isolated nodes."""
+    n = draw(st.integers(1, 40))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60))
+    e = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return n, e[:, 0], e[:, 1]
+
+
+class TestConnectedComponents:
+    """The numpy kernel against scipy's labelling, which numbers components
+    by their lowest node."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(edge_lists())
+    def test_matches_scipy(self, graph):
+        n, src, dst = graph
+        assert np.array_equal(connected_components(n, src, dst), scipy_labels(n, src, dst))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.permutations(range(200)), st.booleans())
+    def test_long_shuffled_path(self, order, reverse):
+        # a path through the nodes in shuffled order, beside 10 isolated nodes
+        order = np.array(order)
+        src, dst = (order[1:], order[:-1]) if reverse else (order[:-1], order[1:])
+        got = connected_components(210, src, dst)
+        assert np.array_equal(got, scipy_labels(210, src, dst))
+        assert got.tolist() == [0] * 200 + list(range(1, 11))
+
+    def test_no_edges(self):
+        assert connected_components(4, [], []).tolist() == [0, 1, 2, 3]
+        assert connected_components(0, [], []).size == 0
 
 
 def maxmin_oracle(a, distinct=False):

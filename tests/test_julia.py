@@ -92,6 +92,21 @@ class TestRationalMap:
         assert abs(z0 - 0.5) < 1e-12
         assert abs(lam - 1.0) < 1e-12
 
+    def test_triple_roots_reported_once(self):
+        # the critical value 0.5+0.3i of (z-0.5)^3 + 0.5+0.3i has one triple
+        # preimage, and z + (z-0.5-0.3i)^3 one triple fixed point; their
+        # numerical roots lie about 6e-6 apart, past the double-root tolerance
+        pts, mult = RationalMap.parse("(z-0.5)^3 + 0.5+0.3*i").preimages(0.5 + 0.3j)
+        assert mult.tolist() == [3]
+        assert abs(pts[0] - 0.5) < 1e-12
+        fps = RationalMap.parse("z + (z-0.5-0.3*i)^3").fixed_points()
+        assert len(fps) == 1
+        z0, lam = fps[0]
+        assert abs(z0 - (0.5 + 0.3j)) < 1e-12
+        assert abs(lam - 1.0) < 1e-12
+        # quadratic maps keep the double-root tolerance itself
+        assert RationalMap.parse("z^2-1").root_cluster_tol == ROOT_CLUSTER_TOL
+
     def test_weakly_repelling_fixed_point_is_seed(self):
         # z^2 + c with c = z0 - z0^2 fixes z0, whose multiplier 2*z0 = 1 + 1e-6
         z0 = (1 + 1e-6) / 2
@@ -104,8 +119,8 @@ class TestRationalMap:
 def reference_preimages(g, w):
     """The per-point solve: ``np.roots`` of p - w q after stripping leading
     coefficients below 1e-13 of the largest, greedy clustering of the roots
-    at ROOT_CLUSTER_TOL with each cluster at the mean of its roots, and the
-    missing degree at infinity."""
+    at the map's ``root_cluster_tol`` with each cluster at the mean of its
+    roots, and the missing degree at infinity."""
     p = np.concatenate([np.zeros(g.degree + 1 - g.p.size, dtype=complex), g.p])
     q = np.concatenate([np.zeros(g.degree + 1 - g.q.size, dtype=complex), g.q])
     c = p - complex(w) * q
@@ -114,7 +129,7 @@ def reference_preimages(g, w):
     groups: list[list[complex]] = []
     for z in roots:
         for grp in groups:
-            if abs(z - grp[0]) <= ROOT_CLUSTER_TOL * max(1.0, abs(grp[0])):
+            if abs(z - grp[0]) <= g.root_cluster_tol * max(1.0, abs(grp[0])):
                 grp.append(complex(z))
                 break
         else:
@@ -321,7 +336,7 @@ def oracle_tiles(pull) -> list[list[tuple[int, ...]]]:
     projected image lies in it) split by flood fill over links of length at
     most 3 times the larger nearest-neighbour distance, groups ordered by
     their lowest point; one-point groups dropped where a group of several
-    points holds their point."""
+    points holds their point, and each distinct group kept once."""
     sample = pull.sample
     d, g = sample.space().dist, sample.self_map_indices()
     nn = np.sort(d, axis=1)[:, 1]
@@ -345,7 +360,7 @@ def oracle_tiles(pull) -> list[list[tuple[int, ...]]]:
                         stack.extend(linked)
                     split.append(sorted(group))
             multi = {x for t in split if len(t) > 1 for x in t}
-            tiles = [t for t in split if len(t) > 1 or t[0] not in multi]
+            tiles = list(dict.fromkeys(tuple(t) for t in split if len(t) > 1 or t[0] not in multi))
         assert set().union(*tiles) == set(range(sample.n))
         levels.append([tuple(t) for t in tiles])
     return levels
@@ -359,6 +374,15 @@ class TestInduceTiles:
         cover = induce_tiles(pull)
         got = [[t.sorted_members() for t in level] for level in cover.levels]
         assert got == oracle_tiles(pull)
+
+    def test_each_point_set_once_per_level(self):
+        # overlapping parents of z^2-3 at depth 11 share children, which came
+        # out once per parent: 260, 520, 1040 and 2080 tiles at levels 2-5
+        g = RationalMap.parse("z^2-3")
+        pull = pullback_cover(admissible_cover(g, julia_sample(g, 11), 0.25, grid=SphereGrid(K=256)), 5)
+        tiles = [[t.sorted_members() for t in level] for level in induce_tiles(pull).levels]
+        assert [len(level) for level in tiles] == [1, 6, 256, 512, 1024, 2048]
+        assert all(len(set(level)) == len(level) for level in tiles)
 
     def test_one_solve_per_generation_one_labelling_per_level(self, monkeypatch):
         import qvista.julia as julia

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import floyd_warshall
 
 from qvista.covers import CoverSequence, verify_quasi_visual
 from qvista.errors import KTooLarge, LambdaTooLarge, MapNotClosed
@@ -179,6 +180,43 @@ class TestChainMetrize:
         q = np.array([[0, 1, 2.5], [1, 0, 1], [2.5, 1, 0]])
         with pytest.raises(KTooLarge):
             chain_metrize(QuasiMetric(q=q, K=2.5))
+
+    def test_bitwise_scipy_on_fixtures(self, cantor, cantor_small, dyadic, tree, interleaved, gasket):
+        for _, cover in (cantor, cantor_small, dyadic, tree, interleaved, gasket):
+            table = compute_proximity(cover)
+            chk = check_combinatorially_visual(cover, table)
+            qm = quasi_metric_from_m(table, min(2.0 ** (1.0 / max(chk.C, 1.0)), 2.0), chk)
+            got = chain_metrize(qm).dist
+            assert got.tobytes() == floyd_warshall(qm.q, directed=False).tobytes()
+
+    @pytest.mark.parametrize("n", [12, 40, 150, 300])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bitwise_scipy_where_chains_shorten(self, n, seed):
+        # q = u f: u a hierarchical ultrametric (K = 1), f symmetric noise in
+        # [1, 2), so q(x,y) < 2 u(x,y) <= 2 max(q(x,z), q(z,y)) and K < 2,
+        # while a step through a closer point often beats the direct one; f
+        # takes four values, which keeps the distinct values of q few
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 3, size=(n, 5))
+        same = np.ones((n, n), dtype=bool)
+        level = np.zeros((n, n))
+        for col in labels.T:
+            same &= col[:, None] == col[None, :]
+            level += same
+        noise = np.triu(1.0 + rng.integers(0, 4, size=(n, n)) / 4.0, 1)
+        q = 2.0 ** -level * (noise + noise.T)
+        np.fill_diagonal(q, 0.0)
+        qm = QuasiMetric(q=q, K=max(1.0, empirical_quasi_constant(QuasiMetric(q=q, K=1.0))))
+        assert qm.K < 2.0
+        want = floyd_warshall(q, directed=False)
+        assert (want < q).any()
+        assert chain_metrize(qm).dist.tobytes() == want.tobytes()
+
+    def test_rejects_zero_off_diagonal(self):
+        # scipy reads a dense 0 as a missing edge; a quasi-metric has none
+        q = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
+        with pytest.raises(ValueError, match="positive off the diagonal"):
+            chain_metrize(QuasiMetric(q=q, K=2.0))
 
     def test_sandwich_on_fixtures(self, cantor, dyadic, tree):
         for _, cover in (cantor, dyadic, tree):

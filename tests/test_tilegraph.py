@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from qvista.covers import CoverSequence, verify_quasi_visual
 from qvista.errors import TripleBudgetExceeded, UnknownVertex
@@ -15,9 +18,54 @@ from qvista.tilegraph import (
     extended_proximity_matrix,
     gromov_product,
     graph_map_check,
+    hop_distances,
     hyperbolicity_constant,
 )
 from conftest import two_point_space
+
+
+def scipy_hops(adj):
+    return shortest_path(csr_matrix(adj.astype(np.int8)), unweighted=True, directed=False)
+
+
+@st.composite
+def symmetric_adjacency(draw):
+    n = draw(st.integers(1, 30))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    adj = np.array(bits, dtype=bool).reshape(n, n)
+    return adj | adj.T
+
+
+class TestHopDistances:
+    """The multi-source BFS against scipy's unweighted shortest paths."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_adjacency())
+    def test_matches_scipy(self, adj):
+        assert np.array_equal(hop_distances(adj), scipy_hops(adj))
+
+    def test_disconnected_graph_reads_inf(self):
+        # a path 0-1-2 and an edge 3-4
+        adj = np.zeros((5, 5), dtype=bool)
+        for a, b in ((0, 1), (1, 2), (3, 4)):
+            adj[a, b] = adj[b, a] = True
+        got = hop_distances(adj)
+        assert np.array_equal(got, scipy_hops(adj))
+        assert got[0, 2] == 2 and np.isinf(got[0, 3]) and np.isinf(got[4, 2])
+
+    def test_tile_and_cluster_graphs_match_scipy(self, gasket):
+        space, cover = gasket
+        graph = build_tile_graph(cover)
+        # tiles that meet, one level apart at most
+        member = np.zeros((graph.n_vertices, space.n), dtype=bool)
+        for i in range(graph.n_vertices):
+            member[i, graph.members_of(i)] = True
+        meet = member.astype(int) @ member.T.astype(int) > 0
+        adj = meet & (np.abs(graph.levels[:, None] - graph.levels[None, :]) <= 1)
+        assert graph.dist.dtype == np.int64
+        assert np.array_equal(graph.dist, scipy_hops(adj))
+        clusters = cluster_tile_graph(graph, 1)
+        assert np.array_equal(clusters.dist, scipy_hops(graph.dist <= 3))
 
 
 class TestGraphStructure:
