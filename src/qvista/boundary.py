@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covers import CoverSequence, tile_pair_reduce
-from .errors import CoverGap
 from .metricspace import FiniteMetricSpace
 from .proximity import fit_power_quasisymmetry, snowflake_check
 from .tilegraph import TileGraph
@@ -64,19 +63,21 @@ class BoundaryMetricApprox:
         }
 
 
-def natural_geodesic(
-    cover: CoverSequence, x: int, tie_break: str = "low"
-) -> NaturalGeodesic:
+def _ray_tiles(cover: CoverSequence, level: int, tie_break: str) -> np.ndarray:
+    """Per point, the index of the level's tile its natural geodesic takes: the
+    lowest index of a tile holding it, or the highest unless ``tie_break`` is
+    "low".  Every level covers every point, so each point has one."""
+    mem = cover.membership(level)
+    if tie_break == "low":
+        return np.argmax(mem, axis=0)
+    return len(mem) - 1 - np.argmax(mem[::-1], axis=0)
+
+
+def natural_geodesic(cover: CoverSequence, x: int, tie_break: str = "low") -> NaturalGeodesic:
     """Pick one tile containing x per level (lowest tile index by default)."""
-    tiles = []
-    for lev in range(cover.depth + 1):
-        mem = cover.membership(lev)
-        holding = np.flatnonzero(mem[:, x])
-        if holding.size == 0:
-            raise CoverGap(f"level {lev} misses point {x}")
-        idx = int(holding[0]) if tie_break == "low" else int(holding[-1])
-        tiles.append((lev, idx))
-    return NaturalGeodesic(point=int(x), tiles=tuple(tiles))
+    levels = range(cover.depth + 1)
+    tiles = tuple((lev, int(_ray_tiles(cover, lev, tie_break)[x])) for lev in levels)
+    return NaturalGeodesic(point=int(x), tiles=tiles)
 
 
 def boundary_metric(
@@ -93,12 +94,9 @@ def boundary_metric(
     only); it is bounded when the cover is visual for that metric at
     parameter L.
     """
-    n = cover.n_points
     depth = cover.depth
-    deepest = np.empty(n, dtype=np.int64)
-    for x in range(n):
-        lev, idx = natural_geodesic(cover, x, tie_break).tiles[depth]
-        deepest[x] = graph.vertex((lev, idx))
+    # each point's deepest ray tile; the graph numbers a level's tiles in a row
+    deepest = graph.vertex((depth, 0)) + _ray_tiles(cover, depth, tie_break)
     g2 = graph.gromov2()
     prod2 = g2[np.ix_(deepest, deepest)]
     dist = float(lam) ** (-prod2 / 2.0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covers import CoverSequence
+from .covers import CoverSequence, check_depth
 from .errors import DoublingUnbounded, ResolutionExceeded
 from .metricspace import (
     FiniteMetricSpace,
@@ -149,6 +149,7 @@ def build_visual_width1(
     """
     if lam <= 1:
         raise ValueError("lam must exceed 1")
+    check_depth(depth)
     if depth > 0 and lam ** (-depth) < 2.0 * space.min_positive_distance():
         raise ResolutionExceeded(
             f"lam^-{depth} = {lam ** (-depth)!r} is below twice the sample resolution"
@@ -188,6 +189,7 @@ def build_visual_width0(
     """
     if lam <= 1:
         raise ValueError("lam must exceed 1")
+    check_depth(depth)
     mesh = float(space.nearest_neighbor_distances().max(initial=0.0))
     if depth > 0 and lam ** (-depth) < 2.0 * mesh:
         raise ResolutionExceeded(

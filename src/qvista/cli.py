@@ -43,6 +43,16 @@ from .julia import (
 )
 from .spheregrid import SphereGrid
 
+# the fixture parameter that --depth sets where it is not called depth, and the
+# one --sample-depth sets; a fixture missing from SAMPLE_DEPTH_PARAMS has none
+DEPTH_PARAMS = {"dyadic_interleaved": "k_max"}
+SAMPLE_DEPTH_PARAMS = {
+    "cantor": "sample_depth",
+    "sierpinski_gasket": "sample_depth",
+    "interval_dyadic": "sample_exp",
+    "dyadic_interleaved": "sample_exp",
+}
+
 
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qvista")
@@ -133,16 +143,11 @@ def _dispatch(args, seed: int) -> int:
     if cmd == "fixture":
         params = {}
         if args.depth is not None:
-            params["depth"] = args.depth
+            params[DEPTH_PARAMS.get(args.name, "depth")] = args.depth
         if args.sample_depth is not None:
-            if args.name in ("cantor", "sierpinski_gasket"):
-                params["sample_depth"] = args.sample_depth
-            elif args.name in ("interval_dyadic",):
-                params["sample_exp"] = args.sample_depth
-            elif args.name == "dyadic_interleaved":
-                params["sample_exp"] = args.sample_depth
-        if args.name == "dyadic_interleaved" and "depth" in params:
-            params["k_max"] = params.pop("depth")
+            if args.name not in SAMPLE_DEPTH_PARAMS:
+                raise ValueError(f"fixture {args.name!r} takes no --sample-depth")
+            params[SAMPLE_DEPTH_PARAMS[args.name]] = args.sample_depth
         space, cover = fixtures.fixture(args.name, **params)
         space.save(args.out_space)
         cover.save(args.out_cover)

@@ -44,6 +44,12 @@ class Tile:
         return tuple(sorted(self.members))
 
 
+def check_depth(depth: int, name: str = "depth") -> None:
+    """Raise ValueError when a depth (or the level count named ``name``) is negative."""
+    if depth < 0:
+        raise ValueError(f"{name} must be non-negative, got {depth}")
+
+
 def bool_product(*mats: np.ndarray) -> np.ndarray:
     """Boolean matrix product of 0/1 factors, left to right, on BLAS.
 
@@ -107,22 +113,27 @@ def maxmin_product(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def tile_reduce(mat: np.ndarray, members: Sequence[np.ndarray], reduce) -> np.ndarray:
+    """out[a, y] = ``reduce`` of mat[x, y] over x in X_a, for every tile a and column y.
+
+    ``members`` holds one point-index array per tile, and tiles may overlap;
+    ``reduce`` is a binary ufunc such as np.minimum.  Every within-tile
+    constant is a masked row reduction of this (k, n) matrix: diam X is the
+    max over y in X of tile_reduce(d, members, np.maximum).
+    """
+    out = np.empty((len(members), mat.shape[1]), dtype=mat.dtype)
+    for i, idx in enumerate(members):
+        reduce.reduce(mat[idx], axis=0, out=out[i])
+    return out
+
+
 def tile_pair_reduce(mat: np.ndarray, members: Sequence[np.ndarray], reduce) -> np.ndarray:
     """out[a, b] = ``reduce`` of mat over X_a x X_b, for every pair of tiles.
 
-    ``members`` holds one point-index array per tile, and tiles may overlap;
-    ``reduce`` is a binary ufunc such as np.minimum.  Reduces point-to-tile
-    first, then tile-to-tile: two passes over the members instead of one
-    submatrix per tile pair.
+    Reduces point-to-tile first, then tile-to-tile: two passes of
+    ``tile_reduce`` instead of one submatrix per tile pair.
     """
-    k = len(members)
-    p2t = np.empty((k, mat.shape[1]), dtype=mat.dtype)
-    for i, idx in enumerate(members):
-        reduce.reduce(mat[idx], axis=0, out=p2t[i])
-    out = np.empty((k, k), dtype=mat.dtype)
-    for j, idx in enumerate(members):
-        reduce.reduce(p2t[:, idx], axis=1, out=out[:, j])
-    return out
+    return tile_reduce(tile_reduce(mat, members, reduce).T, members, reduce).T
 
 
 class CoverSequence:
@@ -223,10 +234,8 @@ class CoverSequence:
     def diams(self, level: int) -> np.ndarray:
         """Tile diameters at one level, under the bound space's metric."""
         if level not in self._diams:
-            d = self.space.dist
-            self._diams[level] = np.array(
-                [d[np.ix_(idx, idx)].max() if idx.size > 1 else 0.0 for idx in self.members(level)]
-            )
+            far = tile_reduce(self.space.dist, self.members(level), np.maximum)
+            self._diams[level] = far.max(axis=1, where=self.membership(level), initial=0.0)
         return self._diams[level]
 
     def reach_within(self, level: int, length: int) -> np.ndarray:
@@ -405,13 +414,10 @@ def verify_visual(cover: CoverSequence, thresholds: dict | None = None) -> Verif
     for lev, fam in enumerate(cover.levels):
         scale = lam ** (-lev)
         diams = cover.diams(lev)
-        for t in fam:
-            dm = diams[t.index]
-            c = np.inf if dm == 0 else max(dm / scale, scale / dm)
-            if c > c1_best:
-                c1_best, c1_wit = c, {"tile": list(t.id), "diam": float(dm)}
-            if not np.isfinite(c1_best):
-                break
+        c1 = np.maximum(diams / scale, _diam_ratio(scale, diams))  # inf at diam 0
+        i = int(np.argmax(c1))
+        if c1[i] > c1_best:
+            c1_best, c1_wit = float(c1[i]), {"tile": [lev, i], "diam": float(diams[i])}
         if len(fam) > 1:
             sep = ~cover.reach_within(lev, 2 * w + 1)
             if sep.any():
@@ -589,18 +595,14 @@ def _resolved_tile_masks(cover: CoverSequence) -> list[np.ndarray]:
     local nearest-neighbor distances of their members, so that the measured
     diameter is not dominated by discretization error.  Level 0 is always
     excluded (the root carries the global diameter, not a scale rung)."""
-    local_nn = cover.space.nearest_neighbor_distances()
-    masks = []
-    for lev in range(cover.depth + 1):
-        diams = cover.diams(lev)
-        ok = np.zeros(len(cover.levels[lev]), dtype=bool)
-        if lev > 0:
-            for i, idx in enumerate(cover.members(lev)):
-                ok[i] = (
-                    idx.size >= 2
-                    and diams[i] >= RESOLUTION_FLOOR_NN * float(local_nn[idx].max())
-                )
-        masks.append(ok)
+    local_nn = cover.space.nearest_neighbor_distances()[:, None]
+    masks = [np.zeros(1, dtype=bool)]
+    for lev in range(1, cover.depth + 1):
+        coarsest = tile_reduce(local_nn, cover.members(lev), np.maximum)[:, 0]
+        masks.append(
+            (cover.membership(lev).sum(axis=1) >= 2)
+            & (cover.diams(lev) >= RESOLUTION_FLOOR_NN * coarsest)
+        )
     return masks
 
 
@@ -635,29 +637,24 @@ def derive_rho_tau_nu(cover: CoverSequence) -> DecayRates:
 def quasiball_check(cover: CoverSequence) -> tuple[float, float]:
     """Largest r0 and smallest R0 with B(x, r0 diam X) <= U_{2w+1}(X) <= B(x, R0 diam X).
 
-    Scanned over every tile X and member x.  When no inner constraint exists
+    Scanned over every tile X and member x; tiles of diameter 0 are skipped
+    (the visual verifier reports them).  When no inner constraint exists
     anywhere (U_{2w+1}(X) is the whole space for every tile), the vacuous
     inner inclusion collapses to the outer constant.
     """
     d = cover.space.dist
-    w = cover.width
     r0 = np.inf
     R0 = 0.0
-    for lev, fam in enumerate(cover.levels):
+    for lev in range(cover.depth + 1):
         diams = cover.diams(lev)
-        reach = cover.reach_within(lev, 2 * w + 1)
-        mem = cover.membership(lev)
-        for t, idx in zip(fam, cover.members(lev)):
-            dm = diams[t.index]
-            if dm == 0:
-                continue  # degenerate tile; reported by the visual verifier
-            hood = mem[reach[t.index]].any(axis=0)
-            outside = ~hood
-            inside_max = d[np.ix_(idx, np.flatnonzero(hood))].max(axis=1)
-            R0 = max(R0, float(inside_max.max()) / dm)
-            if outside.any():
-                outside_min = d[np.ix_(idx, np.flatnonzero(outside))].min(axis=1)
-                r0 = min(r0, float(outside_min.min()) / dm)
+        pos = diams > 0
+        members = cover.members(lev)
+        # the points of U_{2w+1}(X), per tile X
+        hood = bool_product(cover.reach_within(lev, 2 * cover.width + 1), cover.membership(lev))
+        inside = tile_reduce(d, members, np.maximum).max(axis=1, where=hood, initial=0.0)
+        outside = tile_reduce(d, members, np.minimum).min(axis=1, where=~hood, initial=np.inf)
+        R0 = max(R0, float((inside[pos] / diams[pos]).max(initial=0.0)))
+        r0 = min(r0, float((outside[pos] / diams[pos]).min(initial=np.inf)))
     if not np.isfinite(r0):
         r0 = R0
     return float(r0), float(R0)
@@ -667,18 +664,11 @@ def ball_tile_comparability(cover: CoverSequence, R: float) -> float:
     """Best constant C(R) with diam(X) ~ diam(Y) whenever Y meets B(x, R diam X)."""
     d = cover.space.dist
     best = 1.0
-    for lev, fam in enumerate(cover.levels):
+    for lev in range(cover.depth + 1):
         diams = cover.diams(lev)
-        mem = cover.membership(lev)
-        for t, idx in zip(fam, cover.members(lev)):
-            dm = diams[t.index]
-            if dm == 0:
-                continue
-            near = (d[idx] < R * dm).any(axis=0)  # points inside some B(x, R diam X)
-            meets = (mem & near[None, :]).any(axis=1)
-            for j in np.flatnonzero(meets):
-                dj = diams[j]
-                if dj == 0:
-                    return np.inf
-                best = max(best, dm / dj, dj / dm)
+        # points inside some B(x, R diam X), per tile X; none when diam X = 0
+        near = tile_reduce(d, cover.members(lev), np.minimum) < R * diams[:, None]
+        meets = bool_product(near, cover.membership(lev).T)
+        ratio = np.maximum(_diam_ratio(diams[:, None], diams), _diam_ratio(diams, diams[:, None]))
+        best = max(best, float(ratio.max(where=meets, initial=0.0)))
     return float(best)

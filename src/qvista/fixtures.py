@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .covers import CoverSequence
+from .covers import CoverSequence, check_depth
 from .errors import UnknownFixture
 from .metricspace import FiniteMetricSpace
 
@@ -40,6 +40,7 @@ def cantor_fixture(depth: int = 4, sample_depth: int = 6) -> tuple[FiniteMetricS
     tiles are singletons (useful for truncation experiments; such a cover no
     longer satisfies the diameter condition).
     """
+    check_depth(depth)
     if depth > sample_depth + 1:
         raise ValueError("depth may exceed sample_depth by at most 1")
     addresses = list(itertools.product((0, 2), repeat=sample_depth))
@@ -68,6 +69,7 @@ def interval_dyadic_fixture(
     depth: int = 4, sample_exp: int = 7
 ) -> tuple[FiniteMetricSpace, CoverSequence]:
     """Unit interval on a 2^E + 1 grid covered by closed dyadic intervals."""
+    check_depth(depth)
     if depth > sample_exp:
         raise ValueError("depth must not exceed sample_exp")
     m = 2 ** sample_exp
@@ -91,6 +93,7 @@ def tree_fixture(depth: int = 4) -> tuple[FiniteMetricSpace, CoverSequence]:
     first n-1 coordinates, so the width-0 proximity function of the cover
     equals m exactly on all pairs certified below the truncation.
     """
+    check_depth(depth)
     seqs = list(itertools.product(*[range(i + 2) for i in range(depth)]))
     n = len(seqs)
     arr = np.array(seqs, dtype=np.int64)  # coordinates x_1..x_D
@@ -119,6 +122,7 @@ def dyadic_interleaved_fixture(
     consecutive-level diameter comparability with witness ratio 2^k at the
     level pair (2k, 2k+1).
     """
+    check_depth(k_max, "k_max")
     if 2 * k_max > sample_exp:
         raise ValueError("need sample_exp >= 2*k_max")
     m = 2 ** sample_exp
@@ -141,6 +145,7 @@ def sierpinski_fixture(
 ) -> tuple[FiniteMetricSpace, CoverSequence]:
     """Sierpinski gasket sampled by the vertices of the level-``sample_depth``
     triangles; level-n tiles are the 3^n triangles of the construction."""
+    check_depth(depth)
     if depth > sample_depth:
         raise ValueError("depth must not exceed sample_depth")
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])

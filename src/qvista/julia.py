@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covers import CoverSequence, connected_components
+from .covers import (
+    CoverSequence,
+    check_depth,
+    connected_components,
+    derive_rho_tau_nu,
+    verify_quasi_visual,
+)
 from .errors import (
     EmptyLevel,
     ResolutionInsufficient,
@@ -23,6 +29,7 @@ from .errors import (
     SeedNotRepelling,
 )
 from .metricspace import FiniteMetricSpace, greedy_separated_subset
+from .proximity import dynamical_checks
 from .sphere import sphere_from_complex_array, spherical_dist_matrix
 from .spheregrid import SphereGrid, group_by_label, inverse_image, locate_cells, run_indices
 
@@ -32,11 +39,8 @@ ANCHOR_CLUSTER_TOL = 1e-6  # relative; degree_probe's anchor preimages
 SUBSAMPLE_CELLS = 256  # cells a region keeps when probing its diameter or nearness
 
 
-def _strip_leading(c: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    scale = np.abs(c).max()
-    if scale == 0:
-        return c[-1:]
-    keep = np.flatnonzero(np.abs(c) > tol * scale)
+def _strip_leading(c: np.ndarray) -> np.ndarray:
+    keep = np.flatnonzero(c)
     return c[keep[0]:] if keep.size else c[-1:]
 
 
@@ -188,11 +192,7 @@ class RationalMap:
         """
         p, q = self._padded()
         c = np.polysub(p, np.polymul(q, np.array([1.0, 0.0], dtype=complex)))
-        c = _strip_leading(np.asarray(c, dtype=complex), tol=1e-13)
-        if c.size <= 1:
-            return []
-        roots = np.roots(c)[None, :]
-        pts, mult = _cluster_roots(roots, np.array([roots.shape[1]]), self.root_cluster_tol)
+        pts, mult = _cluster_roots(*_root_rows(c[None, :]), self.root_cluster_tol)
         return [(complex(r), self.derivative(complex(r))) for r in pts[0][mult[0] > 0]]
 
     def repelling_fixed_point(self) -> complex:
@@ -348,8 +348,7 @@ def julia_sample(
     final set is forward invariant up to root-finding error.  Each generation
     is one batched ``preimages`` call.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be non-negative, got {depth}")
+    check_depth(depth)
     z0 = map_.repelling_fixed_point()
     pts = np.array([z0], dtype=complex)
     for _ in range(depth):
@@ -602,9 +601,6 @@ def verify_dynamical_qv(
     The sample self-map is the nearest-sample projection of g; the tile shift
     is allowed raster slack of a few grid cells plus the projection error.
     """
-    from .covers import derive_rho_tau_nu, verify_quasi_visual
-    from .proximity import dynamical_checks
-
     if cover is None:
         cover = induce_tiles(pull)
     qv = verify_quasi_visual(cover, thresholds=thresholds)

@@ -21,6 +21,7 @@ from .covers import (
     bool_product,
     maxmin_product,
     tile_pair_reduce,
+    tile_reduce,
     verify_visual,
 )
 from .errors import KTooLarge, LambdaTooLarge, MapNotClosed
@@ -222,20 +223,19 @@ def check_combinatorially_visual(
 
     c_ii = 0.0
     unresolved_tiles = 0
-    wit_ii = None
-    for lev, fam in enumerate(cover.levels):
-        for t, idx in zip(fam, cover.members(lev)):
-            sub = m[np.ix_(idx, idx)]
-            np.fill_diagonal(sub, sentinel)
-            best = int(sub.min()) if idx.size > 1 else sentinel
-            if best >= sentinel:
-                unresolved_tiles += 1
-                continue
-            if best - lev > c_ii:
-                c_ii = float(best - lev)
-                wit_ii = {"tile": list(t.id), "min_m": best}
-    if wit_ii:
-        witnesses["ii"] = wit_ii
+    m_off = np.where(off, m, sentinel)
+    for lev in range(cover.depth + 1):
+        # per tile, the smallest m over its pairs of distinct members
+        best = tile_reduce(m_off, cover.members(lev), np.minimum).min(
+            axis=1, where=cover.membership(lev), initial=sentinel
+        )
+        resolved = best < sentinel
+        unresolved_tiles += int(np.count_nonzero(~resolved))
+        excess = np.where(resolved, best - lev, -1)
+        i = int(np.argmax(excess))
+        if excess[i] > c_ii:
+            c_ii = float(excess[i])
+            witnesses["ii"] = {"tile": [lev, i], "min_m": int(best[i])}
 
     c_iii = 0.0
     for lev in range(cover.depth + 1):
@@ -585,24 +585,25 @@ def dynamical_checks(
 
     shift_violations = []
     for lev in range(1, depth):
-        mem_up = cover.membership(lev)
-        hosts = cover.members(lev)
-        for t, idx in zip(cover.levels[lev + 1], cover.members(lev + 1)):
-            img = np.unique(g[idx])
-            contained = mem_up[:, img].all(axis=1)
-            if contained.any():
-                if exact_image and not any(
-                    np.array_equal(img, hosts[a]) for a in np.flatnonzero(contained)
-                ):
-                    shift_violations.append({"tile": list(t.id), "reason": "not exact image"})
-                continue
-            # nearest-tile slack: how far the image set sticks out of its best host
-            best = np.inf
-            for ia in hosts:
-                gap = float(d[np.ix_(img, ia)].min(axis=1).max())
-                best = min(best, gap)
-            if best > shift_tolerance:
-                shift_violations.append({"tile": list(t.id), "excess": best})
+        mem_up, mem_dn = cover.membership(lev), cover.membership(lev + 1)
+        # image point sets: one scatter, so a non-injective g keeps every point
+        img = np.zeros_like(mem_dn)
+        tile, point = np.nonzero(mem_dn)
+        img[tile, g[point]] = True
+        contained = ~bool_product(img, ~mem_up.T)  # image of tile t inside host a
+        hosted = contained.any(axis=1)
+        # an image inside a host of its own size is that host
+        exact = (contained & (img.sum(axis=1)[:, None] == mem_up.sum(axis=1))).any(axis=1)
+        # nearest-host slack: how far each image sticks out of its best host,
+        # the largest dist(g(x), X_a) over members x, least over hosts X_a
+        near = tile_reduce(d, cover.members(lev), np.minimum).T  # near[p, a] = dist(p, X_a)
+        excess = tile_reduce(near[g], cover.members(lev + 1), np.maximum).min(axis=1)
+        failed = np.where(hosted, exact_image & ~exact, excess > shift_tolerance)
+        shift_violations += [
+            {"tile": [lev + 1, int(t)], "reason": "not exact image"} if hosted[t]
+            else {"tile": [lev + 1, int(t)], "excess": float(excess[t])}
+            for t in np.flatnonzero(failed)
+        ]
 
     m = compute_proximity(cover).m
     prox_violations = []

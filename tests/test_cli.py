@@ -254,3 +254,47 @@ def test_julia_grid_beyond_int32_ids_is_usage_error(tmp_path, capsys, monkeypatc
     assert "32767" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def assert_usage_error(capsys, code, *words):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qvista: error:") and "Traceback" not in err
+    for word in words:
+        assert word in err
+
+
+@pytest.mark.parametrize("name", ["cantor", "interval_dyadic", "tree_example_3_7",
+                                  "dyadic_interleaved", "sierpinski_gasket"])
+def test_fixture_negative_depth_is_usage_error(tmp_path, capsys, name):
+    space, cover = tmp_path / "space.json", tmp_path / "cover.json"
+    code = main(["fixture", name, "--depth", "-1",
+                 "--out-space", str(space), "--out-cover", str(cover)])
+    assert_usage_error(capsys, code, "must be non-negative, got -1")
+    assert not space.exists() and not cover.exists()
+
+
+@pytest.mark.parametrize("width", ["0", "1"])
+def test_build_negative_depth_is_usage_error(tmp_path, capsys, width):
+    space, out = tmp_path / "space.json", tmp_path / "built.json"
+    assert main(["fixture", "cantor", "--depth", "3", "--sample-depth", "4",
+                 "--out-space", str(space), "--out-cover", str(tmp_path / "cover.json")]) == 0
+    code = main(["build", "--space", str(space), "--lambda", "3", "--width", width,
+                 "--depth", "-1", "--out", str(out)])
+    assert_usage_error(capsys, code, "depth must be non-negative, got -1")
+    assert not out.exists()
+
+
+def test_fixture_sample_depth_reaches_each_fixture_that_has_one(tmp_path, capsys):
+    space, cover = tmp_path / "space.json", tmp_path / "cover.json"
+    out = ["--out-space", str(space), "--out-cover", str(cover)]
+    # 2^3 + 1 grid points, where the default sample_exp gives 2^7 + 1
+    assert main(["fixture", "interval_dyadic", "--depth", "2", "--sample-depth", "3", *out]) == 0
+    assert json.loads(space.read_text())["n"] == 9
+    assert main(["fixture", "dyadic_interleaved", "--depth", "1", "--sample-depth", "2",
+                 *out]) == 0
+    assert len(json.loads(cover.read_text())["levels"]) == 4  # 2 (k_max + 1)
+    space.unlink()
+    code = main(["fixture", "tree_example_3_7", "--sample-depth", "9", *out])
+    assert_usage_error(capsys, code, "--sample-depth", "tree_example_3_7")
+    assert not space.exists()

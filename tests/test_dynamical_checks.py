@@ -160,6 +160,34 @@ def test_perturbed_map_violations_match_oracle(basilica_1024, monkeypatch, row_b
     assert rep.shift_violations and rep.proximity_violations
 
 
+def self_maps(n, seed=2):
+    """The identity, a shift of the indices and a random map with repeats, so
+    that some images are exact, some merely hosted and some stick out."""
+    rng = np.random.default_rng(seed)
+    return [np.arange(n), np.roll(np.arange(n), 1), rng.integers(0, n, size=n)]
+
+
+@pytest.mark.parametrize("name", ["cantor", "cantor_small", "dyadic", "tree", "interleaved", "gasket"])
+@pytest.mark.parametrize("exact_image", [False, True])
+def test_fixture_covers_shift_check_matches_oracle(name, exact_image, request):
+    _, cover = request.getfixturevalue(name)
+    reasons = set()
+    for g in self_maps(cover.n_points):
+        for tol in (0.0, 0.05):
+            rep = assert_same_report(cover, g, 0.5, shift_tolerance=tol, exact_image=exact_image)
+            reasons |= {next(k for k in v if k != "tile") for v in rep.shift_violations}
+    assert reasons == ({"excess", "reason"} if exact_image else {"excess"})
+
+
+def test_julia_cover_exact_image_matches_oracle(basilica_1024):
+    cover, g, nu = basilica_1024
+    assert_same_report(cover, g, nu, exact_image=True)
+    bad = g.copy()
+    bad[7] = g[7 + g.size // 2]
+    rep = assert_same_report(cover, bad, nu, exact_image=True)
+    assert rep.shift_violations
+
+
 def traced_peak(fn) -> int:
     """Peak traced allocation of ``fn()`` above what was live before it."""
     tracemalloc.start()

@@ -81,3 +81,26 @@ def test_no_private_names_across_modules(path):
                 and node.value.id in modules and is_private(node.attr)):
             hits.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
     assert not hits, f"private names used outside their module: {hits}"
+
+
+def is_package_import(node: ast.AST) -> bool:
+    """An import of a qvista module, relative or absolute."""
+    if isinstance(node, ast.ImportFrom):
+        return bool(node.level) or (node.module or "").split(".")[0] == "qvista"
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "qvista" for alias in node.names)
+    return False
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_level_package_imports(path):
+    """No module imports a qvista module inside a function: there is no import
+    cycle to break.  Lazy imports of slow third-party modules stay allowed."""
+    hits = [
+        f"{path.name}:{node.lineno} in {fn.name}"
+        for fn in ast.walk(parse(path))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if is_package_import(node)
+    ]
+    assert not hits, f"function-level imports of qvista modules: {hits}"

@@ -12,6 +12,7 @@ from qvista.julia import (
     ROOT_CLUSTER_TOL,
     RationalMap,
     _cluster_roots,
+    _root_rows,
     admissible_cover,
     degree_probe,
     distortion_probe,
@@ -144,6 +145,31 @@ def reference_preimages(g, w):
         pts.append(complex(np.inf))
         mult.append(missing)
     return np.array(pts, dtype=complex), np.array(mult, dtype=np.int64)
+
+
+FIXED_POINT_MAPS = [
+    "z^2-1", "z^2-3", "z^2", "z^2-2", "z^2+i", "z^2-0.75", "z^2+0.25", "(z^2+1)/(z^2-1)",
+    "z^3-0.5*z+0.3", "z+(z-0.5-0.3*i)^3", "(z-0.5)^3+0.5+0.3*i", "1/z^2", "z^2/(2*z+1)",
+]
+
+
+@pytest.mark.parametrize("text", FIXED_POINT_MAPS)
+def test_fixed_points_share_the_batched_root_solve(text):
+    """``fixed_points`` solves g(z) = z with ``_root_rows``, whose roots are
+    those of ``np.roots`` after the 1e-13 leading strip, bit for bit."""
+    g = RationalMap.parse(text)
+    p = np.concatenate([np.zeros(g.degree + 1 - g.p.size, dtype=complex), g.p])
+    q = np.concatenate([np.zeros(g.degree + 1 - g.q.size, dtype=complex), g.q])
+    c = np.polysub(p, np.polymul(q, np.array([1.0, 0.0], dtype=complex)))
+    keep = np.flatnonzero(np.abs(c) > 1e-13 * np.abs(c).max())
+    want = np.roots(c[keep[0]:]).astype(complex)
+    roots, count = _root_rows(c[None, :])
+    assert count.tolist() == [want.size]
+    assert roots[0, :want.size].tobytes() == want.tobytes()
+    pts, mult = _cluster_roots(want[None, :], count, g.root_cluster_tol)
+    fps = g.fixed_points()
+    assert [z for z, _ in fps] == [complex(z) for z in pts[0][mult[0] > 0]]
+    assert [m for _, m in fps] == [g.derivative(z) for z, _ in fps]
 
 
 class TestPreimagesBatched:
@@ -393,7 +419,10 @@ class TestInduceTiles:
         g = RationalMap.parse("z^2-1")
         sample = julia_sample(g, 10)
         assert sample.n == 1024
-        assert 1 <= len(solves) <= 10
+        # the seed's fixed points take one solve (z^2 - z - 1), then each of
+        # the 10 generations at most one
+        assert solves[0] == (1, 2, 2)
+        assert 1 <= len(solves[1:]) <= 10
         pull = pullback_cover(admissible_cover(g, julia_sample(g, 8), 0.25, grid=SphereGrid(K=256)), 3)
         monkeypatch.setattr(julia, "connected_components",
                             lambda *a, **k: labellings.append(1) or components(*a, **k))
