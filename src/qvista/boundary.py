@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covers import CoverSequence, tile_pair_reduce
+from .covers import CoverSequence, check_lambda, tile_pair_reduce
 from .metricspace import FiniteMetricSpace
 from .proximity import fit_power_quasisymmetry, snowflake_check
 from .tilegraph import TileGraph
@@ -94,6 +94,7 @@ def boundary_metric(
     only); it is bounded when the cover is visual for that metric at
     parameter L.
     """
+    check_lambda(lam)
     depth = cover.depth
     # each point's deepest ray tile; the graph numbers a level's tiles in a row
     deepest = graph.vertex((depth, 0)) + _ray_tiles(cover, depth, tie_break)

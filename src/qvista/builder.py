@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covers import CoverSequence, check_depth
+from .covers import CoverSequence, check_depth, check_lambda
 from .errors import DoublingUnbounded, ResolutionExceeded
 from .metricspace import (
     FiniteMetricSpace,
@@ -147,8 +147,7 @@ def build_visual_width1(
     The result is a visual approximation of width 1 with parameter lam; for
     width-1-separated same-level tiles the separation is at least L^-n / 2.
     """
-    if lam <= 1:
-        raise ValueError("lam must exceed 1")
+    check_lambda(lam)
     check_depth(depth)
     if depth > 0 and lam ** (-depth) < 2.0 * space.min_positive_distance():
         raise ResolutionExceeded(
@@ -187,8 +186,7 @@ def build_visual_width0(
     ``closed_balls`` switches the tiles to closed balls; the separation
     constants are unchanged.
     """
-    if lam <= 1:
-        raise ValueError("lam must exceed 1")
+    check_lambda(lam)
     check_depth(depth)
     mesh = float(space.nearest_neighbor_distances().max(initial=0.0))
     if depth > 0 and lam ** (-depth) < 2.0 * mesh:

@@ -1,20 +1,31 @@
 """Command-line entry points for every pipeline.
 
-Exit codes: 0 on PASS/OK, 1 on a verification FAIL (the report is still
-written), 2 on usage or I/O errors.
+Exit codes: 2 on a usage or I/O error, which prints ``qvista: error: ...`` to
+stderr and writes no report.  Otherwise a command exits 0, except that it
+exits 1 on a verification FAIL, with its report still written:
+
+- ``verify``: a condition FAILs;
+- ``synthesize``: the cover is not visual for the synthesized metric;
+- ``qscheck``: neither a snowflake nor a power quasisymmetry fits;
+- ``tilegraph --cluster-r``: the clustered cover is not quasi-visual;
+- ``boundary``: the boundary map is not injective;
+- ``julia``: the dynamical cover FAILs.
+
+``fixture``, ``build`` and ``proximity`` have no verdict and exit 0.  Only
+``verify`` and ``qscheck`` write to stdout, and only without ``--out``: the
+bytes the ``--out`` file would hold.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from . import fixtures
 from .builder import build_visual_width0, build_visual_width1
-from .covers import CoverSequence, verify_quasi_visual, verify_visual
+from .covers import CoverSequence, check_depth, load_thresholds, verify_quasi_visual, verify_visual
 from .errors import QvistaError
 from .metricspace import FiniteMetricSpace
 from .proximity import (
@@ -138,8 +149,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def _emit(path, result, passed, manifest: RunManifest, fmt: str = "json") -> int:
+    """Write the canonical report of ``result`` to ``path``, or to stdout when
+    ``path`` is None, and return the exit code of the verdict ``passed``."""
+    if path is None:
+        sys.stdout.write(report_render(result, fmt, manifest).decode())
+    else:
+        write_report(result, path, manifest, fmt=fmt)
+    return 0 if passed else 1
+
+
 def _dispatch(args, seed: int) -> int:
     cmd = args.cmd
+
+    def manifest(inputs=(), **parameters) -> RunManifest:
+        return RunManifest(command=cmd, inputs={p: file_sha256(p) for p in inputs},
+                           parameters=parameters, seed=seed)
+
     if cmd == "fixture":
         params = {}
         if args.depth is not None:
@@ -153,56 +179,8 @@ def _dispatch(args, seed: int) -> int:
         cover.save(args.out_cover)
         return 0
 
-    if cmd == "build":
-        space = FiniteMetricSpace.load(args.space)
-        build = build_visual_width1 if args.width == 1 else build_visual_width0
-        cover = build(space, args.lam, args.depth)
-        cover.save(args.out)
-        return 0
-
-    if cmd == "verify":
-        space = FiniteMetricSpace.load(args.space)
-        cover = CoverSequence.load(args.cover, space)
-        thresholds = None
-        if args.thresholds:
-            with open(args.thresholds) as fh:
-                thresholds = json.load(fh)
-        if args.mode == "visual":
-            report = verify_visual(cover, thresholds=thresholds)
-        else:
-            report = verify_quasi_visual(cover, thresholds=thresholds)
-        manifest = RunManifest(
-            command="verify",
-            inputs={args.space: file_sha256(args.space), args.cover: file_sha256(args.cover)},
-            parameters={"mode": args.mode, "thresholds": thresholds},
-            seed=seed,
-        )
-        if args.out:
-            write_report(report, args.out, manifest, fmt=args.format)
-        else:
-            sys.stdout.write(report_render(report, args.format, manifest).decode())
-        return 0 if report.passed else 1
-
-    if cmd == "proximity":
-        space = FiniteMetricSpace.load(args.space) if args.space else None
-        cover = CoverSequence.load(args.cover, space)
-        table = compute_proximity(cover)
-        table.save(args.out)
-        return 0
-
-    if cmd == "synthesize":
-        cover = CoverSequence.load(args.cover, None)
-        metric, report = synthesize_visual_metric(cover, args.lam)
-        metric.save(args.out)
-        if args.report:
-            manifest = RunManifest(
-                command="synthesize",
-                inputs={args.cover: file_sha256(args.cover)},
-                parameters={"lambda": args.lam},
-                seed=seed,
-            )
-            write_report(report, args.report, manifest)
-        return 0 if report.passed else 1
+    if cmd == "julia":
+        return _julia(args, seed, manifest)
 
     if cmd == "qscheck":
         d1 = FiniteMetricSpace.load(args.d1)
@@ -213,50 +191,58 @@ def _dispatch(args, seed: int) -> int:
             "snowflake": {"alpha": snow[0], "C": snow[1]} if snow else None,
             "quasisymmetry": qs.to_dict() if qs else None,
         }
-        manifest = RunManifest(
-            command="qscheck",
-            inputs={args.d1: file_sha256(args.d1), args.d2: file_sha256(args.d2)},
-            seed=seed,
-        )
-        if args.out:
-            write_report(result, args.out, manifest)
-        else:
-            print(json.dumps(result, sort_keys=True))
-        return 0 if (snow or qs) else 1
+        return _emit(args.out, result, snow or qs, manifest((args.d1, args.d2)))
+
+    # every other command reads a space, a cover, or a cover over a space
+    space = FiniteMetricSpace.load(args.space) if getattr(args, "space", None) else None
+    if cmd == "build":
+        build = build_visual_width1 if args.width == 1 else build_visual_width0
+        build(space, args.lam, args.depth).save(args.out)
+        return 0
+    cover = CoverSequence.load(args.cover, space)
+
+    if cmd == "verify":
+        thresholds = load_thresholds(args.thresholds) if args.thresholds else None
+        verify = verify_visual if args.mode == "visual" else verify_quasi_visual
+        report = verify(cover, thresholds=thresholds)
+        return _emit(args.out, report, report.passed,
+                     manifest((args.space, args.cover), mode=args.mode, thresholds=thresholds),
+                     args.format)
+
+    if cmd == "proximity":
+        compute_proximity(cover).save(args.out)
+        return 0
+
+    if cmd == "synthesize":
+        metric, report = synthesize_visual_metric(cover, args.lam)
+        metric.save(args.out)
+        if args.report is None:
+            return 0 if report.passed else 1
+        return _emit(args.report, report, report.passed,
+                     manifest((args.cover,), **{"lambda": args.lam}))
 
     if cmd == "tilegraph":
-        space = FiniteMetricSpace.load(args.space) if args.space else None
-        cover = CoverSequence.load(args.cover, space)
+        if args.cluster_r is not None and space is None:
+            raise ValueError("--cluster-r verification requires --space")
         graph = build_tile_graph(cover)
-        table = compute_proximity(cover)
-        comparison = compare_m_gromov(graph, table)
         result = {
-            "graph": graph.to_dict(),
+            "graph": graph,
+            "gromov_vs_m": compare_m_gromov(graph, compute_proximity(cover)),
             "hyperbolicity": hyperbolicity_constant(graph, mode=args.hyperbolicity, seed=seed),
             "hyperbolicity_mode": args.hyperbolicity
             + ("" if args.hyperbolicity == "exact" else " (lower bound only)"),
-            "gromov_vs_m": comparison.to_dict(),
         }
+        passed = True
         if args.cluster_r is not None:
-            if args.space is None:
-                raise ValueError("--cluster-r verification requires --space")
-            clustered = cluster_cover_sequence(graph, args.cluster_r)
-            result["cluster_r"] = args.cluster_r
-            result["cluster_quasi_visual"] = verify_quasi_visual(clustered).to_dict()
-        manifest = RunManifest(
-            command="tilegraph",
-            inputs={args.cover: file_sha256(args.cover)},
-            parameters={"hyperbolicity": args.hyperbolicity, "cluster_r": args.cluster_r},
-            seed=seed,
-        )
-        write_report(result, args.out, manifest)
-        return 0
+            clustered = verify_quasi_visual(cluster_cover_sequence(graph, args.cluster_r))
+            result.update(cluster_r=args.cluster_r, cluster_quasi_visual=clustered)
+            passed = clustered.passed
+        return _emit(args.out, result, passed,
+                     manifest((args.cover,), hyperbolicity=args.hyperbolicity,
+                              cluster_r=args.cluster_r))
 
     if cmd == "boundary":
-        space = FiniteMetricSpace.load(args.space)
-        cover = CoverSequence.load(args.cover, space)
-        graph = build_tile_graph(cover)
-        bnd = boundary_metric(cover, graph, args.lam)
+        bnd = boundary_metric(cover, build_tile_graph(cover), args.lam)
         ok, inj = phi_injectivity_check(bnd)
         result = {"boundary": bnd.to_dict(), "injectivity": {"ok": ok, **inj}}
         if args.check in ("snowflake", "both"):
@@ -264,63 +250,35 @@ def _dispatch(args, seed: int) -> int:
             result["snowflake"] = {"alpha": snow[0], "C": snow[1]} if snow else None
         if args.check in ("qs", "both"):
             result["regularity"] = phi_regularity_check(space, bnd)
-        manifest = RunManifest(
-            command="boundary",
-            inputs={args.space: file_sha256(args.space), args.cover: file_sha256(args.cover)},
-            parameters={"lambda": args.lam, "check": args.check},
-            seed=seed,
-        )
-        write_report(result, args.out, manifest)
-        return 0 if ok else 1
-
-    if cmd == "julia":
-        grid = SphereGrid(K=args.grid)  # rejects a bad size before any work
-        map_ = RationalMap.parse(args.map_text)
-        target_count = args.target_count
-        if target_count is None:
-            target_count = min(map_.degree ** args.depth, MAX_PREIMAGE_COUNT)
-        sample = julia_sample(map_, args.depth, target_count=target_count)
-        pull = admissible_cover(map_, sample, args.cover_radius, grid=grid)
-        pull = pullback_cover(pull, args.levels)
-        cover = induce_tiles(pull)
-        outcome = verify_dynamical_qv(pull, cover)
-        result = {
-            "map": args.map_text,
-            "sample_size": sample.n,
-            "mesh": sample.mesh,
-            "passed": outcome["passed"],
-            "qv": outcome["qv"].to_dict(),
-            "dynamical": outcome["dynamical"].to_dict(),
-            "rates": outcome["rates"].to_dict(),
-            "projection_error": outcome["projection_error"],
-        }
-        if args.degree_probes:
-            rng = np.random.default_rng(seed)
-            picks = rng.choice(sample.n, size=min(args.degree_probes, sample.n), replace=False)
-            probes = []
-            for ci in picks:
-                w0 = sample.z[ci]
-                if not np.isfinite(w0):
-                    continue
-                probes.append(degree_probe(map_, complex(w0), 0.5 * args.cover_radius, 4))
-            result["degree_probes"] = probes
-        manifest = RunManifest(
-            command="julia",
-            parameters={
-                "map": args.map_text,
-                "depth": args.depth,
-                "cover_radius": args.cover_radius,
-                "levels": args.levels,
-                "grid": args.grid,
-                "target_count": target_count,
-                "degree_probes": args.degree_probes,
-            },
-            seed=seed,
-        )
-        write_report(result, args.out, manifest)
-        return 0 if outcome["passed"] else 1
+        return _emit(args.out, result, ok,
+                     manifest((args.space, args.cover), check=args.check, **{"lambda": args.lam}))
 
     raise ValueError(f"unknown command {cmd!r}")
+
+
+def _julia(args, seed: int, manifest) -> int:
+    """The dynamical pipeline on ``args.map_text``, from sample to verdict."""
+    grid = SphereGrid(K=args.grid)  # rejects a bad size before any work
+    check_depth(args.degree_probes, "degree_probes")
+    map_ = RationalMap.parse(args.map_text)
+    target_count = args.target_count
+    if target_count is None:
+        target_count = min(map_.degree ** args.depth, MAX_PREIMAGE_COUNT)
+    sample = julia_sample(map_, args.depth, target_count=target_count)
+    pull = admissible_cover(map_, sample, args.cover_radius, grid=grid)
+    pull = pullback_cover(pull, args.levels)
+    cover = induce_tiles(pull)
+    outcome = verify_dynamical_qv(pull, cover)
+    result = {"map": args.map_text, "sample_size": sample.n, "mesh": sample.mesh, **outcome}
+    if args.degree_probes:
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(sample.n, size=min(args.degree_probes, sample.n), replace=False)
+        result["degree_probes"] = [degree_probe(map_, complex(w0), 0.5 * args.cover_radius, 4)
+                                   for w0 in sample.z[picks] if np.isfinite(w0)]
+    return _emit(args.out, result, outcome["passed"],
+                 manifest(map=args.map_text, depth=args.depth, cover_radius=args.cover_radius,
+                          levels=args.levels, grid=args.grid, target_count=target_count,
+                          degree_probes=args.degree_probes))
 
 
 if __name__ == "__main__":

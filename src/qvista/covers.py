@@ -20,6 +20,7 @@ from .errors import EmptyTile, FitFailure, MissingLambda, UnknownTile
 from .metricspace import FiniteMetricSpace
 
 DEFAULT_THRESHOLD = 64.0
+THRESHOLD_KEYS = ("visual.diam", "visual.separation", "qv.i", "qv.ii", "qv.iii")
 DEFAULT_SHRINK_LAMBDA = 0.95  # target contraction for the condition-(iv) search
 
 FINITE_COVER_NOTE = (
@@ -45,9 +46,15 @@ class Tile:
 
 
 def check_depth(depth: int, name: str = "depth") -> None:
-    """Raise ValueError when a depth (or the level count named ``name``) is negative."""
+    """Raise ValueError when a depth (or the count named ``name``) is negative."""
     if depth < 0:
         raise ValueError(f"{name} must be non-negative, got {depth}")
+
+
+def check_lambda(lam: float) -> None:
+    """Raise ValueError unless the visual parameter ``lam`` exceeds 1."""
+    if lam <= 1:
+        raise ValueError(f"lambda must exceed 1, got {lam!r}")
 
 
 def bool_product(*mats: np.ndarray) -> np.ndarray:
@@ -154,8 +161,8 @@ class CoverSequence:
         tile sets the point count, and nothing that reads a metric applies."""
         if width < 0:
             raise ValueError("width must be a non-negative integer")
-        if visual_parameter is not None and visual_parameter <= 1:
-            raise ValueError("visual parameter must exceed 1")
+        if visual_parameter is not None:
+            check_lambda(visual_parameter)
         self.space = space
         self.width = int(width)
         self.visual_parameter = float(visual_parameter) if visual_parameter else None
@@ -279,14 +286,23 @@ class CoverSequence:
 
     @classmethod
     def from_dict(cls, data: dict, space: FiniteMetricSpace | None) -> "CoverSequence":
+        """The cover ``to_dict`` wrote; ValueError when ``data`` is not of that shape."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a cover is a JSON object, got {type(data).__name__}")
+        levels, width, lam = data.get("levels"), data.get("width", 0), data.get("lambda")
+        if not (isinstance(levels, list) and all(
+            isinstance(fam, list)
+            and all(isinstance(t, list) and all(type(i) is int for i in t) for t in fam)
+            for fam in levels
+        )):
+            raise ValueError("a cover holds 'levels': a list of levels, each a list of tiles, "
+                             "each a list of point indices")
+        if type(width) is not int or not (lam is None or type(lam) in (int, float)):
+            raise ValueError(f"a cover's width is an integer and its lambda a number or null, "
+                             f"got {width!r} and {lam!r}")
         if space is not None and data.get("n") not in (None, space.n):
             raise ValueError("cover was built for a different point count")
-        cover = cls(
-            space,
-            data["levels"],
-            width=data.get("width", 0),
-            visual_parameter=data.get("lambda"),
-        )
+        cover = cls(space, levels, width=width, visual_parameter=lam)
         if data.get("n") not in (None, cover.n_points):
             raise ValueError("cover was built for a different point count")
         return cover
@@ -369,6 +385,20 @@ class VerificationReport:
             "params": self.params,
             "notes": self.notes,
         }
+
+
+def load_thresholds(path) -> dict:
+    """Read a thresholds file: a JSON object mapping names in THRESHOLD_KEYS to numbers."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"thresholds must be a JSON object, got {type(data).__name__}")
+    for key, value in data.items():
+        if key not in THRESHOLD_KEYS:
+            raise ValueError(f"unknown threshold {key!r}; known: {', '.join(THRESHOLD_KEYS)}")
+        if type(value) not in (int, float):
+            raise ValueError(f"threshold {key!r} must be a number, got {value!r}")
+    return data
 
 
 def _threshold(thresholds: dict | None, key: str, default: float = DEFAULT_THRESHOLD) -> float:

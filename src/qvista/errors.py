@@ -29,10 +29,6 @@ class EmptyLevel(QvistaError):
     pass
 
 
-class CoverGap(QvistaError):
-    """A level of a cover misses a point it is required to contain."""
-
-
 class FitFailure(QvistaError):
     """No admissible decay rate below 1 exists within the truncation."""
 

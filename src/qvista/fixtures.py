@@ -41,6 +41,7 @@ def cantor_fixture(depth: int = 4, sample_depth: int = 6) -> tuple[FiniteMetricS
     longer satisfies the diameter condition).
     """
     check_depth(depth)
+    check_depth(sample_depth, "sample_depth")
     if depth > sample_depth + 1:
         raise ValueError("depth may exceed sample_depth by at most 1")
     addresses = list(itertools.product((0, 2), repeat=sample_depth))
@@ -70,6 +71,7 @@ def interval_dyadic_fixture(
 ) -> tuple[FiniteMetricSpace, CoverSequence]:
     """Unit interval on a 2^E + 1 grid covered by closed dyadic intervals."""
     check_depth(depth)
+    check_depth(sample_exp, "sample_exp")
     if depth > sample_exp:
         raise ValueError("depth must not exceed sample_exp")
     m = 2 ** sample_exp
@@ -123,6 +125,7 @@ def dyadic_interleaved_fixture(
     level pair (2k, 2k+1).
     """
     check_depth(k_max, "k_max")
+    check_depth(sample_exp, "sample_exp")
     if 2 * k_max > sample_exp:
         raise ValueError("need sample_exp >= 2*k_max")
     m = 2 ** sample_exp
@@ -146,6 +149,7 @@ def sierpinski_fixture(
     """Sierpinski gasket sampled by the vertices of the level-``sample_depth``
     triangles; level-n tiles are the 3^n triangles of the construction."""
     check_depth(depth)
+    check_depth(sample_depth, "sample_depth")
     if depth > sample_depth:
         raise ValueError("depth must not exceed sample_depth")
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])

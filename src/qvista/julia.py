@@ -349,6 +349,8 @@ def julia_sample(
     is one batched ``preimages`` call.
     """
     check_depth(depth)
+    if target_count < 1:
+        raise ValueError(f"target_count must be at least 1, got {target_count}")
     z0 = map_.repelling_fixed_point()
     pts = np.array([z0], dtype=complex)
     for _ in range(depth):
@@ -448,6 +450,8 @@ def admissible_cover(
 ) -> PullbackCover:
     """Level-1 family: spherical balls of the given radius around a maximal
     radius-net of the sample, rasterized to grid regions."""
+    if radius <= 0:
+        raise ValueError(f"cover radius must be positive, got {radius!r}")
     grid = grid or SphereGrid()
     d = sample.space().dist
     centers = greedy_separated_subset(d, range(sample.n), radius)
@@ -467,17 +471,15 @@ def admissible_cover(
     return PullbackCover(map=map_, grid=grid, sample=sample, families=[regions])
 
 
-def pullback_cover(pull: PullbackCover, n_levels: int, min_cells: int = 1) -> PullbackCover:
+def pullback_cover(pull: PullbackCover, n_levels: int) -> PullbackCover:
     """Extend the family chain to ``n_levels`` by one-step pull-backs.
 
     The cells whose g-image lands in a parent region are gathered from the
     inverse image of g on the raster, split into sphere components, and kept
-    when they meet the sample.  With ``min_cells`` above 1, a sample-meeting
-    component thinner than that raises ResolutionInsufficient (caller should
-    double the grid); by default thin components are kept.  Tile membership
-    is decided by the dynamics in ``induce_tiles``, which reads only the
-    level-1 regions: the regions below level 1 decide only how many levels
-    there are, and whether a level comes out empty (EmptyLevel).
+    when they meet the sample.  Tile membership is decided by the dynamics in
+    ``induce_tiles``, which reads only the level-1 regions: the regions below
+    level 1 decide only how many levels there are, and whether a level comes
+    out empty (EmptyLevel).
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be at least 1, got {n_levels}")
@@ -506,10 +508,6 @@ def pullback_cover(pull: PullbackCover, n_levels: int, min_cells: int = 1) -> Pu
             pts = hits[cuts[k]:cuts[k + 1]] % sample.n
             if not pts.size:
                 continue
-            if comp.size < min_cells:
-                raise ResolutionInsufficient(
-                    f"component of {comp.size} cells at level {level}; double the grid"
-                )
             regions.append(
                 AmbientRegion(
                     level=level,

@@ -86,6 +86,11 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteMetricSpace":
+        """The space ``to_dict`` wrote; ValueError when ``data`` is not of that shape."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a space is a JSON object, got {type(data).__name__}")
+        if not isinstance(data.get("labels", []), (list, type(None))):
+            raise ValueError(f"a space's labels are a list, got {data['labels']!r}")
         dist = np.asarray(data["dist"], dtype=float)
         if dist.shape != (data["n"], data["n"]):
             raise ValueError("dist shape does not match declared n")

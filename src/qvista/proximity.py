@@ -19,6 +19,7 @@ from .covers import (
     CoverSequence,
     VerificationReport,
     bool_product,
+    check_lambda,
     maxmin_product,
     tile_pair_reduce,
     tile_reduce,
@@ -296,6 +297,7 @@ def quasi_metric_from_m(
     ultratriangle inequality with K is re-verified exhaustively; by
     construction of the triple constant it cannot fail.
     """
+    check_lambda(lam)
     if check is None and cover is not None:
         check = check_combinatorially_visual(cover, table)
     if check is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass, field
 
-from .covers import CoverSequence, bool_product, maxmin_product, tile_pair_reduce
+from .covers import CoverSequence, bool_product, check_depth, maxmin_product, tile_pair_reduce
 from .errors import TripleBudgetExceeded, UnknownVertex
 from .proximity import ProximityTable
 
@@ -214,6 +214,7 @@ def cluster_cover_sequence(graph: TileGraph, r: int, width: int = 1) -> CoverSeq
     would break the rough-similarity bounds of the cluster map).  Width
     defaults to 1, matching the verification the clusters are meant for.
     """
+    check_depth(r, "cluster radius r")
     cover = graph.cover
     levels: list[list[tuple[int, ...]]] = []
     for lev, fam in enumerate(cover.levels):

@@ -7,7 +7,6 @@ from qvista.boundary import (
     phi_injectivity_check,
     phi_regularity_check,
 )
-from qvista.errors import CoverGap
 from qvista.fixtures import fixture
 from qvista.metricspace import FiniteMetricSpace
 from qvista.proximity import fit_power_quasisymmetry, snowflake_check

@@ -130,10 +130,14 @@ def _cantor_chain(tmp_path):
 
 
 def test_verify_stdout_matches_report_file(tmp_path, capsys):
+    """verify and qscheck print to stdout, without --out, the bytes of their --out file."""
     space, built = _cantor_chain(tmp_path)
-    out = tmp_path / "verify.out"
-    for fmt in ("json", "text"):
-        args = ["verify", "--space", str(space), "--cover", str(built), "--format", fmt]
+    out = tmp_path / "report.out"
+    for args in (
+        ["verify", "--space", str(space), "--cover", str(built), "--format", "json"],
+        ["verify", "--space", str(space), "--cover", str(built), "--format", "text"],
+        ["qscheck", "--d1", str(space), "--d2", str(space)],
+    ):
         assert main(args + ["--out", str(out)]) == 0
         capsys.readouterr()
         assert main(args) == 0
@@ -197,6 +201,22 @@ def test_boundary_exit_codes(tmp_path):
     assert main(["boundary", "--cover", str(built), "--space", str(chain_space),
                  "--lambda", "3", "--check", "snowflake",
                  "--out", str(tmp_path / "fail.json")]) == 1
+
+
+def test_tilegraph_cluster_exit_codes(tmp_path):
+    """tilegraph --cluster-r exits 1 when the clustered cover is not quasi-visual."""
+    space, built = _cantor_chain(tmp_path)
+    out = tmp_path / "graph.json"
+    assert main(["tilegraph", "--cover", str(built), "--space", str(space), "--cluster-r", "1",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["cluster_quasi_visual"]["passed"] is True
+    space, cover = tmp_path / "gasket_space.json", tmp_path / "gasket_cover.json"
+    assert main(["fixture", "sierpinski_gasket", "--depth", "2", "--sample-depth", "3",
+                 "--out-space", str(space), "--out-cover", str(cover)]) == 0
+    for r in ("1", "2"):
+        assert main(["tilegraph", "--cover", str(cover), "--space", str(space), "--cluster-r", r,
+                     "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["cluster_quasi_visual"]["passed"] is False
 
 
 @pytest.mark.parametrize("argv", [
@@ -298,3 +318,83 @@ def test_fixture_sample_depth_reaches_each_fixture_that_has_one(tmp_path, capsys
     code = main(["fixture", "tree_example_3_7", "--sample-depth", "9", *out])
     assert_usage_error(capsys, code, "--sample-depth", "tree_example_3_7")
     assert not space.exists()
+
+
+MALFORMED_INPUTS = {
+    "thresholds_list.json": ["qv.i"],
+    "thresholds_null.json": {"qv.i": None},
+    "thresholds_misspelt.json": {"qv.I": 2.0},
+    "space_list.json": [[0.0, 1.0], [1.0, 0.0]],
+    "space_int_labels.json": {"n": 1, "dist": [[0.0]], "labels": 5},
+    "cover_int_levels.json": {"levels": 5},
+    "cover_list.json": [[[0]]],
+    "cover_str_width.json": {"levels": [[[0]]], "width": "1"},
+}
+VERIFY = ["verify", "--space", "{space}", "--cover", "{built}"]
+JULIA = ["julia", "--map", "z^2", "--depth", "6", "--levels", "2", "--grid", "128"]
+OUT = ["--out", "{dir}/out.json"]
+FIXTURE = ["--depth", "0", "--sample-depth", "-1",
+           "--out-space", "{dir}/s.json", "--out-cover", "{dir}/c.json"]
+
+
+@pytest.mark.parametrize("argv, words", [
+    # malformed input files
+    pytest.param([*VERIFY, "--mode", "quasi", "--thresholds", "{dir}/thresholds_list.json"],
+                 ["JSON object, got list"], id="thresholds-list"),
+    pytest.param([*VERIFY, "--mode", "quasi", "--thresholds", "{dir}/thresholds_null.json"],
+                 ["'qv.i' must be a number, got None"], id="thresholds-null"),
+    pytest.param([*VERIFY, "--thresholds", "{dir}/thresholds_misspelt.json"],
+                 ["unknown threshold 'qv.I'"], id="thresholds-misspelt"),
+    pytest.param(["verify", "--space", "{dir}/space_list.json", "--cover", "{built}"],
+                 ["JSON object, got list"], id="space-list-verify"),
+    pytest.param(["qscheck", "--d1", "{dir}/space_list.json", "--d2", "{space}"],
+                 ["JSON object, got list"], id="space-list-qscheck"),
+    pytest.param(["qscheck", "--d1", "{dir}/space_int_labels.json", "--d2", "{space}"],
+                 ["labels are a list, got 5"], id="space-int-labels"),
+    pytest.param(["verify", "--space", "{space}", "--cover", "{dir}/cover_int_levels.json"],
+                 ["'levels'"], id="cover-int-levels"),
+    pytest.param(["proximity", "--cover", "{dir}/cover_list.json", *OUT],
+                 ["JSON object, got list"], id="cover-list"),
+    pytest.param(["proximity", "--cover", "{dir}/cover_str_width.json", *OUT],
+                 ["got '1' and None"], id="cover-str-width"),
+    # out-of-range numbers, named by the function that takes them
+    pytest.param(["synthesize", "--cover", "{built}", "--lambda", "0.5", *OUT],
+                 ["lambda must exceed 1, got 0.5"], id="synthesize-lambda-0.5"),
+    pytest.param(["synthesize", "--cover", "{built}", "--lambda", "1", *OUT],
+                 ["lambda must exceed 1, got 1.0"], id="synthesize-lambda-1"),
+    pytest.param(["boundary", "--cover", "{built}", "--space", "{space}", "--lambda", "0.5", *OUT],
+                 ["lambda must exceed 1, got 0.5"], id="boundary-lambda-0.5"),
+    pytest.param(["boundary", "--cover", "{built}", "--space", "{space}", "--lambda", "1", *OUT],
+                 ["lambda must exceed 1, got 1.0"], id="boundary-lambda-1"),
+    pytest.param(["build", "--space", "{space}", "--lambda", "0.5", "--depth", "3", *OUT],
+                 ["lambda must exceed 1, got 0.5"], id="build-lambda-0.5"),
+    pytest.param([*JULIA, "--target-count", "0", *OUT],
+                 ["target_count must be at least 1, got 0"], id="julia-target-count-0"),
+    pytest.param([*JULIA, "--cover-radius", "0", *OUT],
+                 ["cover radius must be positive, got 0.0"], id="julia-cover-radius-0"),
+    pytest.param([*JULIA, "--cover-radius", "-1", *OUT],
+                 ["cover radius must be positive, got -1.0"], id="julia-cover-radius-neg"),
+    pytest.param([*JULIA, "--degree-probes", "-2", *OUT],
+                 ["degree_probes must be non-negative, got -2"], id="julia-degree-probes-neg"),
+    pytest.param(["tilegraph", "--cover", "{built}", "--space", "{space}", "--cluster-r", "-1", *OUT],
+                 ["cluster radius r must be non-negative, got -1"], id="tilegraph-cluster-r-neg"),
+    pytest.param(["fixture", "cantor", *FIXTURE],
+                 ["sample_depth must be non-negative, got -1"], id="cantor-sample-depth-neg"),
+    pytest.param(["fixture", "sierpinski_gasket", *FIXTURE],
+                 ["sample_depth must be non-negative, got -1"], id="gasket-sample-depth-neg"),
+    pytest.param(["fixture", "interval_dyadic", *FIXTURE],
+                 ["sample_exp must be non-negative, got -1"], id="interval-sample-exp-neg"),
+    pytest.param(["fixture", "dyadic_interleaved", *FIXTURE],
+                 ["sample_exp must be non-negative, got -1"], id="interleaved-sample-exp-neg"),
+])
+def test_bad_input_is_usage_error(tmp_path, capsys, argv, words):
+    """Malformed files and out-of-range numbers exit 2 with a message naming
+    the bad value, never a traceback, and write nothing."""
+    space, built = _cantor_chain(tmp_path)
+    for name, data in MALFORMED_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    code = main([a.format(dir=tmp_path, space=space, built=built) for a in argv])
+    assert_usage_error(capsys, code, *words)
+    assert sorted(tmp_path.iterdir()) == before

@@ -5,6 +5,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as scipy_components
 
 from qvista.covers import (
+    THRESHOLD_KEYS,
     CoverSequence,
     ball_tile_comparability,
     bool_product,
@@ -453,3 +454,12 @@ def test_uw_nesting_property(cover):
                 cur = {x.index for x in u_w_neighborhood(cover, t, w)}
                 assert prev <= cur
                 prev = cur
+
+
+def test_threshold_keys_name_the_thresholded_conditions(cantor):
+    """Every condition with a user threshold, and no other name, is a key a
+    thresholds file may set; qv.iv has the fixed shrink target instead."""
+    _, cover = cantor
+    reports = (verify_visual(cover), verify_quasi_visual(cover))
+    names = {c.condition for rep in reports for c in rep.conditions}
+    assert set(THRESHOLD_KEYS) == names - {"qv.iv"}

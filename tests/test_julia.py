@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qvista.errors import ResolutionInsufficient, RootFindFailure, SeedNotRepelling
+from qvista.errors import RootFindFailure, SeedNotRepelling
 from qvista.julia import (
     ROOT_CLUSTER_TOL,
     RationalMap,
@@ -350,11 +350,6 @@ class TestCovers:
         assert out["passed"]
         assert out["dynamical"].shift_ok
         assert out["dynamical"].proximity_ok
-
-    def test_thin_component_guard(self, zsq, zsq_sample):
-        pull = admissible_cover(zsq, zsq_sample, np.pi / 8, grid=SphereGrid(K=512))
-        with pytest.raises(ResolutionInsufficient):
-            pullback_cover(pull, 4, min_cells=10_000)
 
 
 def oracle_tiles(pull) -> list[list[tuple[int, ...]]]:
