@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covers import CoverSequence, check_depth, check_lambda
+from .covers import CoverSequence, check_depth, check_lambda, tile_pair_reduce
 from .errors import DoublingUnbounded, ResolutionExceeded
 from .metricspace import (
     FiniteMetricSpace,
@@ -85,28 +85,20 @@ def adjust_radii(space: FiniteMetricSpace, colored: ColoredNet) -> ColoredNet:
     """
     net = colored.net
     delta = net.delta
-    d = space.dist
-    n_colors = colored.n_colors
     order = sorted(range(len(net.members)), key=lambda i: (colored.colors[i], net.members[i]))
     radii = {}
     placed: list[int] = []  # indices into net.members
+    to_ball = np.empty((len(net.members), space.n))  # row i: each point's distance to ball i
     for i in order:
+        x = net.members[i]
         if colored.colors[i] == 1:
             radii[i] = 1.0  # base class: all radii pinned to 1
-            placed.append(i)
-            continue
-        x = net.members[i]
-        criticals = []
-        for j in placed:
-            y = net.members[j]
-            ball_y = _open_ball(space, y, radii[j] * delta)
-            dy = float(d[x, ball_y].min()) / delta
-            if 1.0 <= dy < 2.0:
-                criticals.append(dy)
-        cuts = [1.0] + sorted(criticals) + [2.0]
-        gaps = np.diff(cuts)
-        k = int(np.argmax(gaps))
-        radii[i] = 0.5 * (cuts[k] + cuts[k + 1])
+        else:
+            rel = to_ball[placed, x] / delta
+            cuts = [1.0] + sorted(rel[(rel >= 1.0) & (rel < 2.0)].tolist()) + [2.0]
+            k = int(np.argmax(np.diff(cuts)))
+            radii[i] = 0.5 * (cuts[k] + cuts[k + 1])
+        to_ball[i] = space.dist[_open_ball(space, x, radii[i] * delta)].min(axis=0)
         placed.append(i)
     return ColoredNet(
         net=net,
@@ -116,27 +108,53 @@ def adjust_radii(space: FiniteMetricSpace, colored: ColoredNet) -> ColoredNet:
 
 
 def check_dichotomy(space: FiniteMetricSpace, colored: ColoredNet) -> tuple[bool, dict]:
-    """Exhaustive exact check of the ColoredNet invariant over all member pairs."""
+    """Exact check of the ColoredNet invariant over all member pairs.
+
+    A pair fails when its balls are disjoint (set distance above 0) yet
+    closer than C * delta; the witness is the first such pair (i, j), i < j,
+    in row-major order.
+    """
     if colored.radii is None:
         raise ValueError("radii not assigned")
     net = colored.net
-    delta = net.delta
-    C = colored.separation_constant
-    balls = [
-        _open_ball(space, m, r * delta) for m, r in zip(net.members, colored.radii)
-    ]
-    d = space.dist
-    for i in range(len(net.members)):
-        for j in range(i + 1, len(net.members)):
-            cross = d[np.ix_(balls[i], balls[j])]
-            if cross.min() > 0 and not np.intersect1d(balls[i], balls[j]).size:
-                if cross.min() < C * delta:
-                    return False, {
-                        "pair": [int(net.members[i]), int(net.members[j])],
-                        "dist": float(cross.min()),
-                        "required": C * delta,
-                    }
-    return True, {}
+    required = colored.separation_constant * net.delta
+    balls = [_open_ball(space, m, r * net.delta) for m, r in zip(net.members, colored.radii)]
+    gap = tile_pair_reduce(space.dist, balls, np.minimum)
+    bad = np.argwhere(np.triu((gap > 0) & (gap < required), 1))
+    if not bad.size:
+        return True, {}
+    i, j = bad[0]
+    return False, {
+        "pair": [int(net.members[i]), int(net.members[j])],
+        "dist": float(gap[i, j]),
+        "required": required,
+    }
+
+
+def _net_balls(space: FiniteMetricSpace, lam: float, depth: int, resolution: float,
+               balls) -> list[list[tuple[int, ...]]]:
+    """The levels of a net-ball cover: the whole space, then per level n the
+    balls ``balls(net, scale)`` around a maximal scale-net, scale = L^-n, with
+    repeated balls dropped in order.
+
+    ``resolution`` is the sample spacing the deepest scale must stay twice
+    above (ResolutionExceeded otherwise), and the space must pass the uniform
+    perfectness probe.
+    """
+    check_lambda(lam)
+    check_depth(depth)
+    if depth > 0 and lam ** (-depth) < 2.0 * resolution:
+        raise ResolutionExceeded(
+            f"lam^-{depth} = {lam ** (-depth)!r} is below twice the sample resolution"
+        )
+    if space.n >= 2 and uniform_perfectness_probe(space).lambda_up <= 0:
+        raise ValueError("space fails the uniform perfectness probe")
+    levels: list[list[tuple[int, ...]]] = [[tuple(range(space.n))]]
+    for n in range(1, depth + 1):
+        scale = lam ** (-n)
+        net = maximal_separated_net(space, scale)
+        levels.append(list(dict.fromkeys(tuple(b.tolist()) for b in balls(net, scale))))
+    return levels
 
 
 def build_visual_width1(
@@ -147,28 +165,10 @@ def build_visual_width1(
     The result is a visual approximation of width 1 with parameter lam; for
     width-1-separated same-level tiles the separation is at least L^-n / 2.
     """
-    check_lambda(lam)
-    check_depth(depth)
-    if depth > 0 and lam ** (-depth) < 2.0 * space.min_positive_distance():
-        raise ResolutionExceeded(
-            f"lam^-{depth} = {lam ** (-depth)!r} is below twice the sample resolution"
-        )
-    if space.n >= 2:
-        probe = uniform_perfectness_probe(space)
-        if probe.lambda_up <= 0:
-            raise ValueError("space fails the uniform perfectness probe")
-    levels: list[list[tuple[int, ...]]] = [[tuple(range(space.n))]]
-    for n in range(1, depth + 1):
-        scale = lam ** (-n)
-        net = maximal_separated_net(space, scale)
-        fam = []
-        seen = set()
-        for x in net.members:
-            members = tuple(int(i) for i in _open_ball(space, x, 2.0 * scale))
-            if members and members not in seen:
-                seen.add(members)
-                fam.append(members)
-        levels.append(fam)
+    def balls(net, scale):
+        return [_open_ball(space, x, 2.0 * scale) for x in net.members]
+
+    levels = _net_balls(space, lam, depth, space.min_positive_distance(), balls)
     return CoverSequence(space, levels, width=1, visual_parameter=lam)
 
 
@@ -186,22 +186,7 @@ def build_visual_width0(
     ``closed_balls`` switches the tiles to closed balls; the separation
     constants are unchanged.
     """
-    check_lambda(lam)
-    check_depth(depth)
-    mesh = float(space.nearest_neighbor_distances().max(initial=0.0))
-    if depth > 0 and lam ** (-depth) < 2.0 * mesh:
-        raise ResolutionExceeded(
-            f"lam^-{depth} = {lam ** (-depth)!r} is below twice the sample resolution"
-        )
-    if space.n >= 2:
-        probe = uniform_perfectness_probe(space)
-        if probe.lambda_up <= 0:
-            raise ValueError("space fails the uniform perfectness probe")
-    d = space.dist
-    levels: list[list[tuple[int, ...]]] = [[tuple(range(space.n))]]
-    for n in range(1, depth + 1):
-        scale = lam ** (-n)
-        net = maximal_separated_net(space, scale)
+    def balls(net, scale):
         colored = color_separated_set(space, net)
         if colored.n_colors > doubling_cap:
             raise DoublingUnbounded(
@@ -209,15 +194,11 @@ def build_visual_width0(
                 f"(cap {doubling_cap}); the space behaves as non-doubling"
             )
         colored = adjust_radii(space, colored)
-        fam = []
-        seen = set()
-        for m, r in zip(net.members, colored.radii):
-            if closed_balls:
-                members = tuple(int(i) for i in np.flatnonzero(d[m] <= r * scale))
-            else:
-                members = tuple(int(i) for i in _open_ball(space, m, r * scale))
-            if members and members not in seen:
-                seen.add(members)
-                fam.append(members)
-        levels.append(fam)
+        if closed_balls:
+            return [np.flatnonzero(space.dist[m] <= r * scale)
+                    for m, r in zip(net.members, colored.radii)]
+        return [_open_ball(space, m, r * scale) for m, r in zip(net.members, colored.radii)]
+
+    mesh = float(space.nearest_neighbor_distances().max(initial=0.0))
+    levels = _net_balls(space, lam, depth, mesh, balls)
     return CoverSequence(space, levels, width=0, visual_parameter=lam)

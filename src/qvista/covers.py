@@ -257,6 +257,11 @@ class CoverSequence:
             self._reach[key] = _read_only(reach)
         return self._reach[key]
 
+    def separated(self, level: int) -> np.ndarray:
+        """Same-level tile pairs that are U_w-separated: no chain of at most
+        2w + 1 tiles joins them, so U_w(X) and U_w(Y) are disjoint."""
+        return ~self.reach_within(level, 2 * self.width + 1)
+
     def pair_distances(self, level: int) -> np.ndarray:
         """Matrix of set distances dist(X, Y) between same-level tiles."""
         return tile_pair_reduce(self.space.dist, self.members(level), np.minimum)
@@ -407,23 +412,42 @@ def _threshold(thresholds: dict | None, key: str, default: float = DEFAULT_THRES
     return default
 
 
+class WorstCase:
+    """The worst value of a condition over a scan, and the witness of where it
+    first occurs.
+
+    Starts at ``floor``.  Each ``offer`` takes the row-major first maximum of
+    ``values`` over the mask ``where`` and keeps it only when it strictly
+    beats the value so far, so the witness is the first worst case in scan
+    order.  A NaN at the first maximum keeps nothing, as ``argmax`` then
+    stops at the NaN.
+    """
+
+    def __init__(self, floor: float):
+        self.value = float(floor)
+        self.witness: dict | None = None
+
+    def offer(self, values: np.ndarray, where: np.ndarray | None = None) -> tuple[int, ...] | None:
+        """The index of the new worst case, or None when the offer keeps nothing."""
+        if where is not None:
+            values = np.where(where, values, -np.inf)
+        at = np.unravel_index(int(np.argmax(values)), values.shape)
+        if not values[at] > self.value:
+            return None
+        self.value = float(values[at])
+        return tuple(int(i) for i in at)
+
+
 def _ratio_record(
-    name: str,
-    best: float,
-    witness: dict | None,
-    threshold: float,
-    details: dict | None = None,
+    name: str, worst: WorstCase, threshold: float, details: dict | None = None
 ) -> ConditionRecord:
-    if not np.isfinite(best):
-        verdict = "FAIL"
-    else:
-        verdict = "PASS" if best <= threshold else "FAIL"
+    finite = bool(np.isfinite(worst.value))
     return ConditionRecord(
         condition=name,
-        constant=None if not np.isfinite(best) else float(best),
+        constant=worst.value if finite else None,
         threshold=threshold,
-        verdict=verdict,
-        witness=witness,
+        verdict="PASS" if finite and worst.value <= threshold else "FAIL",
+        witness=worst.witness,
         details=details or {},
     )
 
@@ -438,38 +462,25 @@ def verify_visual(cover: CoverSequence, thresholds: dict | None = None) -> Verif
     if cover.visual_parameter is None:
         raise MissingLambda("visual verification requires the cover's visual parameter")
     lam = cover.visual_parameter
-    w = cover.width
-    c1_best, c1_wit = 0.0, None
-    c2_best, c2_wit = 0.0, None
+    c1, c2 = WorstCase(0.0), WorstCase(0.0)
     for lev, fam in enumerate(cover.levels):
         scale = lam ** (-lev)
         diams = cover.diams(lev)
-        c1 = np.maximum(diams / scale, _diam_ratio(scale, diams))  # inf at diam 0
-        i = int(np.argmax(c1))
-        if c1[i] > c1_best:
-            c1_best, c1_wit = float(c1[i]), {"tile": [lev, i], "diam": float(diams[i])}
-        if len(fam) > 1:
-            sep = ~cover.reach_within(lev, 2 * w + 1)
-            if sep.any():
-                dists = cover.pair_distances(lev)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = np.where(sep, scale / dists, 0.0)
-                i, j = map(int, np.unravel_index(int(np.argmax(ratio)), ratio.shape))
-                if ratio[i, j] > c2_best:
-                    c2_best = float(ratio[i, j])
-                    c2_wit = {
-                        "tiles": [[lev, i], [lev, j]],
-                        "dist": float(dists[i, j]),
-                    }
-    t1 = _threshold(thresholds, "visual.diam")
-    t2 = _threshold(thresholds, "visual.separation")
+        if (at := c1.offer(np.maximum(diams / scale, _diam_ratio(scale, diams)))) is not None:
+            c1.witness = {"tile": [lev, at[0]], "diam": float(diams[at])}
+        if len(fam) > 1 and (sep := cover.separated(lev)).any():
+            dists = cover.pair_distances(lev)
+            with np.errstate(divide="ignore"):
+                at = c2.offer(scale / dists, where=sep)
+            if at is not None:
+                c2.witness = {"tiles": [[lev, at[0]], [lev, at[1]]], "dist": float(dists[at])}
     report = VerificationReport(
         mode="visual",
-        width=w,
+        width=cover.width,
         truncation=cover.depth,
         conditions=[
-            _ratio_record("visual.diam", c1_best, c1_wit, t1),
-            _ratio_record("visual.separation", c2_best, c2_wit, t2),
+            _ratio_record("visual.diam", c1, _threshold(thresholds, "visual.diam")),
+            _ratio_record("visual.separation", c2, _threshold(thresholds, "visual.separation")),
         ],
         params={"lambda": lam, "n_points": cover.n_points},
     )
@@ -482,6 +493,11 @@ def _diam_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return np.where(den == 0, np.where(num == 0, 1.0, np.inf), num / den)
 
 
+def _comparability(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max(a / b, b / a) for tile diameters: how far apart two diameters are."""
+    return np.maximum(_diam_ratio(a, b), _diam_ratio(b, a))
+
+
 def verify_quasi_visual(cover: CoverSequence, thresholds: dict | None = None) -> VerificationReport:
     """Check the four scale-free cover conditions and extract best constants.
 
@@ -491,46 +507,26 @@ def verify_quasi_visual(cover: CoverSequence, thresholds: dict | None = None) ->
     (iv)  the smallest k0 with max diam(Y)/diam(X) <= DEFAULT_SHRINK_LAMBDA
           over intersecting pairs X in X^n, Y in X^{n+k0}.
     """
-    w = cover.width
-    c1_best, c1_wit = 1.0, None
-    c2_best, c2_wit = 0.0, None
-    c3_best, c3_wit = 1.0, None
+    qv1, qv2, qv3 = WorstCase(1.0), WorstCase(0.0), WorstCase(1.0)
     c3_by_pair: dict[str, float] = {}
     for lev, fam in enumerate(cover.levels):
         diams = cover.diams(lev)
         if len(fam) > 1:
             adj = cover.meets(lev, lev) & ~np.eye(len(fam), dtype=bool)
-            if adj.any():
-                ratio = np.where(adj, _diam_ratio(diams[:, None], diams[None, :]), 0.0)
-                i, j = map(int, np.unravel_index(int(np.argmax(ratio)), ratio.shape))
-                if ratio[i, j] > c1_best:
-                    c1_best = float(ratio[i, j])
-                    c1_wit = {"tiles": [[lev, i], [lev, j]], "ratio": float(ratio[i, j])}
-            sep = ~cover.reach_within(lev, 2 * w + 1)
-            if sep.any():
-                dists = cover.pair_distances(lev)
+            ratio = _diam_ratio(diams[:, None], diams)  # one-sided; (j, i) holds the inverse
+            if adj.any() and (at := qv1.offer(ratio, where=adj)) is not None:
+                qv1.witness = {"tiles": [[lev, at[0]], [lev, at[1]]], "ratio": qv1.value}
+            if (sep := cover.separated(lev)).any():
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = np.where(sep, diams[:, None] / dists, 0.0)
-                i, j = map(int, np.unravel_index(int(np.argmax(ratio)), ratio.shape))
-                if ratio[i, j] > c2_best:
-                    c2_best = float(ratio[i, j])
-                    c2_wit = {"tiles": [[lev, i], [lev, j]], "ratio": float(ratio[i, j])}
-        if lev + 1 <= cover.depth:
-            inter = cover.meets(lev, lev + 1)
-            if inter.any():
-                d_up, d_dn = diams[:, None], cover.diams(lev + 1)[None, :]
-                ratio = np.where(
-                    inter, np.maximum(_diam_ratio(d_up, d_dn), _diam_ratio(d_dn, d_up)), 0.0
-                )
-                i, j = map(int, np.unravel_index(int(np.argmax(ratio)), ratio.shape))
-                c3_by_pair[f"{lev},{lev + 1}"] = float(ratio[i, j])
-                if ratio[i, j] > c3_best:
-                    c3_best = float(ratio[i, j])
-                    c3_wit = {
-                        "tiles": [[lev, i], [lev + 1, j]],
-                        "ratio": float(ratio[i, j]),
-                        "level_pair": [lev, lev + 1],
-                    }
+                    at = qv2.offer(diams[:, None] / cover.pair_distances(lev), where=sep)
+                if at is not None:
+                    qv2.witness = {"tiles": [[lev, at[0]], [lev, at[1]]], "ratio": qv2.value}
+        if lev < cover.depth and (inter := cover.meets(lev, lev + 1)).any():
+            ratio = _comparability(diams[:, None], cover.diams(lev + 1))
+            c3_by_pair[f"{lev},{lev + 1}"] = float(ratio.max(where=inter, initial=0.0))
+            if (at := qv3.offer(ratio, where=inter)) is not None:
+                qv3.witness = {"tiles": [[lev, at[0]], [lev + 1, at[1]]], "ratio": qv3.value,
+                               "level_pair": [lev, lev + 1]}
     # condition (iv): smallest k0 with contraction <= DEFAULT_SHRINK_LAMBDA
     gap_max = _cross_level_gap_ratios(cover)[0]
     k0 = None
@@ -539,11 +535,6 @@ def verify_quasi_visual(cover: CoverSequence, thresholds: dict | None = None) ->
         if k in gap_max and gap_max[k] <= DEFAULT_SHRINK_LAMBDA:
             k0, achieved = k, gap_max[k]
             break
-    t = {  # thresholds per condition
-        "i": _threshold(thresholds, "qv.i"),
-        "ii": _threshold(thresholds, "qv.ii"),
-        "iii": _threshold(thresholds, "qv.iii"),
-    }
     cond_iv = ConditionRecord(
         condition="qv.iv",
         constant=achieved,
@@ -554,12 +545,12 @@ def verify_quasi_visual(cover: CoverSequence, thresholds: dict | None = None) ->
     )
     report = VerificationReport(
         mode="quasi-visual",
-        width=w,
+        width=cover.width,
         truncation=cover.depth,
         conditions=[
-            _ratio_record("qv.i", c1_best, c1_wit, t["i"]),
-            _ratio_record("qv.ii", c2_best, c2_wit, t["ii"]),
-            _ratio_record("qv.iii", c3_best, c3_wit, t["iii"],
+            _ratio_record("qv.i", qv1, _threshold(thresholds, "qv.i")),
+            _ratio_record("qv.ii", qv2, _threshold(thresholds, "qv.ii")),
+            _ratio_record("qv.iii", qv3, _threshold(thresholds, "qv.iii"),
                           details={"by_level_pair": c3_by_pair}),
             cond_iv,
         ],
@@ -680,7 +671,7 @@ def quasiball_check(cover: CoverSequence) -> tuple[float, float]:
         pos = diams > 0
         members = cover.members(lev)
         # the points of U_{2w+1}(X), per tile X
-        hood = bool_product(cover.reach_within(lev, 2 * cover.width + 1), cover.membership(lev))
+        hood = bool_product(~cover.separated(lev), cover.membership(lev))
         inside = tile_reduce(d, members, np.maximum).max(axis=1, where=hood, initial=0.0)
         outside = tile_reduce(d, members, np.minimum).min(axis=1, where=~hood, initial=np.inf)
         R0 = max(R0, float((inside[pos] / diams[pos]).max(initial=0.0)))
@@ -699,6 +690,6 @@ def ball_tile_comparability(cover: CoverSequence, R: float) -> float:
         # points inside some B(x, R diam X), per tile X; none when diam X = 0
         near = tile_reduce(d, cover.members(lev), np.minimum) < R * diams[:, None]
         meets = bool_product(near, cover.membership(lev).T)
-        ratio = np.maximum(_diam_ratio(diams[:, None], diams), _diam_ratio(diams, diams[:, None]))
+        ratio = _comparability(diams[:, None], diams)
         best = max(best, float(ratio.max(where=meets, initial=0.0)))
     return float(best)

@@ -53,10 +53,6 @@ class DoublingUnbounded(QvistaError):
     """A doubling-type count exceeded its cap; the space behaves as non-doubling."""
 
 
-class TripleBudgetExceeded(QvistaError):
-    """Exact triple scan requested beyond the vertex cap."""
-
-
 class SeedNotRepelling(QvistaError):
     pass
 

@@ -452,6 +452,8 @@ def admissible_cover(
     radius-net of the sample, rasterized to grid regions."""
     if radius <= 0:
         raise ValueError(f"cover radius must be positive, got {radius!r}")
+    if radius >= np.pi:  # a ball that wide holds the whole sphere
+        raise ValueError(f"cover radius must be below pi (the sphere's diameter), got {radius!r}")
     grid = grid or SphereGrid()
     d = sample.space().dist
     centers = greedy_separated_subset(d, range(sample.n), radius)

@@ -283,12 +283,19 @@ def uniform_perfectness_probe(
     per center the scan stops at the center's eccentricity, where the ball
     saturates.  The grid starts at the largest nearest-neighbor distance:
     below that radius some ball is a singleton and no finite sample can
-    certify anything.
+    certify anything.  When every point coincides with another, that radius
+    is 0 and no grid starts there: ValueError.
     """
     if space.n < 2:
         raise ValueError("need at least 2 points")
     d = space.dist
     r_lo = float(space.nearest_neighbor_distances().max())
+    if r_lo == 0:
+        pairs = np.argwhere(np.triu(d == 0, 1))[:5].tolist()
+        raise ValueError(
+            "every point coincides with another, so the perfectness probe has no positive "
+            f"radius to start from; coincident pairs include {pairs}"
+        )
     r_hi = space.diameter()
     grid = []
     r = r_lo

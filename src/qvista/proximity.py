@@ -18,6 +18,7 @@ import numpy as np
 from .covers import (
     CoverSequence,
     VerificationReport,
+    WorstCase,
     bool_product,
     check_lambda,
     maxmin_product,
@@ -118,7 +119,7 @@ class PowerDistortion:
 def _point_proximity_at_level(cover: CoverSequence, level: int) -> np.ndarray:
     """Boolean matrix: pairs occupying tiles X, Y with U_w(X) meeting U_w(Y)."""
     mem = cover.membership(level)
-    return bool_product(mem.T, cover.reach_within(level, 2 * cover.width + 1), mem)
+    return bool_product(mem.T, ~cover.separated(level), mem)
 
 
 def compute_proximity(cover: CoverSequence) -> ProximityTable:
@@ -149,8 +150,7 @@ def infimum_proximity(cover: CoverSequence) -> np.ndarray:
     out = np.full((n, n), depth + 1, dtype=np.int64)
     for lev in range(depth, 0, -1):
         mem = cover.membership(lev)
-        far = ~cover.reach_within(lev, 2 * cover.width + 1)
-        sep = bool_product(mem.T, far, mem)
+        sep = bool_product(mem.T, cover.separated(lev), mem)
         out[sep] = lev
     np.fill_diagonal(out, depth + 1)
     return out
@@ -222,7 +222,7 @@ def check_combinatorially_visual(
     off = ~np.eye(table.n, dtype=bool)
     unresolved_pairs = int(np.count_nonzero((m == sentinel) & off) // 2)
 
-    c_ii = 0.0
+    c_ii, c_iii = WorstCase(0.0), WorstCase(0.0)
     unresolved_tiles = 0
     m_off = np.where(off, m, sentinel)
     for lev in range(cover.depth + 1):
@@ -232,22 +232,16 @@ def check_combinatorially_visual(
         )
         resolved = best < sentinel
         unresolved_tiles += int(np.count_nonzero(~resolved))
-        excess = np.where(resolved, best - lev, -1)
-        i = int(np.argmax(excess))
-        if excess[i] > c_ii:
-            c_ii = float(excess[i])
-            witnesses["ii"] = {"tile": [lev, i], "min_m": int(best[i])}
+        if (at := c_ii.offer(best - lev, where=resolved)) is not None:
+            witnesses["ii"] = {"tile": [lev, at[0]], "min_m": int(best[at])}
 
-    c_iii = 0.0
     for lev in range(cover.depth + 1):
-        sep = np.triu(~cover.reach_within(lev, 2 * cover.width + 1), 1)
+        sep = np.triu(cover.separated(lev), 1)
         if not sep.any():
             continue
         worst = tile_pair_reduce(m, cover.members(lev), np.maximum)
-        a, b = np.unravel_index(int(np.argmax(np.where(sep, worst, -1))), sep.shape)
-        if worst[a, b] - lev > c_iii:
-            c_iii = float(worst[a, b] - lev)
-            witnesses["iii"] = {"tiles": [[lev, int(a)], [lev, int(b)]], "max_m": int(worst[a, b])}
+        if (at := c_iii.offer(worst - lev, where=sep)) is not None:
+            witnesses["iii"] = {"tiles": [[lev, at[0]], [lev, at[1]]], "max_m": int(worst[at])}
 
     need = maxmin_product(m) - m
     c_iv = float(max(need.max(), 0))
@@ -255,8 +249,8 @@ def check_combinatorially_visual(
         witnesses["iv"] = {"triple": _first_triple(m, need)}
 
     return CombinatorialCheck(
-        C_ii=c_ii,
-        C_iii=c_iii,
+        C_ii=c_ii.value,
+        C_iii=c_iii.value,
         C_iv=c_iv,
         unresolved_pairs=unresolved_pairs,
         unresolved_tiles=unresolved_tiles,

@@ -86,9 +86,3 @@ class SpherePoint:
     @classmethod
     def from_complex(cls, z: complex | None) -> "SpherePoint":
         return cls(sphere_from_complex(z))
-
-    def to_complex(self) -> complex | None:
-        return complex_from_sphere(self.vec)
-
-    def distance_to(self, other: "SpherePoint") -> float:
-        return spherical_distance(self, other)

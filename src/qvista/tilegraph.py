@@ -12,10 +12,8 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .covers import CoverSequence, bool_product, check_depth, maxmin_product, tile_pair_reduce
-from .errors import TripleBudgetExceeded, UnknownVertex
+from .errors import UnknownVertex
 from .proximity import ProximityTable
-
-EXACT_TRIPLE_VERTEX_CAP = 400
 
 
 @dataclass
@@ -117,22 +115,16 @@ def hyperbolicity_constant(
 
     Exact mode takes the (max,min) product of the doubled Gromov products:
     one V x V boolean product per distinct product value, at most 2N + 1 of
-    them, instead of a scan of all V^3 triples.  It stays capped at 400
-    vertices.  Sampled mode scans a seeded uniform subset of triples and
-    returns a lower bound on the constant.
+    them, instead of a scan of all V^3 triples.  Sampled mode scans a seeded
+    uniform subset of triples and returns a lower bound on the constant.
     """
-    n = graph.n_vertices
     g2 = graph.gromov2()
     if mode == "exact":
-        if n > EXACT_TRIPLE_VERTEX_CAP:
-            raise TripleBudgetExceeded(
-                f"{n} vertices exceed the exact-mode cap {EXACT_TRIPLE_VERTEX_CAP}"
-            )
         worst = max(0, int((maxmin_product(g2) - g2).max()))
         return worst / 2.0
     if mode == "sampled":
         rng = np.random.default_rng(seed)
-        idx = rng.integers(0, n, size=(sample_triples, 3))
+        idx = rng.integers(0, graph.n_vertices, size=(sample_triples, 3))
         x, y, z = idx[:, 0], idx[:, 1], idx[:, 2]
         need = np.minimum(g2[x, z], g2[z, y]) - g2[x, y]
         return float(need.max()) / 2.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qvista.builder import (
+    ColoredNet,
     adjust_radii,
     build_visual_width0,
     build_visual_width1,
@@ -10,7 +11,7 @@ from qvista.builder import (
 )
 from qvista.covers import verify_visual
 from qvista.errors import DoublingUnbounded, ResolutionExceeded
-from qvista.fixtures import grid_space
+from qvista.fixtures import fixture, grid_space
 from qvista.metricspace import FiniteMetricSpace, Net, maximal_separated_net
 
 
@@ -136,3 +137,101 @@ class TestWidth0:
         space, _ = tree
         with pytest.raises(DoublingUnbounded):
             build_visual_width0(space, 2.0, 3, doubling_cap=8)
+
+
+# -- the loops that adjust_radii, check_dichotomy and the builders replaced --------
+
+
+def adjust_radii_oracle(space, colored):
+    """The widest-gap rule, rebuilding every placed ball for each new member."""
+    net, delta, d = colored.net, colored.net.delta, space.dist
+    order = sorted(range(len(net.members)), key=lambda i: (colored.colors[i], net.members[i]))
+    radii, placed = {}, []
+    for i in order:
+        if colored.colors[i] > 1:
+            x = net.members[i]
+            criticals = []
+            for j in placed:
+                ball_y = np.flatnonzero(d[net.members[j]] < radii[j] * delta)
+                dy = float(d[x, ball_y].min()) / delta
+                if 1.0 <= dy < 2.0:
+                    criticals.append(dy)
+            cuts = [1.0] + sorted(criticals) + [2.0]
+            k = int(np.argmax(np.diff(cuts)))
+            radii[i] = 0.5 * (cuts[k] + cuts[k + 1])
+        else:
+            radii[i] = 1.0
+        placed.append(i)
+    return tuple(radii[i] for i in range(len(net.members)))
+
+
+def check_dichotomy_oracle(space, colored):
+    """The pair loop: the first pair (i, j), i < j, of disjoint balls closer than C delta."""
+    net, delta, d = colored.net, colored.net.delta, space.dist
+    C = colored.separation_constant
+    balls = [np.flatnonzero(d[m] < r * delta) for m, r in zip(net.members, colored.radii)]
+    for i in range(len(balls)):
+        for j in range(i + 1, len(balls)):
+            cross = d[np.ix_(balls[i], balls[j])]
+            if cross.min() > 0 and not np.intersect1d(balls[i], balls[j]).size:
+                if cross.min() < C * delta:
+                    return False, {"pair": [int(net.members[i]), int(net.members[j])],
+                                   "dist": float(cross.min()), "required": C * delta}
+    return True, {}
+
+
+def net_ball_levels_oracle(space, lam, depth, width):
+    """Both builders' level loops, before they shared one."""
+    levels = [[tuple(range(space.n))]]
+    for n in range(1, depth + 1):
+        scale = lam ** (-n)
+        net = maximal_separated_net(space, scale)
+        if width == 1:
+            radii = [2.0] * len(net.members)
+        else:
+            radii = adjust_radii_oracle(space, color_separated_set(space, net))
+        fam, seen = [], set()
+        for x, r in zip(net.members, radii):
+            members = tuple(int(i) for i in np.flatnonzero(space.dist[x] < r * scale))
+            if members not in seen:
+                seen.add(members)
+                fam.append(members)
+        levels.append(fam)
+    return levels
+
+
+def gasket_space():
+    return fixture("sierpinski_gasket", depth=1, sample_depth=4)[0]
+
+
+@pytest.mark.parametrize("space, deltas", [
+    (integer_grid(60), [1.0, 2.0, 3.5]),
+    (gasket_space(), [2.0 ** -2, 2.0 ** -3, 2.0 ** -4]),
+], ids=["integer-grid", "gasket"])
+def test_radii_and_dichotomy_match_pair_loops(space, deltas):
+    rng = np.random.default_rng(3)
+    for delta in deltas:
+        colored = color_separated_set(space, maximal_separated_net(space, delta))
+        filled = adjust_radii(space, colored)
+        assert filled.radii == adjust_radii_oracle(space, colored)
+        assert check_dichotomy(space, filled) == check_dichotomy_oracle(space, filled)
+        # one class (C = 1/2) and radii drawn at random break the dichotomy
+        # on most of these nets: the same first witness
+        for _ in range(3):
+            drawn = ColoredNet(net=colored.net, colors=(1,) * len(colored.colors),
+                               radii=tuple(rng.uniform(1.0, 2.0, len(colored.colors))))
+            assert check_dichotomy(space, drawn) == check_dichotomy_oracle(space, drawn)
+
+
+@pytest.mark.parametrize("width", [0, 1])
+@pytest.mark.parametrize("name, lam, depth", [("grid", 2.0, 4), ("cantor", 3.0, 3),
+                                              ("gasket", 2.0, 3)])
+def test_builders_match_level_loops(request, width, name, lam, depth):
+    space = {"grid": lambda: request.getfixturevalue("grid101"),
+             "cantor": lambda: request.getfixturevalue("cantor")[0],
+             "gasket": gasket_space}[name]()
+    build = build_visual_width1 if width == 1 else build_visual_width0
+    cover = build(space, lam, depth)
+    assert cover.to_dict()["levels"] == [
+        [list(t) for t in fam] for fam in net_ball_levels_oracle(space, lam, depth, width)
+    ]

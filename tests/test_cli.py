@@ -10,14 +10,19 @@ import pytest
 from qvista.cli import main
 
 
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's ``qvista``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
+
+
 def scipy_modules_after(code: str) -> str:
     """The sorted list of scipy modules, as printed, that a fresh interpreter
     has loaded once ``code`` has run."""
     code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
+    out = run_python("-c", code, check=True)
     return out.stdout.strip().splitlines()[-1]
 
 
@@ -374,6 +379,8 @@ FIXTURE = ["--depth", "0", "--sample-depth", "-1",
                  ["cover radius must be positive, got 0.0"], id="julia-cover-radius-0"),
     pytest.param([*JULIA, "--cover-radius", "-1", *OUT],
                  ["cover radius must be positive, got -1.0"], id="julia-cover-radius-neg"),
+    pytest.param([*JULIA, "--cover-radius", "4", *OUT],
+                 ["cover radius must be below pi", "got 4.0"], id="julia-cover-radius-4"),
     pytest.param([*JULIA, "--degree-probes", "-2", *OUT],
                  ["degree_probes must be non-negative, got -2"], id="julia-degree-probes-neg"),
     pytest.param(["tilegraph", "--cover", "{built}", "--space", "{space}", "--cluster-r", "-1", *OUT],
@@ -398,3 +405,18 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, words):
     code = main([a.format(dir=tmp_path, space=space, built=built) for a in argv])
     assert_usage_error(capsys, code, *words)
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("args", [["--depth", "0"], ["--width", "0", "--depth", "1"]],
+                         ids=["width1-depth0", "width0-depth1"])
+def test_build_on_coincident_twins_is_usage_error(tmp_path, args):
+    """Every point of {0, 0, 1, 1} has a coincident twin, so the perfectness
+    probe has no radius to start from; the build must stop, not hang."""
+    space = tmp_path / "twins.json"
+    space.write_text(json.dumps({"n": 4, "dist": [[0, 0, 1, 1], [0, 0, 1, 1],
+                                                  [1, 1, 0, 0], [1, 1, 0, 0]]}))
+    out = run_python("-m", "qvista.cli", "build", "--space", str(space), "--lambda", "2",
+                     *args, "--out", str(tmp_path / "out.json"), timeout=60)
+    assert out.returncode == 2
+    assert out.stderr.startswith("qvista: error:") and "Traceback" not in out.stderr
+    assert "coincident pairs include [[0, 1], [2, 3]]" in out.stderr

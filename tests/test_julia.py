@@ -315,9 +315,11 @@ class TestCovers:
         assert 8 <= len(v1) <= 16
         assert all(r.sample_points for r in v1)
 
-    def test_full_sphere_radius_single_region(self, zsq, zsq_sample):
-        pull = admissible_cover(zsq, zsq_sample, np.pi + 0.1, grid=SphereGrid(K=256))
-        assert len(pull.families[0]) == 1
+    @pytest.mark.parametrize("radius", [np.pi, np.pi + 0.1], ids=["pi", "pi+0.1"])
+    def test_full_sphere_radius_is_rejected(self, zsq, zsq_sample, radius):
+        """A ball of radius pi holds all of the sphere but one point: never a cover to pull back."""
+        with pytest.raises(ValueError, match="below pi"):
+            admissible_cover(zsq, zsq_sample, radius, grid=SphereGrid(K=256))
 
     def test_pullback_counts_double(self, zsq_pull):
         counts = [len(f) for f in zsq_pull.families]

@@ -5,7 +5,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from qvista.covers import CoverSequence, verify_quasi_visual
-from qvista.errors import TripleBudgetExceeded, UnknownVertex
+from qvista.errors import UnknownVertex
 from qvista.fixtures import fixture
 from qvista.proximity import check_combinatorially_visual, compute_proximity
 from qvista.tilegraph import (
@@ -157,13 +157,13 @@ class TestHyperbolicity:
         sampled = hyperbolicity_constant(g, mode="sampled", sample_triples=50_000, seed=1)
         assert sampled <= exact
 
-    def test_budget_cap(self):
+    def test_exact_mode_has_no_vertex_cap(self):
         _, cover = fixture("cantor", depth=8, sample_depth=8)
         g = build_tile_graph(cover)
         assert g.n_vertices > 400
-        with pytest.raises(TripleBudgetExceeded):
-            hyperbolicity_constant(g, mode="exact")
-        assert np.isfinite(hyperbolicity_constant(g, mode="sampled", sample_triples=10_000))
+        exact = hyperbolicity_constant(g, mode="exact")
+        assert exact == hyperbolicity_oracle(g)
+        assert hyperbolicity_constant(g, mode="sampled", sample_triples=10_000) <= exact
 
 
 def hyperbolicity_oracle(graph):

@@ -1,9 +1,10 @@
-"""The within-tile reductions against the per-tile loops they replace.
+"""The within-tile reductions and worst-case scans against the loops they replace.
 
 Each oracle below is the loop a verifier ran before it was rebuilt on
-``tile_reduce``; every constant and witness must come out exactly equal, on
-the fixture covers, on a cover with zero-diameter tiles (the inf paths), on a
-Julia cover and on random covers.
+``tile_reduce`` or ``WorstCase``; every constant and witness must come out
+exactly equal, on the fixture covers, on a cover with zero-diameter tiles (the
+inf paths), on a Julia cover and on random covers (whose coincident points
+put NaN ratios in the scans).
 """
 
 import numpy as np
@@ -15,10 +16,13 @@ from qvista.boundary import boundary_metric, natural_geodesic
 from qvista.covers import (
     RESOLUTION_FLOOR_NN,
     CoverSequence,
+    WorstCase,
     _resolved_tile_masks,
     ball_tile_comparability,
     quasiball_check,
+    tile_pair_reduce,
     tile_reduce,
+    verify_quasi_visual,
     verify_visual,
 )
 from qvista.fixtures import fixture
@@ -159,6 +163,116 @@ def deepest_oracle(cover, graph, tie_break):
     return deepest
 
 
+def ratio_oracle(num, den):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den == 0, np.where(num == 0, 1.0, np.inf), num / den)
+
+
+def first_max(ratio):
+    return tuple(map(int, np.unravel_index(int(np.argmax(ratio)), ratio.shape)))
+
+
+def visual_scans_oracle(cover):
+    """verify_visual's per-level argmax loops: {condition: (best, witness)}."""
+    lam = cover.visual_parameter
+    c1_best, c1_wit = 0.0, None
+    c2_best, c2_wit = 0.0, None
+    for lev, fam in enumerate(cover.levels):
+        scale = lam ** (-lev)
+        diams = cover.diams(lev)
+        c1 = np.maximum(diams / scale, ratio_oracle(scale, diams))
+        i = int(np.argmax(c1))
+        if c1[i] > c1_best:
+            c1_best, c1_wit = float(c1[i]), {"tile": [lev, i], "diam": float(diams[i])}
+        if len(fam) > 1:
+            sep = ~cover.reach_within(lev, 2 * cover.width + 1)
+            if sep.any():
+                dists = cover.pair_distances(lev)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = np.where(sep, scale / dists, 0.0)
+                i, j = first_max(ratio)
+                if ratio[i, j] > c2_best:
+                    c2_best = float(ratio[i, j])
+                    c2_wit = {"tiles": [[lev, i], [lev, j]], "dist": float(dists[i, j])}
+    return {"visual.diam": (c1_best, c1_wit), "visual.separation": (c2_best, c2_wit)}
+
+
+def quasi_scans_oracle(cover):
+    """verify_quasi_visual's per-level argmax loops for (i), (ii) and (iii),
+    and the by-level-pair maxima of (iii)."""
+    c1_best, c1_wit = 1.0, None
+    c2_best, c2_wit = 0.0, None
+    c3_best, c3_wit = 1.0, None
+    by_pair = {}
+    for lev, fam in enumerate(cover.levels):
+        diams = cover.diams(lev)
+        if len(fam) > 1:
+            adj = cover.meets(lev, lev) & ~np.eye(len(fam), dtype=bool)
+            if adj.any():
+                ratio = np.where(adj, ratio_oracle(diams[:, None], diams[None, :]), 0.0)
+                i, j = first_max(ratio)
+                if ratio[i, j] > c1_best:
+                    c1_best = float(ratio[i, j])
+                    c1_wit = {"tiles": [[lev, i], [lev, j]], "ratio": c1_best}
+            sep = ~cover.reach_within(lev, 2 * cover.width + 1)
+            if sep.any():
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = np.where(sep, diams[:, None] / cover.pair_distances(lev), 0.0)
+                i, j = first_max(ratio)
+                if ratio[i, j] > c2_best:
+                    c2_best = float(ratio[i, j])
+                    c2_wit = {"tiles": [[lev, i], [lev, j]], "ratio": c2_best}
+        if lev + 1 <= cover.depth:
+            inter = cover.meets(lev, lev + 1)
+            if inter.any():
+                d_up, d_dn = diams[:, None], cover.diams(lev + 1)[None, :]
+                ratio = np.where(
+                    inter, np.maximum(ratio_oracle(d_up, d_dn), ratio_oracle(d_dn, d_up)), 0.0
+                )
+                i, j = first_max(ratio)
+                by_pair[f"{lev},{lev + 1}"] = float(ratio[i, j])
+                if ratio[i, j] > c3_best:
+                    c3_best = float(ratio[i, j])
+                    c3_wit = {"tiles": [[lev, i], [lev + 1, j]], "ratio": c3_best,
+                              "level_pair": [lev, lev + 1]}
+    return {"qv.i": (c1_best, c1_wit), "qv.ii": (c2_best, c2_wit),
+            "qv.iii": (c3_best, c3_wit)}, by_pair
+
+
+def combinatorial_scans_oracle(cover, table):
+    """check_combinatorially_visual's per-level argmax loops for (ii) and (iii)."""
+    m, sentinel = table.m, table.sentinel
+    off = ~np.eye(table.n, dtype=bool)
+    m_off = np.where(off, m, sentinel)
+    c_ii, c_iii, wit = 0.0, 0.0, {}
+    for lev in range(cover.depth + 1):
+        best = tile_reduce(m_off, cover.members(lev), np.minimum).min(
+            axis=1, where=cover.membership(lev), initial=sentinel
+        )
+        excess = np.where(best < sentinel, best - lev, -1)
+        i = int(np.argmax(excess))
+        if excess[i] > c_ii:
+            c_ii = float(excess[i])
+            wit["ii"] = {"tile": [lev, i], "min_m": int(best[i])}
+    for lev in range(cover.depth + 1):
+        sep = np.triu(~cover.reach_within(lev, 2 * cover.width + 1), 1)
+        if not sep.any():
+            continue
+        worst = tile_pair_reduce(m, cover.members(lev), np.maximum)
+        a, b = first_max(np.where(sep, worst, -1))
+        if worst[a, b] - lev > c_iii:
+            c_iii = float(worst[a, b] - lev)
+            wit["iii"] = {"tiles": [[lev, a], [lev, b]], "max_m": int(worst[a, b])}
+    return c_ii, c_iii, wit
+
+
+def assert_records_match(report, scans):
+    for name, (best, wit) in scans.items():
+        rec = report.condition(name)
+        assert rec.constant == (best if np.isfinite(best) else None), name
+        assert rec.witness == wit, name
+
+
 # -- covers ------------------------------------------------------------------------
 
 
@@ -225,11 +339,20 @@ def assert_all_match(cover):
     c_ii, unresolved_tiles, wit_ii = c_ii_oracle(cover, table)
     assert (check.C_ii, check.unresolved_tiles) == (c_ii, unresolved_tiles)
     assert check.witnesses.get("ii") == wit_ii
+    c_ii, c_iii, wit = combinatorial_scans_oracle(cover, table)
+    assert (check.C_ii, check.C_iii) == (c_ii, c_iii)
+    assert {k: v for k, v in check.witnesses.items() if k != "iv"} == wit
     for lam in (1.5, 3.0):
         rec = verify_visual(with_lambda(cover, lam)).condition("visual.diam")
         best, wit = visual_diam_oracle(with_lambda(cover, lam))
         assert rec.constant == (float(best) if np.isfinite(best) else None)
         assert rec.witness == wit
+        assert_records_match(verify_visual(with_lambda(cover, lam)),
+                             visual_scans_oracle(with_lambda(cover, lam)))
+    report = verify_quasi_visual(cover)
+    scans, by_pair = quasi_scans_oracle(cover)
+    assert_records_match(report, scans)
+    assert report.condition("qv.iii").details["by_level_pair"] == by_pair
 
 
 def test_verifiers_match_per_tile_loops(cover):
@@ -280,3 +403,16 @@ def test_tile_reduce_matches_member_reductions():
         got = tile_reduce(mat, members, reduce)
         assert got.dtype == mat.dtype
         assert np.array_equal(got, np.array([reduce.reduce(mat[idx], axis=0) for idx in members]))
+
+
+def test_worst_case_keeps_the_first_strict_maximum():
+    worst = WorstCase(1.0)
+    assert worst.offer(np.array([0.5, 1.0])) is None  # ties the floor
+    assert worst.offer(np.array([[0.0, 3.0], [3.0, 2.0]])) == (0, 1)
+    assert worst.offer(np.array([3.0])) is None  # ties the value so far
+    assert worst.offer(np.array([9.0, 4.0]), where=np.array([False, True])) == (1,)
+    assert worst.value == 4.0
+    assert worst.offer(np.array([5.0, np.nan, 7.0])) is None  # argmax stops at the NaN
+    assert worst.offer(np.array([np.inf, 5.0])) == (0,) and worst.value == np.inf
+    below = WorstCase(-5.0)  # masked-out entries never win, whatever the floor
+    assert below.offer(np.array([-1.0, -2.0]), where=np.array([False, True])) == (1,)
