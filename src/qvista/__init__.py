@@ -11,7 +11,6 @@ from .metricspace import (  # noqa: F401
     FiniteMetricSpace,
     Net,
     ValidationResult,
-    doubling_probe,
     maximal_separated_net,
     uniform_perfectness_probe,
     validate_metric,
@@ -20,11 +19,8 @@ from .covers import (  # noqa: F401
     CoverSequence,
     Tile,
     VerificationReport,
-    ball_tile_comparability,
     derive_rho_tau_nu,
     quasiball_check,
-    u_w_neighborhood,
     verify_quasi_visual,
     verify_visual,
 )
-from .sphere import SpherePoint, spherical_distance  # noqa: F401

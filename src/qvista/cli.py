@@ -11,6 +11,12 @@ exits 1 on a verification FAIL, with its report still written:
 - ``boundary``: the boundary map is not injective;
 - ``julia``: the dynamical cover FAILs.
 
+Two reports carry a structural check of the paper that sets no exit code:
+``verify --mode quasi`` writes ``quasiball: {r0, R0}``, the constants with
+B(x, r0 diam X) <= U_{2w+1}(X) <= B(x, R0 diam X) for every tile X and member
+x; ``tilegraph --cluster-r r`` writes ``graph_map: {ok, violations}``, the
+rough-similarity bounds of the map from tiles to their radius-r clusters.
+
 ``fixture``, ``build`` and ``proximity`` have no verdict and exit 0.  Only
 ``verify`` and ``qscheck`` write to stdout, and only without ``--out``: the
 bytes the ``--out`` file would hold.
@@ -25,7 +31,14 @@ import numpy as np
 
 from . import fixtures
 from .builder import build_visual_width0, build_visual_width1
-from .covers import CoverSequence, check_depth, load_thresholds, verify_quasi_visual, verify_visual
+from .covers import (
+    CoverSequence,
+    check_depth,
+    load_thresholds,
+    quasiball_check,
+    verify_quasi_visual,
+    verify_visual,
+)
 from .errors import QvistaError
 from .metricspace import FiniteMetricSpace
 from .proximity import (
@@ -39,6 +52,7 @@ from .tilegraph import (
     build_tile_graph,
     cluster_cover_sequence,
     compare_m_gromov,
+    graph_map_check,
     hyperbolicity_constant,
 )
 from .boundary import boundary_metric, phi_injectivity_check, phi_regularity_check
@@ -203,9 +217,13 @@ def _dispatch(args, seed: int) -> int:
 
     if cmd == "verify":
         thresholds = load_thresholds(args.thresholds) if args.thresholds else None
-        verify = verify_visual if args.mode == "visual" else verify_quasi_visual
-        report = verify(cover, thresholds=thresholds)
-        return _emit(args.out, report, report.passed,
+        if args.mode == "visual":
+            report = result = verify_visual(cover, thresholds=thresholds)
+        else:
+            report = verify_quasi_visual(cover, thresholds=thresholds)
+            r0, R0 = quasiball_check(cover)
+            result = {**report.to_dict(), "quasiball": {"r0": r0, "R0": R0}}
+        return _emit(args.out, result, report.passed,
                      manifest((args.space, args.cover), mode=args.mode, thresholds=thresholds),
                      args.format)
 
@@ -235,7 +253,9 @@ def _dispatch(args, seed: int) -> int:
         passed = True
         if args.cluster_r is not None:
             clustered = verify_quasi_visual(cluster_cover_sequence(graph, args.cluster_r))
-            result.update(cluster_r=args.cluster_r, cluster_quasi_visual=clustered)
+            ok, violations = graph_map_check(graph, args.cluster_r)
+            result.update(cluster_r=args.cluster_r, cluster_quasi_visual=clustered,
+                          graph_map={"ok": ok, "violations": violations})
             passed = clustered.passed
         return _emit(args.out, result, passed,
                      manifest((args.cover,), hyperbolicity=args.hyperbolicity,

@@ -323,19 +323,6 @@ class CoverSequence:
             return cls.from_dict(json.load(fh), space)
 
 
-def u_w_neighborhood(cover: CoverSequence, tile: Tile | tuple[int, int], w: int) -> list[Tile]:
-    """Tiles reachable from ``tile`` by a same-level chain of length <= w.
-
-    U_0(X) = {X}; the family is non-decreasing in w.
-    """
-    if isinstance(tile, tuple):
-        tile = cover.tile(*tile)
-    else:
-        cover.tile(tile.level, tile.index)  # raises UnknownTile if foreign
-    reach = cover.reach_within(tile.level, w)[tile.index]
-    return [cover.levels[tile.level][i] for i in np.flatnonzero(reach)]
-
-
 # -- reports ---------------------------------------------------------------
 
 
@@ -419,8 +406,8 @@ class WorstCase:
     Starts at ``floor``.  Each ``offer`` takes the row-major first maximum of
     ``values`` over the mask ``where`` and keeps it only when it strictly
     beats the value so far, so the witness is the first worst case in scan
-    order.  A NaN at the first maximum keeps nothing, as ``argmax`` then
-    stops at the NaN.
+    order.  NaN entries (a 0/0 ratio) are masked out: they are no violation,
+    and a worse entry elsewhere in the offer still wins.
     """
 
     def __init__(self, floor: float):
@@ -429,8 +416,10 @@ class WorstCase:
 
     def offer(self, values: np.ndarray, where: np.ndarray | None = None) -> tuple[int, ...] | None:
         """The index of the new worst case, or None when the offer keeps nothing."""
+        keep = ~np.isnan(values)
         if where is not None:
-            values = np.where(where, values, -np.inf)
+            keep &= where
+        values = np.where(keep, values, -np.inf)
         at = np.unravel_index(int(np.argmax(values)), values.shape)
         if not values[at] > self.value:
             return None
@@ -679,17 +668,3 @@ def quasiball_check(cover: CoverSequence) -> tuple[float, float]:
     if not np.isfinite(r0):
         r0 = R0
     return float(r0), float(R0)
-
-
-def ball_tile_comparability(cover: CoverSequence, R: float) -> float:
-    """Best constant C(R) with diam(X) ~ diam(Y) whenever Y meets B(x, R diam X)."""
-    d = cover.space.dist
-    best = 1.0
-    for lev in range(cover.depth + 1):
-        diams = cover.diams(lev)
-        # points inside some B(x, R diam X), per tile X; none when diam X = 0
-        near = tile_reduce(d, cover.members(lev), np.minimum) < R * diams[:, None]
-        meets = bool_product(near, cover.membership(lev).T)
-        ratio = _comparability(diams[:, None], diams)
-        best = max(best, float(ratio.max(where=meets, initial=0.0)))
-    return float(best)

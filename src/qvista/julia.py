@@ -666,83 +666,3 @@ def _offset_on_chart(w0: complex, ds: float) -> complex:
     # move ds along the sphere in a fixed direction, via the chart factor
     factor = (1.0 + abs(w0) ** 2) / 2.0
     return w0 + ds * factor * np.exp(0.7j)
-
-
-def _component_near(grid: SphereGrid, w: complex, comps: list[np.ndarray]) -> int | None:
-    """Index of the first component that holds w's canonical cell or its
-    twin, or whose cell subsample comes within 4 grid steps of w."""
-    if not np.isfinite(w):
-        w = np.inf + 0j
-    cell = grid.canonical_flat(np.array([w]))
-    _query, hit = locate_cells(np.append(cell, grid.twin_flat()[cell]), comps)
-    vec = _vecs_of(np.array([w]))[0]
-    for k, comp in enumerate(comps):
-        if k in hit:
-            return k
-        v = grid.cell_unit_vectors(_cell_subsample(comp))
-        if float(np.arccos(np.clip(v @ vec, -1, 1)).min()) <= 4.0 * grid.step:
-            return k
-    return None
-
-
-def distortion_probe(
-    map_: RationalMap,
-    sample: JuliaSample,
-    n_configs: int = 8,
-    n_level: int = 3,
-    r0: float = 0.3,
-    seed: int = 0,
-    grid: SphereGrid | None = None,
-) -> dict:
-    """Tabulate diam ratios of nested pull-back components against the image scale.
-
-    For seeded sample centers w0, the component of g^-n(B(w0, s*r0/2))
-    containing a tracked preimage of w0, for s in 0.2, 0.4, ..., 1, is
-    compared against the component for s = 1; the envelope of ratios over
-    the image-scale bins must be non-decreasing and vanish at 0 within
-    binning noise.
-    """
-    grid = grid or SphereGrid(K=1024)
-    rng = np.random.default_rng(seed)
-    preimage = inverse_image(map_.image_cells(grid))
-    rows = []
-    centers = rng.choice(sample.n, size=min(n_configs, sample.n), replace=False)
-    for ci in centers:
-        w0 = sample.z[ci]
-        if not np.isfinite(w0):
-            continue
-        # track one preimage branch of w0 for n_level steps
-        branch = [complex(w0)]
-        for _ in range(n_level):
-            roots, _m = map_.preimages(branch[-1])
-            finite = roots[np.isfinite(roots)]
-            if not finite.size:
-                break
-            branch.append(complex(finite[np.argmin(np.abs(finite))]))
-        if len(branch) < n_level + 1:
-            continue
-        diams = {}
-        for s in (0.2, 0.4, 0.6, 0.8, 1.0):
-            radius = 0.5 * s * r0
-            comp_cells = grid.raster_spherical_ball(sample.vecs[ci], radius)
-            for k in range(n_level):
-                comps = grid.components(preimage(comp_cells))
-                holding = _component_near(grid, branch[k + 1], comps)
-                if holding is None:
-                    break
-                comp_cells = comps[holding]
-            else:
-                diams[s] = _cells_diam(grid, comp_cells)
-        if 1.0 not in diams or diams[1.0] == 0:
-            continue
-        for s, dm in diams.items():
-            rows.append({"t": float(s), "ratio": float(dm / diams[1.0])})
-    bins: dict[float, float] = {}
-    for row in rows:
-        bins[row["t"]] = max(bins.get(row["t"], 0.0), row["ratio"])
-    ts = sorted(bins)
-    envelope = [bins[t] for t in ts]
-    monotone = all(
-        envelope[i + 1] >= envelope[i] * 0.75 for i in range(len(envelope) - 1)
-    )
-    return {"rows": rows, "envelope": dict(zip(map(str, ts), envelope)), "monotone": monotone}

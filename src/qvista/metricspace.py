@@ -197,57 +197,6 @@ def greedy_separated_subset(dist: np.ndarray, candidates: Iterable[int], delta: 
     return kept
 
 
-def separated_count_in_ball(
-    space: FiniteMetricSpace, center: int, radius: float, lam: float
-) -> int:
-    """Greedy count of a lam*radius-separated subset of the open ball B(center, radius)."""
-    ball = np.flatnonzero(space.dist[center] < radius)
-    return len(greedy_separated_subset(space.dist, ball, lam * radius))
-
-
-def _dyadic_radii(space: FiniteMetricSpace) -> list[float]:
-    diam = space.diameter()
-    floor = space.min_positive_distance()
-    if diam <= 0:
-        return []
-    radii = []
-    r = diam
-    while r >= max(floor, diam * 1e-12):
-        radii.append(r)
-        r /= 2.0
-    return radii
-
-
-def doubling_probe(
-    space: FiniteMetricSpace,
-    lam: float,
-    sample_balls: int | None = None,
-    seed: int = 0,
-) -> int:
-    """Max size of a greedy lam*r-separated subset over sampled balls B(x, r).
-
-    With ``sample_balls=None`` the scan is exhaustive over all centers and a
-    dyadic radius grid.  Otherwise a seeded prefix of a fixed shuffle of that
-    grid is used, so the result is monotone non-decreasing in ``sample_balls``.
-    A bounded return value (independent of scale) is evidence of doubling;
-    growth with depth flags a non-doubling space.
-    """
-    if not 0 < lam < 1:
-        raise ValueError("lam must lie in (0,1)")
-    if space.n <= 1:
-        return min(space.n, 1)
-    radii = _dyadic_radii(space)
-    balls = [(c, r) for r in radii for c in range(space.n)]
-    if sample_balls is not None:
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(balls))
-        balls = [balls[i] for i in order[: max(1, sample_balls)]]
-    best = 1
-    for center, radius in balls:
-        best = max(best, separated_count_in_ball(space, center, radius, lam))
-    return best
-
-
 @dataclass(frozen=True)
 class PerfectnessProbe:
     """Largest annulus constant certified on a finite radius grid.

@@ -139,23 +139,6 @@ def compute_proximity(cover: CoverSequence) -> ProximityTable:
     return ProximityTable(m=m, width=cover.width, truncation=depth)
 
 
-def infimum_proximity(cover: CoverSequence) -> np.ndarray:
-    """The infimum variant m': first level at which some tiles of the two
-    points are already width-w separated (sentinel N+1 when none is).
-
-    Exposed read-only; satisfies m' <= m + 1.
-    """
-    n = cover.n_points
-    depth = cover.depth
-    out = np.full((n, n), depth + 1, dtype=np.int64)
-    for lev in range(depth, 0, -1):
-        mem = cover.membership(lev)
-        sep = bool_product(mem.T, cover.separated(lev), mem)
-        out[sep] = lev
-    np.fill_diagonal(out, depth + 1)
-    return out
-
-
 @dataclass
 class CombinatorialCheck:
     """Constants for the four combinatorial conditions on the proximity function.
@@ -410,33 +393,6 @@ def synthesize_visual_metric(
     bound.visual_parameter = float(lam)
     report = verify_visual(bound, thresholds=thresholds)
     return space, report
-
-
-def visual_characterization_check(
-    cover: CoverSequence,
-    space_metric: FiniteMetricSpace,
-    lam: float,
-    threshold: float = 64.0,
-) -> tuple[float, bool]:
-    """Best comparability constant between d(x,y) and lam^-m(x,y).
-
-    Pairs unresolved at the truncation are excluded.  Given quasi-visuality,
-    a bounded constant here is the criterion for the cover being visual for
-    d with parameter lam.
-    """
-    table = compute_proximity(cover)
-    m = table.m
-    d = space_metric.dist
-    mask = table.certified() & ~np.eye(table.n, dtype=bool)
-    if not mask.any():
-        return np.inf, False
-    scale = float(lam) ** (-m[mask].astype(float))
-    vals = d[mask]
-    if np.any(vals <= 0):
-        return np.inf, False
-    ratio = np.maximum(vals / scale, scale / vals)
-    best = float(ratio.max())
-    return best, best <= threshold
 
 
 def fit_power_quasisymmetry(

@@ -9,11 +9,7 @@ the sphere has diameter pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-UNIT_TOL = 1e-12
 
 
 def sphere_from_complex(z: complex | None) -> np.ndarray:
@@ -25,15 +21,6 @@ def sphere_from_complex(z: complex | None) -> np.ndarray:
         return np.array([0.0, 0.0, 1.0])
     s = abs(z) ** 2
     return np.array([2.0 * z.real, 2.0 * z.imag, s - 1.0]) / (s + 1.0)
-
-
-def complex_from_sphere(v: np.ndarray) -> complex | None:
-    """Inverse chart map; returns None for the point at infinity."""
-    v = np.asarray(v, dtype=float)
-    w = 1.0 - v[2]
-    if w <= UNIT_TOL:
-        return None
-    return complex(v[0] / w, v[1] / w)
 
 
 def sphere_from_complex_array(z: np.ndarray) -> np.ndarray:
@@ -48,15 +35,6 @@ def sphere_from_complex_array(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def spherical_distance(p, q) -> float:
-    """Great-circle distance (the angle, in [0, pi]) between two sphere points."""
-    u = p.vec if isinstance(p, SpherePoint) else np.asarray(p, dtype=float)
-    v = q.vec if isinstance(q, SpherePoint) else np.asarray(q, dtype=float)
-    cross = np.linalg.norm(np.cross(u, v))
-    dot = float(np.dot(u, v))
-    return float(np.arctan2(cross, dot))
-
-
 def spherical_dist_matrix(vecs: np.ndarray) -> np.ndarray:
     """Pairwise great-circle distances for an (n,3) array of unit vectors."""
     vecs = np.asarray(vecs, dtype=float)
@@ -66,23 +44,3 @@ def spherical_dist_matrix(vecs: np.ndarray) -> np.ndarray:
     d = np.arctan2(cross, dot)
     np.fill_diagonal(d, 0.0)
     return d
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point of the Riemann sphere as a unit 3-vector."""
-
-    vec: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vec, dtype=float)
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"not a unit vector (norm {norm!r})")
-        v = v / norm  # renormalize residual float noise below UNIT_TOL
-        v.flags.writeable = False
-        object.__setattr__(self, "vec", v)
-
-    @classmethod
-    def from_complex(cls, z: complex | None) -> "SpherePoint":
-        return cls(sphere_from_complex(z))

@@ -99,12 +99,6 @@ def build_tile_graph(cover: CoverSequence) -> TileGraph:
     return TileGraph(cover)
 
 
-def gromov_product(graph: TileGraph, x: tuple[int, int], y: tuple[int, int]) -> float:
-    """Gromov product of two tiles with respect to the root tile."""
-    i, j = graph.vertex(x), graph.vertex(y)
-    return 0.5 * float(graph.levels[i] + graph.levels[j] - graph.dist[i, j])
-
-
 def hyperbolicity_constant(
     graph: TileGraph,
     mode: str = "exact",
@@ -218,57 +212,31 @@ def cluster_cover_sequence(graph: TileGraph, r: int, width: int = 1) -> CoverSeq
     )
 
 
-@dataclass
-class ClusterGraph:
-    """The graph of radius-r neighborhood clusters, one vertex per source tile.
-
-    Two clusters are joined when their source tiles lie within 2r+1 of each
-    other in the source graph: a cluster spans 2r+1 levels worth of tiles, so
-    this is the incidence at the cluster scale.  For r = 0 it coincides with
-    the source tile graph.  (Joining clusters by bare point-set intersection
-    instead would over-connect through the low-level clusters that already
-    swallow the whole space, and under-connect across levels; neither variant
-    satisfies the rough-similarity bounds this graph is built to realize.)
-    """
-
-    source: TileGraph
-    r: int
-    dist: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.dist = hop_distances(self.source.dist <= 2 * self.r + 1).astype(np.int64)
-
-    @property
-    def vertex_ids(self):
-        return self.source.vertex_ids
-
-
-def cluster_tile_graph(graph: TileGraph, r: int) -> ClusterGraph:
-    return ClusterGraph(source=graph, r=r)
-
-
-def graph_map_check(
-    graph_x: TileGraph, graph_v: ClusterGraph, r: int
-) -> tuple[bool, list]:
+def graph_map_check(graph: TileGraph, r: int) -> tuple[bool, list]:
     """Exact integer check of the rough-similarity bounds for X -> V_r(X):
 
         |X - Y| <= (2r+1) |V(X) - V(Y)|  and  (2r+1) |V(X) - V(Y)| <= |X - Y| + (2r+1).
+
+    |V(X) - V(Y)| is the hop distance in the cluster graph, one vertex per
+    source tile, where two clusters are joined when their source tiles lie
+    within 2r+1 of each other: a cluster spans 2r+1 levels worth of tiles, so
+    this is the incidence at the cluster scale, and for r = 0 it is the tile
+    graph itself.  (Joining clusters by bare point-set intersection instead
+    would over-connect through the low-level clusters that already swallow
+    the whole space, and under-connect across levels.)
     """
-    if graph_v.r != r or graph_v.source is not graph_x:
-        raise ValueError("cluster graph does not belong to the source graph at this radius")
-    dx = graph_x.dist
-    dv = graph_v.dist
+    check_depth(r, "cluster radius r")
     q = 2 * r + 1
-    bad_lower = dx > q * dv
-    bad_upper = q * dv > dx + q
+    dx = graph.dist
+    dv = hop_distances(dx <= q).astype(np.int64)  # connected: dx <= q holds the tile edges
     violations = []
-    for name, bad in (("lower", bad_lower), ("upper", bad_upper)):
+    for name, bad in (("lower", dx > q * dv), ("upper", q * dv > dx + q)):
         if bad.any():
             i, j = map(int, np.unravel_index(int(np.argmax(bad)), bad.shape))
             violations.append(
                 {
                     "bound": name,
-                    "vertices": [list(graph_x.vertex_ids[i]), list(graph_x.vertex_ids[j])],
+                    "vertices": [list(graph.vertex_ids[i]), list(graph.vertex_ids[j])],
                     "dist_x": int(dx[i, j]),
                     "dist_v": int(dv[i, j]),
                 }

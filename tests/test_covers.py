@@ -7,14 +7,12 @@ from scipy.sparse.csgraph import connected_components as scipy_components
 from qvista.covers import (
     THRESHOLD_KEYS,
     CoverSequence,
-    ball_tile_comparability,
     bool_product,
     connected_components,
     derive_rho_tau_nu,
     maxmin_product,
     quasiball_check,
     tile_pair_reduce,
-    u_w_neighborhood,
     verify_quasi_visual,
     verify_visual,
 )
@@ -37,35 +35,38 @@ def brute_force_uw(cover, level, index, w):
     return frontier
 
 
+def u_w(cover, tile, w):
+    """Indices of the tiles U_w(X): joined to ``tile`` by a same-level chain
+    of at most w tiles."""
+    return set(np.flatnonzero(cover.reach_within(tile.level, w)[tile.index]).tolist())
+
+
 class TestNeighborhoods:
     def test_w0_is_self(self, cantor):
         _, cover = cantor
         t = cover.levels[2][1]
-        assert u_w_neighborhood(cover, t, 0) == [t]
+        assert u_w(cover, t, 0) == {t.index}
 
     def test_cantor_disjoint_all_w(self, cantor):
         _, cover = cantor
         for t in cover.levels[2]:
-            assert u_w_neighborhood(cover, t, 3) == [t]
+            assert u_w(cover, t, 3) == {t.index}
 
     def test_dyadic_w1(self, dyadic):
         _, cover = dyadic
-        left = cover.levels[1][0]
-        hood = u_w_neighborhood(cover, left, 1)
-        assert {t.index for t in hood} == {0, 1}
+        assert u_w(cover, cover.levels[1][0], 1) == {0, 1}
 
     def test_matches_brute_force(self, dyadic):
         _, cover = dyadic
         for lev in (1, 2, 3):
             for t in cover.levels[lev]:
                 for w in (0, 1, 2):
-                    got = {x.index for x in u_w_neighborhood(cover, t, w)}
-                    assert got == brute_force_uw(cover, lev, t.index, w)
+                    assert u_w(cover, t, w) == brute_force_uw(cover, lev, t.index, w)
 
     def test_unknown_tile(self, cantor):
         _, cover = cantor
         with pytest.raises(UnknownTile):
-            u_w_neighborhood(cover, (9, 0), 1)
+            cover.tile(9, 0)
 
     def test_nested_in_w(self, interleaved):
         _, cover = interleaved
@@ -73,7 +74,7 @@ class TestNeighborhoods:
             for t in cover.levels[lev]:
                 prev: set = set()
                 for w in (0, 1, 2, 3):
-                    cur = {x.index for x in u_w_neighborhood(cover, t, w)}
+                    cur = u_w(cover, t, w)
                     assert prev <= cur
                     prev = cur
 
@@ -358,6 +359,17 @@ class TestVerifyQuasiVisual:
                 base.condition("visual.separation").constant + 1e-12
             )
 
+    @pytest.mark.parametrize("width", [0, 1])
+    def test_separation_inf_survives_a_nan_ratio(self, width):
+        # {0} has diameter 0 at distance 0 from {1, 2}: its row reads 0/0, no
+        # violation, and must not hide the row of {1, 2}, which reads 5/0 = inf
+        xs = np.array([0.0, 0.0, 5.0])
+        space = FiniteMetricSpace(dist=np.abs(xs[:, None] - xs))
+        cover = CoverSequence(space, [[(0, 1, 2)], [(0,), (1, 2)]], width=width)
+        rec = verify_quasi_visual(cover).condition("qv.ii")
+        assert rec.constant is None and rec.verdict == "FAIL"
+        assert rec.witness == {"tiles": [[1, 1], [1, 0]], "ratio": np.inf}
+
     def test_reports_deterministic(self, cantor):
         _, cover = cantor
         a = verify_quasi_visual(cover).to_dict()
@@ -403,24 +415,6 @@ class TestQuasiball:
         assert np.isfinite(R0)
 
 
-class TestBallTileComparability:
-    def test_trivial_cover(self):
-        space = two_point_space()
-        cover = CoverSequence(space, [[(0, 1)], [(0, 1)]], width=0)
-        assert ball_tile_comparability(cover, 2.0) == 1.0
-
-    def test_cantor_r2_bounded(self, cantor):
-        _, cover = cantor
-        assert ball_tile_comparability(cover, 2.0) <= 3.0 + 1e-9
-
-    def test_small_r_matches_condition_i(self, cantor):
-        _, cover = cantor
-        rep = verify_quasi_visual(cover)
-        ci = rep.condition("qv.i").constant
-        # R -> 0 keeps only intersecting pairs (plus the tile itself)
-        assert ball_tile_comparability(cover, 1e-9) <= ci + 1e-9
-
-
 @st.composite
 def random_cover(draw):
     n = draw(st.integers(min_value=2, max_value=7))
@@ -451,7 +445,7 @@ def test_uw_nesting_property(cover):
         for t in cover.levels[lev]:
             prev: set = set()
             for w in range(3):
-                cur = {x.index for x in u_w_neighborhood(cover, t, w)}
+                cur = u_w(cover, t, w)
                 assert prev <= cur
                 prev = cur
 

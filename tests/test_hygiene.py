@@ -1,5 +1,5 @@
-"""Static scan of the package for unused imports, orphaned private helpers and
-private names reached across modules."""
+"""Static scan of the package for unused imports, orphaned private helpers,
+public names only tests reach and private names reached across modules."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,17 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qvista"
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCH_MODULES = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+
+# public names that no module calls and that stay as oracles of the tests
+TEST_ORACLES = {
+    "validate_metric": "the metric axioms of the fixtures and samples",
+    "natural_geodesic": "the ray tiles of the boundary metric",
+    "extended_proximity": "per-pair oracle of extended_proximity_matrix",
+    "sphere_from_complex": "chart map of the raster tests; not bitwise equal to "
+                           "sphere_from_complex_array (max difference 4.4e-16)",
+    "check_dichotomy": "the radius dichotomy that adjust_radii guarantees",
+}
 
 
 def parse(path: Path) -> ast.Module:
@@ -56,6 +67,27 @@ def test_no_orphaned_private_helpers():
             if not any(node.name in referenced_names(t) for t in trees.values()):
                 orphans.append(f"{name}:{node.lineno} {node.name}")
     assert not orphans, f"private helpers nothing references: {orphans}"
+
+
+def test_public_names_are_reached():
+    """Every public module-level function or class is referenced outside its
+    own definition, by a package module or a perfbench script, unless it is
+    one of the TEST_ORACLES: no other public name is reached only from tests.
+    Re-exports in ``__init__.py`` do not count."""
+    package = [parse(p) for p in MODULES if p.name != "__init__.py"]
+    statements = [node for tree in package + [parse(p) for p in BENCH_MODULES]
+                  for node in tree.body]
+    uses = [referenced_names(node) for node in statements]
+    unreached = {
+        node.name
+        for tree in package for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not is_private(node.name)
+        and not any(node.name in names for other, names in zip(statements, uses) if other is not node)
+    }
+    only_tests = sorted(unreached - TEST_ORACLES.keys())
+    assert not only_tests, f"public names only tests reach: {only_tests}"
+    stale = sorted(TEST_ORACLES.keys() - unreached)
+    assert not stale, f"test oracles that a module now reaches: {stale}"
 
 
 def is_private(name: str) -> bool:

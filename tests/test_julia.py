@@ -15,7 +15,6 @@ from qvista.julia import (
     _root_rows,
     admissible_cover,
     degree_probe,
-    distortion_probe,
     induce_tiles,
     julia_sample,
     pullback_cover,
@@ -445,12 +444,6 @@ class TestProbes:
     def test_budget(self, zsq):
         with pytest.raises(ValueError):
             degree_probe(zsq, 1.0 + 0j, 0.1, 13)
-
-    def test_distortion_envelope_monotone(self, zsq, zsq_sample):
-        out = distortion_probe(zsq, zsq_sample, n_configs=4, n_level=2, r0=0.3,
-                               grid=SphereGrid(K=512))
-        assert out["monotone"]
-        assert out["rows"]
 
 
 def test_grid_and_level_counts_must_be_positive(zsq, zsq_sample):

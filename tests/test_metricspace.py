@@ -3,12 +3,12 @@ import pytest
 
 from qvista.metricspace import (
     FiniteMetricSpace,
-    doubling_probe,
+    greedy_separated_subset,
     maximal_separated_net,
-    separated_count_in_ball,
     uniform_perfectness_probe,
     validate_metric,
 )
+from qvista.fixtures import fixture
 from conftest import two_point_space
 
 
@@ -78,10 +78,14 @@ class TestNets:
             maximal_separated_net(grid101, 0.0)
 
 
+def separated_count_in_ball(space, center, radius, lam):
+    """Size of the greedy lam*radius-separated subset of the open ball B(center, radius)."""
+    ball = np.flatnonzero(space.dist[center] < radius)
+    return len(greedy_separated_subset(space.dist, ball, lam * radius))
+
+
 class TestDoublingProbe:
-    def test_single_point(self):
-        space = FiniteMetricSpace(dist=np.zeros((1, 1)))
-        assert doubling_probe(space, 0.5) == 1
+    """Doubling of the fixtures, probed with greedy separated subsets of balls."""
 
     def test_tree_cylinder_counts_grow(self, tree):
         space, _ = tree
@@ -92,30 +96,10 @@ class TestDoublingProbe:
             assert count >= n + 2
 
     def test_cantor_bounded(self):
-        from qvista.fixtures import cantor_fixture
-
-        space, _ = cantor_fixture(depth=3, sample_depth=5)  # 64 points
-        k = doubling_probe(space, 0.5)
-        # independent: exhaustive greedy over all centers and dyadic radii
-        best = 1
+        space, _ = fixture("cantor", depth=3, sample_depth=5)  # 64 points
         radii = [space.diameter() / 2 ** j for j in range(12)]
-        for r in radii:
-            for c in range(space.n):
-                best = max(best, separated_count_in_ball(space, c, r, 0.5))
-        assert k == best
-        assert k <= 8
-
-    def test_relabeling_invariance(self, cantor_small):
-        space, _ = cantor_small
-        rng = np.random.default_rng(3)
-        perm = rng.permutation(space.n)
-        shuffled = FiniteMetricSpace(dist=space.dist[np.ix_(perm, perm)])
-        assert doubling_probe(space, 0.5) == doubling_probe(shuffled, 0.5)
-
-    def test_monotone_in_sample_count(self, cantor_small):
-        space, _ = cantor_small
-        counts = [doubling_probe(space, 0.5, sample_balls=k, seed=7) for k in (5, 20, 80)]
-        assert counts == sorted(counts)
+        best = max(separated_count_in_ball(space, c, r, 0.5) for r in radii for c in range(space.n))
+        assert best <= 8
 
 
 class TestPerfectnessProbe:

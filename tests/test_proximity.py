@@ -19,11 +19,9 @@ from qvista.proximity import (
     dynamical_checks,
     empirical_quasi_constant,
     fit_power_quasisymmetry,
-    infimum_proximity,
     quasi_metric_from_m,
     snowflake_check,
     synthesize_visual_metric,
-    visual_characterization_check,
 )
 from qvista.spheregrid import SphereGrid
 
@@ -98,12 +96,6 @@ class TestProximity:
         m0 = compute_proximity(CoverSequence(space, levels, width=0)).m
         m1 = compute_proximity(CoverSequence(space, levels, width=1)).m
         assert np.all(m1 >= m0)
-
-    def test_infimum_variant_inequality(self, cantor, dyadic, tree):
-        for _, cover in (cantor, dyadic, tree):
-            table = compute_proximity(cover)
-            mp = infimum_proximity(cover)
-            assert np.all(mp <= table.m + 1)
 
     def test_round_trip_json(self, cantor_small, tmp_path):
         _, cover = cantor_small
@@ -250,27 +242,6 @@ class TestSynthesis:
         assert ratio.min() >= 1 / (2 * K) - 1e-9
 
 
-class TestCharacterization:
-    def test_tree_exact(self, tree):
-        space, cover = tree
-        const, ok = visual_characterization_check(cover, space, 2.0)
-        assert ok
-        assert const == pytest.approx(1.0, abs=1e-12)
-
-    def test_cantor_wrong_lambda_grows(self):
-        from qvista.fixtures import cantor_fixture
-
-        consts = []
-        for depth in (3, 5):
-            space, cover = cantor_fixture(depth=depth, sample_depth=6)
-            c, _ = visual_characterization_check(cover, space, 2.0)
-            consts.append(c)
-        assert consts[1] > consts[0] * (3.0 / 2.0) - 1e-9
-        space, cover = cantor_fixture(depth=5, sample_depth=6)
-        _, ok = visual_characterization_check(cover, space, 2.0, threshold=4.0)
-        assert not ok
-
-
 class TestQuasisymmetryFits:
     def test_identity(self, cantor):
         space, _ = cantor
@@ -364,18 +335,14 @@ class TestDynamicalChecks:
 
 
 def test_cantor_julia_proximity_golden():
-    """Both proximity tables of the z^2-3 pull-back tiles, pinned by SHA-256."""
+    """The proximity table of the z^2-3 pull-back tiles, pinned by SHA-256."""
     g = RationalMap.parse("z^2-3")
     pull = admissible_cover(g, julia_sample(g, 8), 0.25, grid=SphereGrid(K=256))
     cov = induce_tiles(pullback_cover(pull, 3))
     assert [len(f) for f in cov.levels] == [1, 6, 32, 64]
     assert cov.n_points == 256
-    digests = [hashlib.sha256(a.tobytes()).hexdigest()
-               for a in (compute_proximity(cov).m, infimum_proximity(cov))]
-    assert digests == [
-        "3195aa29536c773da33571492f9edb9244d32b4bb4d451da58ef86b2b59eae68",
-        "e2b100003239a2d38a937ab0f6018ad0d72df43c5cd85883444ddd184b21ca70",
-    ]
+    digest = hashlib.sha256(compute_proximity(cov).m.tobytes()).hexdigest()
+    assert digest == "3195aa29536c773da33571492f9edb9244d32b4bb4d451da58ef86b2b59eae68"
 
 
 @st.composite

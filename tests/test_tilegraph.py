@@ -12,11 +12,9 @@ from qvista.tilegraph import (
     build_tile_graph,
     cluster,
     cluster_cover_sequence,
-    cluster_tile_graph,
     compare_m_gromov,
     extended_proximity,
     extended_proximity_matrix,
-    gromov_product,
     graph_map_check,
     hop_distances,
     hyperbolicity_constant,
@@ -64,8 +62,8 @@ class TestHopDistances:
         adj = meet & (np.abs(graph.levels[:, None] - graph.levels[None, :]) <= 1)
         assert graph.dist.dtype == np.int64
         assert np.array_equal(graph.dist, scipy_hops(adj))
-        clusters = cluster_tile_graph(graph, 1)
-        assert np.array_equal(clusters.dist, scipy_hops(graph.dist <= 3))
+        # the cluster graph of graph_map_check at r = 1
+        assert np.array_equal(hop_distances(graph.dist <= 3), scipy_hops(graph.dist <= 3))
 
 
 class TestGraphStructure:
@@ -100,6 +98,11 @@ class TestGraphStructure:
         data = g.to_dict()
         assert {"level", "tile"} == set(data["vertices"][0])
         assert all(len(e) == 2 for e in data["edges"])
+
+
+def gromov_product(g, x, y):
+    """The Gromov product (X . Y) of two tiles with respect to the root."""
+    return g.gromov2()[g.vertex(x), g.vertex(y)] / 2
 
 
 class TestGromovProduct:
@@ -298,30 +301,30 @@ class TestGraphMapCheck:
             _, cover = fixture(name, **kw)
             gx = build_tile_graph(cover)
             for r in (0, 1, 2):
-                gv = cluster_tile_graph(gx, r)
-                ok, violations = graph_map_check(gx, gv, r)
+                ok, violations = graph_map_check(gx, r)
                 assert ok, (name, r, violations)
+
+    # the cluster graph graph_map_check measures |V(X) - V(Y)| in
+    @staticmethod
+    def cluster_dist(gx, r):
+        return hop_distances(gx.dist <= 2 * r + 1)
 
     def test_r0_isomorphic(self, cantor_small):
         _, cover = cantor_small
         gx = build_tile_graph(cover)
-        gv = cluster_tile_graph(gx, 0)
-        assert np.array_equal(gv.dist, gx.dist)
+        assert np.array_equal(self.cluster_dist(gx, 0), gx.dist)
 
     def test_pair_at_distance_2r_plus_1(self, cantor):
         _, cover = cantor
         gx = build_tile_graph(cover)
         r = 1
-        gv = cluster_tile_graph(gx, r)
         q = 2 * r + 1
         ii, jj = np.nonzero(gx.dist == q)
         assert ii.size
-        dv = gv.dist[ii, jj]
+        dv = self.cluster_dist(gx, r)[ii, jj]
         assert np.all((dv >= 1) & (dv <= 2))
 
     def test_wrong_radius_rejected(self, cantor_small):
         _, cover = cantor_small
-        gx = build_tile_graph(cover)
-        gv = cluster_tile_graph(gx, 1)
-        with pytest.raises(ValueError):
-            graph_map_check(gx, gv, 2)
+        with pytest.raises(ValueError, match="cluster radius"):
+            graph_map_check(build_tile_graph(cover), -1)
