@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .metricspace import (  # noqa: F401
     FiniteMetricSpace,
     Net,
-    ValidationResult,
     maximal_separated_net,
     uniform_perfectness_probe,
     validate_metric,

@@ -29,7 +29,6 @@ BOUNDARY_NOTE = (
 class NaturalGeodesic:
     """A tile-per-level ray through the tiles containing one point."""
 
-    point: int
     tiles: tuple[tuple[int, int], ...]  # (level, index) per level 0..N
 
 
@@ -77,7 +76,7 @@ def natural_geodesic(cover: CoverSequence, x: int, tie_break: str = "low") -> Na
     """Pick one tile containing x per level (lowest tile index by default)."""
     levels = range(cover.depth + 1)
     tiles = tuple((lev, int(_ray_tiles(cover, lev, tie_break)[x])) for lev in levels)
-    return NaturalGeodesic(point=int(x), tiles=tiles)
+    return NaturalGeodesic(tiles=tiles)
 
 
 def boundary_metric(

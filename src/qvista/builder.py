@@ -25,6 +25,7 @@ from .metricspace import (
 )
 
 COLOR_SEPARATION_FACTOR = 10.0  # same-color net points are 10*delta-separated
+DOUBLING_CAP = 64  # most color classes a width-0 net may need at any scale
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,10 @@ def _net_balls(space: FiniteMetricSpace, lam: float, depth: int, resolution: flo
         raise ResolutionExceeded(
             f"lam^-{depth} = {lam ** (-depth)!r} is below twice the sample resolution"
         )
-    if space.n >= 2 and uniform_perfectness_probe(space).lambda_up <= 0:
-        raise ValueError("space fails the uniform perfectness probe")
+    if space.n >= 2 and (probe := uniform_perfectness_probe(space)).lambda_up <= 0:
+        center, radius = probe.witness
+        raise ValueError(f"space fails the uniform perfectness probe: the annulus around "
+                         f"point {center} at radius {radius!r} is empty")
     levels: list[list[tuple[int, ...]]] = [[tuple(range(space.n))]]
     for n in range(1, depth + 1):
         scale = lam ** (-n)
@@ -172,31 +175,20 @@ def build_visual_width1(
     return CoverSequence(space, levels, width=1, visual_parameter=lam)
 
 
-def build_visual_width0(
-    space: FiniteMetricSpace,
-    lam: float,
-    depth: int,
-    doubling_cap: int = 64,
-    closed_balls: bool = False,
-) -> CoverSequence:
+def build_visual_width0(space: FiniteMetricSpace, lam: float, depth: int) -> CoverSequence:
     """Width-0 construction: adjusted-radius balls B(s, r_s L^-n) over maximal nets.
 
     Needs the space to behave doubling at sample scale: the greedy coloring of
-    each net must use at most ``doubling_cap`` classes, else DoublingUnbounded.
-    ``closed_balls`` switches the tiles to closed balls; the separation
-    constants are unchanged.
+    each net must use at most ``DOUBLING_CAP`` classes, else DoublingUnbounded.
     """
     def balls(net, scale):
         colored = color_separated_set(space, net)
-        if colored.n_colors > doubling_cap:
+        if colored.n_colors > DOUBLING_CAP:
             raise DoublingUnbounded(
                 f"net coloring needs {colored.n_colors} classes at scale {scale!r} "
-                f"(cap {doubling_cap}); the space behaves as non-doubling"
+                f"(cap {DOUBLING_CAP}); the space behaves as non-doubling"
             )
         colored = adjust_radii(space, colored)
-        if closed_balls:
-            return [np.flatnonzero(space.dist[m] <= r * scale)
-                    for m, r in zip(net.members, colored.radii)]
         return [_open_ball(space, m, r * scale) for m, r in zip(net.members, colored.radii)]
 
     mesh = float(space.nearest_neighbor_distances().max(initial=0.0))

@@ -10,13 +10,14 @@ thresholds; no verdict ever claims more than the truncation depth certifies.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyTile, FitFailure, MissingLambda, UnknownTile
+from .errors import EmptyTile, FitFailure, MissingLambda
 from .metricspace import FiniteMetricSpace
 
 DEFAULT_THRESHOLD = 64.0
@@ -37,10 +38,6 @@ class Tile:
     index: int
     members: frozenset[int]
 
-    @property
-    def id(self) -> tuple[int, int]:
-        return (self.level, self.index)
-
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
@@ -52,9 +49,11 @@ def check_depth(depth: int, name: str = "depth") -> None:
 
 
 def check_lambda(lam: float) -> None:
-    """Raise ValueError unless the visual parameter ``lam`` exceeds 1."""
-    if lam <= 1:
+    """Raise ValueError unless the visual parameter ``lam`` is finite and exceeds 1."""
+    if not lam > 1:  # NaN too
         raise ValueError(f"lambda must exceed 1, got {lam!r}")
+    if lam == np.inf:
+        raise ValueError(f"lambda must be finite, got {lam!r}")
 
 
 def bool_product(*mats: np.ndarray) -> np.ndarray:
@@ -205,11 +204,6 @@ class CoverSequence:
     def n_points(self) -> int:
         return len(self.levels[0][0].members)
 
-    def tile(self, level: int, index: int) -> Tile:
-        if not (0 <= level < len(self.levels) and 0 <= index < len(self.levels[level])):
-            raise UnknownTile(f"no tile ({level},{index})")
-        return self.levels[level][index]
-
     def members(self, level: int) -> tuple[np.ndarray, ...]:
         """Per tile of one level, its members as a sorted int64 array; cached
         and read-only.  Reductions over members never depend on their order."""
@@ -221,13 +215,14 @@ class CoverSequence:
         return self._members[level]
 
     def membership(self, level: int) -> np.ndarray:
-        """Boolean (n_tiles, n_points) membership matrix for one level."""
+        """Boolean (n_tiles, n_points) membership matrix for one level; cached
+        and read-only."""
         if level not in self._membership:
             members = self.members(level)
             m = np.zeros((len(members), self.n_points), dtype=bool)
             for i, idx in enumerate(members):
                 m[i, idx] = True
-            self._membership[level] = m
+            self._membership[level] = _read_only(m)
         return self._membership[level]
 
     def meets(self, n: int, m: int) -> np.ndarray:
@@ -267,15 +262,17 @@ class CoverSequence:
         return tile_pair_reduce(self.space.dist, self.members(level), np.minimum)
 
     def with_space(self, space: FiniteMetricSpace) -> "CoverSequence":
-        """Rebind the same combinatorial cover to another metric on the same points."""
+        """Rebind the same combinatorial cover to another metric on the same points.
+
+        The tiles and the metric-free caches (members, membership, meets,
+        reach) are shared with this cover; only the diameters start afresh.
+        """
         if space.n != self.n_points:
             raise ValueError("point counts differ")
-        return CoverSequence(
-            space,
-            [[t.sorted_members() for t in fam] for fam in self.levels],
-            width=self.width,
-            visual_parameter=self.visual_parameter,
-        )
+        bound = copy.copy(self)
+        bound.space = space
+        bound._diams = {}
+        return bound
 
     # -- serialization -----------------------------------------------------
 
@@ -388,15 +385,13 @@ def load_thresholds(path) -> dict:
     for key, value in data.items():
         if key not in THRESHOLD_KEYS:
             raise ValueError(f"unknown threshold {key!r}; known: {', '.join(THRESHOLD_KEYS)}")
-        if type(value) not in (int, float):
+        if type(value) not in (int, float) or value != value:  # NaN != NaN
             raise ValueError(f"threshold {key!r} must be a number, got {value!r}")
     return data
 
 
-def _threshold(thresholds: dict | None, key: str, default: float = DEFAULT_THRESHOLD) -> float:
-    if thresholds and key in thresholds:
-        return float(thresholds[key])
-    return default
+def _threshold(thresholds: dict | None, key: str) -> float:
+    return float((thresholds or {}).get(key, DEFAULT_THRESHOLD))
 
 
 class WorstCase:

@@ -5,10 +5,6 @@ class QvistaError(Exception):
     """Base class for all toolkit errors."""
 
 
-class UnknownTile(QvistaError):
-    pass
-
-
 class UnknownVertex(QvistaError):
     pass
 

@@ -56,6 +56,8 @@ class RationalMap:
     def __post_init__(self):
         self.p = _strip_leading(np.asarray(self.p, dtype=complex))
         self.q = _strip_leading(np.asarray(self.q, dtype=complex))
+        if not (np.isfinite(self.p).all() and np.isfinite(self.q).all()):
+            raise ValueError(f"map {self.text!r} has a non-finite coefficient")
         if self.degree < 2:
             raise ValueError("rational map must have degree >= 2")
 
@@ -78,18 +80,30 @@ class RationalMap:
 
     @classmethod
     def parse(cls, text: str) -> "RationalMap":
-        """Parse e.g. "z^2 - 2", "(z^2+1)/(z^2-1)", complex coeffs "(1+2i)*z^3"."""
+        """Parse e.g. "z^2 - 2", "(z^2+1)/(z^2-1)", complex coeffs "(1+2i)*z^3".
+
+        ValueError when ``text`` is not a quotient of polynomials in z with
+        numeric coefficients.
+        """
         import sympy  # only parsing needs it, and it is slow to import
 
         z = sympy.Symbol("z")
         normalized = re.sub(r"(\d(?:\.\d*)?)\s*i\b", r"\1*I", text.replace("^", "**"))
-        expr = sympy.sympify(
-            normalized, locals={"z": z, "i": sympy.I, "I": sympy.I}
-        )
+        unreadable = (f"cannot read map {text!r}: "
+                      "not a rational function of z with numeric coefficients")
+        try:
+            expr = sympy.sympify(normalized, locals={"z": z, "i": sympy.I, "I": sympy.I})
+        except sympy.SympifyError:
+            raise ValueError(unreadable) from None
+        if not isinstance(expr, sympy.Expr) or expr.free_symbols - {z}:
+            raise ValueError(unreadable)
         num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
-        p = [complex(c) for c in sympy.Poly(num, z).all_coeffs()]
-        qq = sympy.Poly(den, z).all_coeffs() if den.has(z) else [den]
-        q = [complex(c) for c in qq]
+        try:
+            p = [complex(c) for c in sympy.Poly(num, z).all_coeffs()]
+            qq = sympy.Poly(den, z).all_coeffs() if den.has(z) else [den]
+            q = [complex(c) for c in qq]
+        except sympy.PolynomialError:  # z under a function or a non-integer power
+            raise ValueError(unreadable) from None
         return cls(p=np.array(p), q=np.array(q), text=text)
 
     def _padded(self) -> tuple[np.ndarray, np.ndarray]:
@@ -309,25 +323,13 @@ class JuliaSample:
     vecs: np.ndarray  # unit 3-vectors
     depth: int
     mesh: float  # max nearest-neighbor spherical distance
-    _space: FiniteMetricSpace = field(repr=False)
-    _self_map: np.ndarray = field(repr=False)
-    _projection_error: float = field(repr=False)
+    space: FiniteMetricSpace = field(repr=False)  # the sample under the spherical metric
+    self_map: np.ndarray = field(repr=False)  # nearest-sample projection of g, as indices
+    projection_error: float  # largest spherical distance from g(x) to its projection
 
     @property
     def n(self) -> int:
         return self.z.shape[0]
-
-    def space(self) -> FiniteMetricSpace:
-        """The sample under the spherical metric."""
-        return self._space
-
-    def self_map_indices(self) -> np.ndarray:
-        """Nearest-sample projection of g, as an index self-map."""
-        return self._self_map
-
-    def projection_error(self) -> float:
-        """Largest spherical distance from g(x) to its nearest-sample projection."""
-        return self._projection_error
 
 
 def _vecs_of(z: np.ndarray) -> np.ndarray:
@@ -377,7 +379,7 @@ def julia_sample(
         )
     return JuliaSample(
         map=map_, z=pts, vecs=vecs, depth=depth, mesh=mesh,
-        _space=space, _self_map=self_map, _projection_error=float(proj.max()),
+        space=space, self_map=self_map, projection_error=float(proj.max()),
     )
 
 
@@ -409,11 +411,9 @@ class AmbientRegion:
     """A connected raster region on the sphere at one pull-back level."""
 
     level: int
-    rid: int
     cells: np.ndarray  # sorted int32 flat cell ids
-    parent: int  # rid in the previous level, -1 at level 1
-    v1_index: int  # root ancestor in the level-1 family
-    sample_points: tuple[int, ...] = ()
+    parent: int  # index in the previous level's family, -1 at level 1
+    sample_points: tuple[int, ...]
 
     def diam(self, grid: SphereGrid) -> float:
         return _cells_diam(grid, self.cells)
@@ -446,30 +446,25 @@ class PullbackCover:
 
 
 def admissible_cover(
-    map_: RationalMap, sample: JuliaSample, radius: float, grid: SphereGrid | None = None
+    map_: RationalMap, sample: JuliaSample, radius: float, grid: SphereGrid
 ) -> PullbackCover:
     """Level-1 family: spherical balls of the given radius around a maximal
     radius-net of the sample, rasterized to grid regions."""
-    if radius <= 0:
+    if not radius > 0:  # NaN too
         raise ValueError(f"cover radius must be positive, got {radius!r}")
     if radius >= np.pi:  # a ball that wide holds the whole sphere
         raise ValueError(f"cover radius must be below pi (the sphere's diameter), got {radius!r}")
-    grid = grid or SphereGrid()
-    d = sample.space().dist
+    d = sample.space.dist
     centers = greedy_separated_subset(d, range(sample.n), radius)
-    regions = []
-    for k, c in enumerate(centers):
-        inside = np.flatnonzero(d[c] < radius)
-        regions.append(
-            AmbientRegion(
-                level=1,
-                rid=k,
-                cells=grid.raster_spherical_ball(sample.vecs[c], radius),
-                parent=-1,
-                v1_index=k,
-                sample_points=tuple(int(i) for i in inside),
-            )
+    regions = [
+        AmbientRegion(
+            level=1,
+            cells=grid.raster_spherical_ball(sample.vecs[c], radius),
+            parent=-1,
+            sample_points=tuple(int(i) for i in np.flatnonzero(d[c] < radius)),
         )
+        for c in centers
+    ]
     return PullbackCover(map=map_, grid=grid, sample=sample, families=[regions])
 
 
@@ -490,11 +485,10 @@ def pullback_cover(pull: PullbackCover, n_levels: int) -> PullbackCover:
     prim = grid.canonical_flat(sample.z)
     sample_cells = np.concatenate([prim, grid.twin_flat()[prim]])
     while pull.n_levels < n_levels:
-        parents = pull.families[-1]
         level = pull.n_levels + 1
         comps: list[np.ndarray] = []
         comp_parent: list[int] = []
-        for pid, parent in enumerate(parents):
+        for pid, parent in enumerate(pull.families[-1]):
             chunk = preimage(parent.cells)
             if chunk.size:
                 found = grid.components(chunk)
@@ -508,18 +502,8 @@ def pullback_cover(pull: PullbackCover, n_levels: int) -> PullbackCover:
         regions: list[AmbientRegion] = []
         for k, (comp, pid) in enumerate(zip(comps, comp_parent)):
             pts = hits[cuts[k]:cuts[k + 1]] % sample.n
-            if not pts.size:
-                continue
-            regions.append(
-                AmbientRegion(
-                    level=level,
-                    rid=len(regions),
-                    cells=comp,
-                    parent=pid,
-                    v1_index=parents[pid].v1_index,
-                    sample_points=tuple(int(i) for i in pts),
-                )
-            )
+            if pts.size:
+                regions.append(AmbientRegion(level, comp, pid, tuple(int(i) for i in pts)))
         if not regions:
             raise EmptyLevel(f"no admissible regions at level {level}")
         pull.families.append(regions)
@@ -545,8 +529,8 @@ def induce_tiles(pull: PullbackCover) -> CoverSequence:
     child; each distinct point set is kept once per level.
     """
     sample = pull.sample
-    space = sample.space()
-    g_idx = sample.self_map_indices()
+    space = sample.space
+    g_idx = sample.self_map
     levels: list[list[tuple[int, ...]]] = [[tuple(range(sample.n))]]
     near = space.dist <= 3.0 * space.nearest_neighbor_distances()[:, None]
     # the link graph, d <= 3 max(nn_i, nn_j), as neighbour lists: point p's
@@ -591,28 +575,23 @@ def induce_tiles(pull: PullbackCover) -> CoverSequence:
     return CoverSequence(space, levels, width=1, visual_parameter=None)
 
 
-def verify_dynamical_qv(
-    pull: PullbackCover,
-    cover: CoverSequence | None = None,
-    thresholds: dict | None = None,
-) -> dict:
-    """Quasi-visual verification at width 1 plus the dynamical checks.
+def verify_dynamical_qv(pull: PullbackCover, cover: CoverSequence) -> dict:
+    """Quasi-visual verification at width 1 of the tiles ``induce_tiles`` made
+    from ``pull``, plus the dynamical checks.
 
     The sample self-map is the nearest-sample projection of g; the tile shift
     is allowed raster slack of a few grid cells plus the projection error.
     """
-    if cover is None:
-        cover = induce_tiles(pull)
-    qv = verify_quasi_visual(cover, thresholds=thresholds)
+    qv = verify_quasi_visual(cover)
     rates = derive_rho_tau_nu(cover)
     sample = pull.sample
-    slack = 4.0 * pull.grid.step + 2.0 * sample.mesh + sample.projection_error()
-    dyn = dynamical_checks(cover, sample.self_map_indices(), nu=rates.nu, shift_tolerance=slack)
+    slack = 4.0 * pull.grid.step + 2.0 * sample.mesh + sample.projection_error
+    dyn = dynamical_checks(cover, sample.self_map, nu=rates.nu, shift_tolerance=slack)
     return {
         "qv": qv,
         "dynamical": dyn,
         "rates": rates,
-        "projection_error": sample.projection_error(),
+        "projection_error": sample.projection_error,
         "passed": qv.passed and dyn.passed,
     }
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TRIANGLE_SLACK = 1e-9  # additive slack absorbing float noise in generated matrices
+PERFECTNESS_RATIO = 1.1  # ratio of the perfectness probe's geometric radius grid
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,6 @@ class FiniteMetricSpace:
     @property
     def n(self) -> int:
         return self.dist.shape[0]
-
-    @property
-    def points(self) -> range:
-        return range(self.n)
 
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
@@ -110,24 +107,6 @@ class FiniteMetricSpace:
 
 
 @dataclass(frozen=True)
-class ValidationResult:
-    """Outcome of a metric-axiom scan: ok, or the first violation found."""
-
-    ok: bool
-    violation: str | None = None  # NonZeroDiagonal | NegativeEntry | ZeroOffDiagonal | TriangleViolation
-    witness: tuple[int, ...] | None = None
-    detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violation": self.violation,
-            "witness": list(self.witness) if self.witness else None,
-            "detail": self.detail,
-        }
-
-
-@dataclass(frozen=True)
 class Net:
     """A delta-separated subset of the point set."""
 
@@ -135,38 +114,35 @@ class Net:
     members: tuple[int, ...]
 
 
-def validate_metric(space: FiniteMetricSpace) -> ValidationResult:
-    """Scan the distance matrix for the first violated metric axiom.
+def validate_metric(space: FiniteMetricSpace) -> tuple[str, tuple[int, ...]] | None:
+    """The first violated metric axiom and its witness, or None when all hold.
 
-    Scan order: diagonal, negativity, zero off-diagonal, triangle inequality
-    (by pivot k, then row-major).  Symmetry needs no scan: the constructor
-    rejects a non-symmetric matrix.  Triangle checks tolerate an
-    additive slack of 1e-9.
+    The axiom is NonZeroDiagonal (i,), NegativeEntry (i, j), ZeroOffDiagonal
+    (i, j) or TriangleViolation (i, j, k), scanned in that order (the
+    triangle inequality by pivot k, then row-major).  Symmetry needs no scan:
+    the constructor rejects a non-symmetric matrix.  Triangle checks tolerate
+    an additive slack of 1e-9.
     """
     d = space.dist
-    n = space.n
     diag = np.abs(np.diag(d))
     if np.any(diag > 0):
-        i = int(np.argmax(diag > 0))
-        return ValidationResult(False, "NonZeroDiagonal", (i,), f"d({i},{i})={d[i, i]!r}")
+        return "NonZeroDiagonal", (int(np.argmax(diag > 0)),)
     if np.any(d < 0):
-        i, j = map(int, np.unravel_index(int(np.argmax(d < 0)), d.shape))
-        return ValidationResult(False, "NegativeEntry", (i, j), f"d({i},{j})={d[i, j]!r}")
-    zero = (d == 0) & ~np.eye(n, dtype=bool)
+        return "NegativeEntry", _first_true(d < 0)
+    zero = (d == 0) & ~np.eye(space.n, dtype=bool)
     if np.any(zero):
-        i, j = map(int, np.unravel_index(int(np.argmax(zero)), d.shape))
-        return ValidationResult(False, "ZeroOffDiagonal", (i, j), f"d({i},{j})=0 with i!=j")
-    for k in range(n):
+        return "ZeroOffDiagonal", _first_true(zero)
+    for k in range(space.n):
         bad = d > d[:, k][:, None] + d[k, :][None, :] + TRIANGLE_SLACK
         if np.any(bad):
-            i, j = map(int, np.unravel_index(int(np.argmax(bad)), bad.shape))
-            return ValidationResult(
-                False,
-                "TriangleViolation",
-                (i, j, k),
-                f"d({i},{j})={d[i, j]!r} > d({i},{k})+d({k},{j})={d[i, k] + d[k, j]!r}",
-            )
-    return ValidationResult(True)
+            return "TriangleViolation", (*_first_true(bad), k)
+    return None
+
+
+def _first_true(mask: np.ndarray) -> tuple[int, int]:
+    """The row-major first (i, j) where ``mask`` holds."""
+    i, j = np.unravel_index(int(np.argmax(mask)), mask.shape)
+    return int(i), int(j)
 
 
 def maximal_separated_net(space: FiniteMetricSpace, delta: float) -> Net:
@@ -203,29 +179,16 @@ class PerfectnessProbe:
 
     ``lambda_up`` is the supremum of constants for which every annulus
     {y : lam*r < d(x,y) <= r} over the scanned grid is non-empty.  The grid
-    itself is part of the result; nothing is claimed below ``r_lo``.
+    itself is part of the result; nothing is claimed below its first radius.
     """
 
     lambda_up: float
-    r_lo: float
-    r_hi: float
     grid: tuple[float, ...]
     witness: tuple[int, float] | None = None  # (center, radius) attaining the minimum
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda_up": self.lambda_up,
-            "r_lo": self.r_lo,
-            "r_hi": self.r_hi,
-            "grid_size": len(self.grid),
-            "witness": list(self.witness) if self.witness else None,
-        }
 
-
-def uniform_perfectness_probe(
-    space: FiniteMetricSpace, ratio: float = 1.1
-) -> PerfectnessProbe:
-    """Scan annuli over a geometric radius grid (default ratio 1.1).
+def uniform_perfectness_probe(space: FiniteMetricSpace) -> PerfectnessProbe:
+    """Scan annuli over a geometric radius grid of ratio ``PERFECTNESS_RATIO``.
 
     The outer ball is taken closed so that the probe is meaningful at sample
     scale (at r = diam the extreme point itself witnesses the annulus), and
@@ -250,7 +213,7 @@ def uniform_perfectness_probe(
     r = r_lo
     while r < r_hi:
         grid.append(r)
-        r *= ratio
+        r *= PERFECTNESS_RATIO
     grid.append(r_hi)
     rows = np.sort(d, axis=1)  # row-sorted distances, rows[i][0] = 0
     ecc = rows[:, -1]
@@ -266,6 +229,4 @@ def uniform_perfectness_probe(
         if lam_max[i] < best:
             best = float(lam_max[i])
             witness = (i, float(r))
-    return PerfectnessProbe(
-        lambda_up=best, r_lo=float(r_lo), r_hi=float(r_hi), grid=tuple(grid), witness=witness
-    )
+    return PerfectnessProbe(lambda_up=best, grid=tuple(grid), witness=witness)

@@ -57,10 +57,6 @@ class ProximityTable:
     def n(self) -> int:
         return self.m.shape[0]
 
-    def certified(self) -> np.ndarray:
-        """Boolean mask of pairs separated within the truncation."""
-        return self.m <= self.truncation
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -69,14 +65,6 @@ class ProximityTable:
             "sentinel": self.sentinel,
             "m": self.m.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProximityTable":
-        return cls(
-            m=np.asarray(data["m"], dtype=np.int64),
-            width=data["width"],
-            truncation=data["truncation"],
-        )
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -381,7 +369,7 @@ def _shortest_chains(q: np.ndarray) -> np.ndarray:
 
 
 def synthesize_visual_metric(
-    cover: CoverSequence, lam: float, thresholds: dict | None = None
+    cover: CoverSequence, lam: float
 ) -> tuple[FiniteMetricSpace, VerificationReport]:
     """proximity -> quasi-metric -> chain metric, then verify the cover is a
     visual approximation of the synthesized metric at parameter lam."""
@@ -391,8 +379,7 @@ def synthesize_visual_metric(
     space = chain_metrize(qm)
     bound = cover.with_space(space)
     bound.visual_parameter = float(lam)
-    report = verify_visual(bound, thresholds=thresholds)
-    return space, report
+    return space, verify_visual(bound)
 
 
 def fit_power_quasisymmetry(
@@ -507,7 +494,7 @@ class DynamicalReport:
 def dynamical_checks(
     cover: CoverSequence,
     point_map: np.ndarray,
-    nu: float | None = None,
+    nu: float,
     shift_tolerance: float = 0.0,
     exact_image: bool = False,
 ) -> DynamicalReport:
@@ -546,10 +533,15 @@ def dynamical_checks(
         hosted = contained.any(axis=1)
         # an image inside a host of its own size is that host
         exact = (contained & (img.sum(axis=1)[:, None] == mem_up.sum(axis=1))).any(axis=1)
-        # nearest-host slack: how far each image sticks out of its best host,
-        # the largest dist(g(x), X_a) over members x, least over hosts X_a
-        near = tile_reduce(d, cover.members(lev), np.minimum).T  # near[p, a] = dist(p, X_a)
-        excess = tile_reduce(near[g], cover.members(lev + 1), np.maximum).min(axis=1)
+        # nearest-host slack of the unhosted tiles: how far each image sticks
+        # out of its best host, the largest dist(g(x), X_a) over members x,
+        # least over hosts X_a
+        excess = np.zeros(len(hosted))
+        loose = np.flatnonzero(~hosted)
+        if loose.size:
+            near = tile_reduce(d, cover.members(lev), np.minimum).T  # near[p, a] = dist(p, X_a)
+            members = [cover.members(lev + 1)[t] for t in loose]
+            excess[loose] = tile_reduce(near[g], members, np.maximum).min(axis=1)
         failed = np.where(hosted, exact_image & ~exact, excess > shift_tolerance)
         shift_violations += [
             {"tile": [lev + 1, int(t)], "reason": "not exact image"} if hosted[t]
@@ -575,8 +567,6 @@ def dynamical_checks(
                 )
                 break
 
-    if nu is None:
-        nu = 1.0
     dist_C = 0.0
     gn = np.arange(n_pts)
     for k in range(1, depth):

@@ -192,13 +192,13 @@ def cluster(graph: TileGraph, x: tuple[int, int], r: int) -> frozenset[int]:
     return frozenset(np.concatenate([graph.members_of(int(j)) for j in near]).tolist())
 
 
-def cluster_cover_sequence(graph: TileGraph, r: int, width: int = 1) -> CoverSequence:
+def cluster_cover_sequence(graph: TileGraph, r: int) -> CoverSequence:
     """Per-level families of clusters V^n = {V_r(X) : X in X^n}.
 
     The family is formal: one cluster per source tile, kept in source order,
     even when two sources produce the same point set (collapsing duplicates
-    would break the rough-similarity bounds of the cluster map).  Width
-    defaults to 1, matching the verification the clusters are meant for.
+    would break the rough-similarity bounds of the cluster map).  The width
+    is 1, matching the verification the clusters are meant for.
     """
     check_depth(r, "cluster radius r")
     cover = graph.cover
@@ -208,7 +208,7 @@ def cluster_cover_sequence(graph: TileGraph, r: int, width: int = 1) -> CoverSeq
             [tuple(sorted(cluster(graph, (lev, t.index), r))) for t in fam]
         )
     return CoverSequence(
-        cover.space, levels, width=width, visual_parameter=cover.visual_parameter
+        cover.space, levels, width=1, visual_parameter=cover.visual_parameter
     )
 
 

@@ -1,8 +1,6 @@
-import numpy as np
 import pytest
 
 from qvista import fixtures
-from qvista.metricspace import FiniteMetricSpace
 
 
 @pytest.fixture(scope="session")
@@ -38,7 +36,3 @@ def gasket():
 @pytest.fixture(scope="session")
 def grid101():
     return fixtures.grid_space(101)
-
-
-def two_point_space():
-    return FiniteMetricSpace(dist=np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qvista import builder
 from qvista.builder import (
     ColoredNet,
     adjust_radii,
@@ -44,6 +45,14 @@ class TestWidth1:
         with pytest.raises(ResolutionExceeded):
             build_visual_width1(grid101, 2.0, 12)
 
+
+    def test_perfectness_guard_names_the_empty_annulus(self):
+        # the twins 0, 0 sit 5 apart from the rest, so at the probe's first
+        # radius, 1, the annulus around point 0 holds no point
+        xs = np.array([0.0, 0.0, 5.0, 6.0])
+        space = FiniteMetricSpace(dist=np.abs(xs[:, None] - xs))
+        with pytest.raises(ValueError, match="around point 0 at radius 1.0 is empty"):
+            build_visual_width1(space, 2.0, 0)
 
 class TestColoring:
     def test_single_point_net(self, grid101):
@@ -129,14 +138,11 @@ class TestWidth0:
         cover = build_visual_width0(grid101, 2.0, 4)
         assert verify_visual(cover).passed
 
-    def test_closed_ball_variant(self, grid101):
-        cover = build_visual_width0(grid101, 2.0, 3, closed_balls=True)
-        assert verify_visual(cover).passed
-
-    def test_tree_not_doubling(self, tree):
+    def test_tree_not_doubling(self, tree, monkeypatch):
         space, _ = tree
+        monkeypatch.setattr(builder, "DOUBLING_CAP", 8)
         with pytest.raises(DoublingUnbounded):
-            build_visual_width0(space, 2.0, 3, doubling_cap=8)
+            build_visual_width0(space, 2.0, 3)
 
 
 # -- the loops that adjust_radii, check_dichotomy and the builders replaced --------

@@ -297,6 +297,18 @@ def test_julia_grid_beyond_int32_ids_is_usage_error(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["z^2 + x", "sin(z)", "z^(1/2)", "z^2.5", "oo*z^2"])
+def test_julia_malformed_map_is_usage_error(tmp_path, capsys, text):
+    """A map that is not a rational function of z with finite numeric
+    coefficients exits 2 with a one-line message naming it."""
+    out = tmp_path / "julia.json"
+    assert main([*JULIA, "--map", text, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qvista: error:") and "Traceback" not in err
+    assert repr(text) in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def assert_usage_error(capsys, code, *words):
     assert code == 2
     err = capsys.readouterr().err
@@ -345,6 +357,7 @@ MALFORMED_INPUTS = {
     "thresholds_list.json": ["qv.i"],
     "thresholds_null.json": {"qv.i": None},
     "thresholds_misspelt.json": {"qv.I": 2.0},
+    "thresholds_nan.json": {"qv.i": float("nan")},  # json writes NaN, and reads it back
     "space_list.json": [[0.0, 1.0], [1.0, 0.0]],
     "space_int_labels.json": {"n": 1, "dist": [[0.0]], "labels": 5},
     "cover_int_levels.json": {"levels": 5},
@@ -366,6 +379,8 @@ FIXTURE = ["--depth", "0", "--sample-depth", "-1",
                  ["'qv.i' must be a number, got None"], id="thresholds-null"),
     pytest.param([*VERIFY, "--thresholds", "{dir}/thresholds_misspelt.json"],
                  ["unknown threshold 'qv.I'"], id="thresholds-misspelt"),
+    pytest.param([*VERIFY, "--mode", "quasi", "--thresholds", "{dir}/thresholds_nan.json"],
+                 ["'qv.i' must be a number, got nan"], id="thresholds-nan"),
     pytest.param(["verify", "--space", "{dir}/space_list.json", "--cover", "{built}"],
                  ["JSON object, got list"], id="space-list-verify"),
     pytest.param(["qscheck", "--d1", "{dir}/space_list.json", "--d2", "{space}"],
@@ -389,6 +404,15 @@ FIXTURE = ["--depth", "0", "--sample-depth", "-1",
                  ["lambda must exceed 1, got 1.0"], id="boundary-lambda-1"),
     pytest.param(["build", "--space", "{space}", "--lambda", "0.5", "--depth", "3", *OUT],
                  ["lambda must exceed 1, got 0.5"], id="build-lambda-0.5"),
+    # non-finite numbers
+    pytest.param(["build", "--space", "{space}", "--lambda", "nan", "--depth", "3", *OUT],
+                 ["lambda must exceed 1, got nan"], id="build-lambda-nan"),
+    pytest.param(["synthesize", "--cover", "{built}", "--lambda", "inf", *OUT],
+                 ["lambda must be finite, got inf"], id="synthesize-lambda-inf"),
+    pytest.param(["boundary", "--cover", "{built}", "--space", "{space}", "--lambda", "inf", *OUT],
+                 ["lambda must be finite, got inf"], id="boundary-lambda-inf"),
+    pytest.param([*JULIA, "--cover-radius", "nan", *OUT],
+                 ["cover radius must be positive, got nan"], id="julia-cover-radius-nan"),
     pytest.param([*JULIA, "--target-count", "0", *OUT],
                  ["target_count must be at least 1, got 0"], id="julia-target-count-0"),
     pytest.param([*JULIA, "--cover-radius", "0", *OUT],

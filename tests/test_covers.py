@@ -16,9 +16,9 @@ from qvista.covers import (
     verify_quasi_visual,
     verify_visual,
 )
-from qvista.errors import EmptyTile, FitFailure, MissingLambda, UnknownTile
+from qvista.errors import EmptyTile, FitFailure, MissingLambda
 from qvista.metricspace import FiniteMetricSpace
-from conftest import two_point_space
+from helpers import two_point_space
 
 
 def brute_force_uw(cover, level, index, w):
@@ -62,11 +62,6 @@ class TestNeighborhoods:
             for t in cover.levels[lev]:
                 for w in (0, 1, 2):
                     assert u_w(cover, t, w) == brute_force_uw(cover, lev, t.index, w)
-
-    def test_unknown_tile(self, cantor):
-        _, cover = cantor
-        with pytest.raises(UnknownTile):
-            cover.tile(9, 0)
 
     def test_nested_in_w(self, interleaved):
         _, cover = interleaved
@@ -259,14 +254,28 @@ class TestTileIncidence:
 
     def test_cached_and_read_only(self, dyadic):
         _, cover = dyadic
-        members, meets = cover.members(2), cover.meets(1, 2)
+        members, meets, membership = cover.members(2), cover.meets(1, 2), cover.membership(2)
         assert cover.members(2) is members
         assert cover.meets(1, 2) is meets
         assert cover.meets(2, 1) is not meets
+        assert cover.membership(2) is membership
         with pytest.raises(ValueError):
             members[0][0] = 1
         with pytest.raises(ValueError):
             meets[0, 0] = False
+        with pytest.raises(ValueError):
+            membership[0, 0] = False
+
+    def test_with_space_shares_the_metric_free_caches(self, cantor):
+        space, cover = cantor
+        diams = cover.diams(2).copy()
+        bound = cover.with_space(FiniteMetricSpace(dist=3.0 * space.dist))
+        assert bound.meets(2, 2) is cover.meets(2, 2)
+        assert bound.membership(2) is cover.membership(2)
+        assert (bound.width, bound.visual_parameter) == (cover.width, cover.visual_parameter)
+        # scaling by 3 is monotone, so the max of the scaled distances is the scaled max
+        assert np.array_equal(bound.diams(2), 3.0 * diams)
+        assert np.array_equal(cover.diams(2), diams)
 
     def test_metric_free_cover(self, cantor):
         space, cover = cantor

@@ -12,7 +12,7 @@ from qvista.metricspace import FiniteMetricSpace, validate_metric
 def test_all_fixtures_valid_and_covering():
     for name in fixtures.FIXTURE_NAMES:
         space, cover = fixtures.fixture(name)
-        assert validate_metric(space).ok, name
+        assert validate_metric(space) is None, name
         all_points = frozenset(range(space.n))
         assert cover.levels[0][0].members == all_points
         for fam in cover.levels:

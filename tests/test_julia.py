@@ -271,11 +271,11 @@ class TestJuliaSample:
         assert s.z[0] == pytest.approx(1.0)
 
     def test_forward_invariance(self, zsq_sample):
-        g = zsq_sample.self_map_indices()
-        assert zsq_sample.projection_error() <= 2 * zsq_sample.mesh
+        g = zsq_sample.self_map
+        assert zsq_sample.projection_error <= 2 * zsq_sample.mesh
 
     def test_space_is_metric(self, zsq_sample):
-        assert validate_metric(zsq_sample.space()).ok
+        assert validate_metric(zsq_sample.space) is None
 
     def test_geometry_computed_once(self, monkeypatch):
         """One distance matrix and one evaluation of g on the sample per
@@ -295,13 +295,12 @@ class TestJuliaSample:
         verify_dynamical_qv(pull, cover)
         assert dist_calls == [sample.n]
         assert eval_shapes.count((sample.n,)) == 1
-        assert cover.space is sample.space()
-        assert sample.self_map_indices() is sample.self_map_indices()
-        assert isinstance(sample.projection_error(), float)
+        assert cover.space is sample.space
+        assert isinstance(sample.projection_error, float)
         with pytest.raises(ValueError):
-            sample.self_map_indices()[0] = 0
+            sample.self_map[0] = 0
         with pytest.raises(ValueError):
-            sample.space().dist[0, 1] = 0.0
+            sample.space.dist[0, 1] = 0.0
 
     def test_target_count_prune(self, zsq):
         s = julia_sample(zsq, 8, target_count=100)
@@ -360,7 +359,7 @@ def oracle_tiles(pull) -> list[list[tuple[int, ...]]]:
     their lowest point; one-point groups dropped where a group of several
     points holds their point, and each distinct group kept once."""
     sample = pull.sample
-    d, g = sample.space().dist, sample.self_map_indices()
+    d, g = sample.space.dist, sample.self_map
     nn = np.sort(d, axis=1)[:, 1]
     levels = [[tuple(range(sample.n))]]
     tiles: list[list[int]] = []

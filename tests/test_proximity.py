@@ -104,8 +104,7 @@ class TestProximity:
         import json
 
         data = json.loads((tmp_path / "m.json").read_text())
-        back = ProximityTable.from_dict(data)
-        assert np.array_equal(back.m, table.m)
+        assert np.array_equal(np.array(data["m"], dtype=np.int64), table.m)
 
 
 class TestCombinatorialCheck:
@@ -134,7 +133,7 @@ class TestQuasiMetric:
         table = compute_proximity(cover)
         qm = quasi_metric_from_m(table, 2.0)
         assert qm.K <= 2.0
-        cert = table.certified() & ~np.eye(table.n, dtype=bool)
+        cert = (table.m <= table.truncation) & ~np.eye(table.n, dtype=bool)
         assert np.allclose(qm.q[cert], space.dist[cert], atol=0, rtol=0)
 
     def test_ultrametric_k_one(self, cantor):
@@ -235,7 +234,7 @@ class TestSynthesis:
         space, cover = tree
         metric, _rep = synthesize_visual_metric(cover, 2.0)
         table = compute_proximity(cover)
-        cert = table.certified() & ~np.eye(space.n, dtype=bool)
+        cert = (table.m <= table.truncation) & ~np.eye(space.n, dtype=bool)
         ratio = metric.dist[cert] / space.dist[cert]
         K = 2.0 ** check_combinatorially_visual(cover, table).C
         assert ratio.max() <= 2 * K + 1e-9
@@ -310,12 +309,12 @@ class TestDynamicalChecks:
         space = FiniteMetricSpace(dist=np.abs(xs[:, None] - xs[None, :]))
         fam = [(0, 1, 2, 3)]
         cover = CoverSequence(space, [fam, fam, fam], width=0)
-        rep = dynamical_checks(cover, np.arange(4), exact_image=True)
+        rep = dynamical_checks(cover, np.arange(4), nu=1.0, exact_image=True)
         assert rep.passed
 
     def test_angle_doubling_passes(self):
         space, cover, gmap = circle_fixture()
-        rep = dynamical_checks(cover, gmap)
+        rep = dynamical_checks(cover, gmap, nu=1.0)
         assert rep.shift_ok
         assert rep.proximity_ok
 
@@ -324,14 +323,14 @@ class TestDynamicalChecks:
         bad = gmap.copy()
         n = space.n
         bad[: n // 4] = (bad[: n // 4] + n // 2) % n  # break half an arc
-        rep = dynamical_checks(cover, bad)
+        rep = dynamical_checks(cover, bad, nu=1.0)
         assert not rep.shift_ok
         assert rep.shift_violations
 
     def test_map_not_closed(self):
         space, cover, gmap = circle_fixture()
         with pytest.raises(MapNotClosed):
-            dynamical_checks(cover, gmap + space.n)
+            dynamical_checks(cover, gmap + space.n, nu=1.0)
 
 
 def test_cantor_julia_proximity_golden():

@@ -215,7 +215,7 @@ def test_raster_ids_are_int32_end_to_end():
 
     sample = julia_sample(g, 6)
     pull = pullback_cover(admissible_cover(g, sample, 0.25, grid=grid), 3)
-    centers = greedy_separated_subset(sample.space().dist, range(sample.n), 0.25)
+    centers = greedy_separated_subset(sample.space.dist, range(sample.n), 0.25)
     for r, c in zip(pull.families[0], centers, strict=True):
         assert r.cells.dtype == np.int32
         assert np.array_equal(r.cells, raster_ball_oracle(grid, sample.vecs[c], 0.25))

@@ -19,7 +19,7 @@ from qvista.tilegraph import (
     hop_distances,
     hyperbolicity_constant,
 )
-from conftest import two_point_space
+from helpers import two_point_space
 
 
 def scipy_hops(adj):
@@ -283,9 +283,10 @@ class TestClusters:
     def test_r0_identical_verdicts(self, cantor):
         _, cover = cantor
         g = build_tile_graph(cover)
-        same = cluster_cover_sequence(g, 0, width=cover.width)
-        a = verify_quasi_visual(cover)
-        b = verify_quasi_visual(same)
+        # V_0(X) = X, and cluster covers have width 1
+        levels = [[t.sorted_members() for t in fam] for fam in cover.levels]
+        a = verify_quasi_visual(CoverSequence(cover.space, levels, width=1))
+        b = verify_quasi_visual(cluster_cover_sequence(g, 0))
         assert [c.verdict for c in a.conditions] == [c.verdict for c in b.conditions]
 
     def test_cantor_r1_still_passes(self, cantor):

@@ -54,7 +54,7 @@ def visual_diam_oracle(cover):
             dm = diams[t.index]
             c = np.inf if dm == 0 else max(dm / scale, scale / dm)
             if c > c1_best:
-                c1_best, c1_wit = c, {"tile": list(t.id), "diam": float(dm)}
+                c1_best, c1_wit = c, {"tile": [t.level, t.index], "diam": float(dm)}
             if not np.isfinite(c1_best):
                 break
     return c1_best, c1_wit
@@ -118,7 +118,7 @@ def c_ii_oracle(cover, table):
                 continue
             if best - lev > c_ii:
                 c_ii = float(best - lev)
-                wit_ii = {"tile": list(t.id), "min_m": best}
+                wit_ii = {"tile": [t.level, t.index], "min_m": best}
     return c_ii, unresolved_tiles, wit_ii
 
 
@@ -275,7 +275,7 @@ def julia_cantor():
     g = RationalMap(p=[1.0, 0.0, -3.0], q=[1.0])
     sample = julia_sample(g, 10)
     pull = pullback_cover(admissible_cover(g, sample, 0.25, grid=SphereGrid(K=512)), 4)
-    return sample.space(), induce_tiles(pull)
+    return sample.space, induce_tiles(pull)
 
 
 COVERS = ["cantor", "cantor_small", "dyadic", "tree", "interleaved", "gasket",
