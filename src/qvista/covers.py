@@ -625,11 +625,20 @@ def derive_rho_tau_nu(cover: CoverSequence) -> DecayRates:
         gap_max, gap_min = _cross_level_gap_ratios(cover)
     if not gap_max:
         raise FitFailure("no intersecting cross-level pairs with positive diameter")
+    zero = [k for k in sorted(gap_max) if gap_max[k] == 0.0]
+    if zero:
+        raise FitFailure(
+            f"max diameter ratio is 0 at level gap {zero[0]}: every tile that meets a tile of "
+            f"positive diameter {zero[0]} level(s) above it has diameter 0, so no decay rate "
+            "can be fitted"
+        )
     ks = np.array(sorted(gap_max), dtype=float)
     log_max = np.log([gap_max[int(k)] for k in ks])
     log_min = np.log([max(gap_min[int(k)], 1e-300) for k in ks])
     rho = float(np.exp(_log_slope(ks, log_max)))
     tau = float(np.exp(_log_slope(ks, log_min)))
+    if not np.isfinite(rho):
+        raise FitFailure(f"rho fit is not finite ({rho!r}) over level gaps {ks.astype(int).tolist()}")
     if rho >= 1.0 - 1e-9:
         raise FitFailure(f"no decay rate below 1 within truncation (rho fit {rho!r})")
     tau = min(tau, rho)  # 0 < tau <= rho < 1 by theory; clamp fit noise

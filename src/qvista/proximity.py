@@ -28,6 +28,7 @@ from .covers import (
 )
 from .errors import KTooLarge, LambdaTooLarge, MapNotClosed
 from .metricspace import FiniteMetricSpace
+from .spheregrid import run_indices
 
 NU_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))  # 0.05 .. 1.00
 K_CAP = 1e6
@@ -508,10 +509,10 @@ def dynamical_checks(
     the smallest C with d(g^n x, g^n y) <= C (d(x,y)/diam Z)^nu over pairs in
     balls B(z0, 2 diam Z) around members of (n+1)-tiles Z.
 
-    Both quadratic scans stream in row blocks of at most ``ROW_BLOCK``
-    entries, so neither builds an n x n or ball x ball temporary beside the
-    proximity table: the distortion scan takes the rows of each ball against
-    the whole ball, and the decay check stops at the first block that holds a
+    Both quadratic scans stream in blocks of at most ``ROW_BLOCK`` entries,
+    so neither builds an n x n or ball x ball temporary beside the proximity
+    table: the distortion scan takes the ball pairs of all tiles of a level
+    together, and the decay check stops at the first block that holds a
     violation, whose first entry is still the first violating pair in
     row-major order.
     """
@@ -571,23 +572,7 @@ def dynamical_checks(
     gn = np.arange(n_pts)
     for k in range(1, depth):
         gn = g[gn]
-        diams = cover.diams(k + 1)
-        for dm, idx in zip(diams, cover.members(k + 1)):
-            if dm == 0:
-                continue
-            z0 = idx[0]
-            ball = np.flatnonzero(d[z0] < 2.0 * dm)
-            if ball.size < 2:
-                continue
-            img_ball = gn[ball]
-            step = max(1, ROW_BLOCK // ball.size)
-            for lo in range(0, ball.size, step):
-                sub = d[np.ix_(ball[lo:lo + step], ball)]
-                img = d[np.ix_(img_ball[lo:lo + step], img_ball)]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    bound = (sub / dm) ** nu
-                    ratio = np.where(bound > 0, img / bound, 0.0)
-                dist_C = max(dist_C, float(ratio.max()))
+        dist_C = max(dist_C, _distortion_level(d, cover.diams(k + 1), cover.members(k + 1), gn, nu))
 
     return DynamicalReport(
         shift_ok=not shift_violations,
@@ -597,3 +582,42 @@ def dynamical_checks(
         distortion_C=dist_C,
         nu=float(nu),
     )
+
+
+def _distortion_level(
+    d: np.ndarray, diams: np.ndarray, members: tuple[np.ndarray, ...], gn: np.ndarray, nu: float
+) -> float:
+    """Largest d(g^n x, g^n y) / (d(x, y) / diam Z)^nu over the pairs x, y
+    in B(z0, 2 diam Z), z0 the first member of a tile Z of positive diameter.
+
+    ``gn`` is g^n as an index array.  The balls of all tiles are scanned
+    together, in blocks of whole rows with at most ``ROW_BLOCK`` entries (a
+    longer row is a block of its own).  Only the pairs x < y within a ball are
+    read, through flat indices: ``d`` is exactly symmetric, so a pair and its
+    mirror give the same ratio, and a pair x = x gives ratio 0.
+    """
+    n = d.shape[0]
+    flat = d.ravel()
+    pos = np.flatnonzero(diams > 0)
+    balls = [np.flatnonzero(d[members[t][0]] < 2.0 * diams[t]) for t in pos]
+    size = np.array([b.size for b in balls], dtype=np.int64)
+    point = np.concatenate([np.empty(0, dtype=np.intp), *balls])
+    image = gn[point]
+    scale = np.repeat(diams[pos], size)
+    # row q pairs point[q] with the points after it in its ball
+    count = np.repeat(np.cumsum(size), size) - np.arange(point.size) - 1
+    reach = np.cumsum(count)
+    worst = 0.0
+    lo = 0
+    while lo < point.size:
+        hi = max(lo + 1, int(np.searchsorted(reach, reach[lo] - count[lo] + ROW_BLOCK, side="right")))
+        c = count[lo:hi]
+        col = run_indices(np.arange(lo + 1, hi + 1), c)
+        sub = flat[np.repeat(point[lo:hi] * n, c) + point[col]]
+        img = flat[np.repeat(image[lo:hi] * n, c) + image[col]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = (sub / np.repeat(scale[lo:hi], c)) ** nu
+            ratio = np.where(bound > 0, img / bound, 0.0)
+        worst = max(worst, float(ratio.max(initial=0.0)))
+        lo = hi
+    return worst

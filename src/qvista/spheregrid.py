@@ -4,15 +4,12 @@ Chart A is the z-plane square [-H, H]^2, chart B the w = 1/z plane square of
 the same size, overlapping on 1/H <= |z| <= H.  Every sphere point has a
 canonical cell (chart A when |z| <= 1, else chart B), and cells in the
 overlap know their twin in the other chart.  Connected components are
-labelled per chart on a bounding-box raster, which also yields the distinct
-cells in ascending order, and stitched into sphere components by reading
-each twin's label from the other chart's label raster, with no sort to
-deduplicate the cells and no binary search for the twins.
-
-The per-chart labelling is the only step that needs scipy (``ndimage.label``).
-It imports it on first use, so importing this module, or running anything
-that never labels a raster, loads no scipy module.  The stitching runs on
-``covers.connected_components``.
+labelled on row runs of the sorted, distinct cells: a run is a maximal
+stretch of consecutive ids within one row.  Runs in consecutive rows of one
+chart whose x-intervals meet within one cell are 8-neighbours, runs holding a
+cell and its twin are stitched across the charts, and one
+``covers.connected_components`` call labels the runs.  No step builds a
+raster of the cells' bounding box, and no step needs scipy.
 
 Whole-grid per-cell tables (the twin table here, the image table of a map)
 are filled in blocks of ``FILL_BLOCK`` cells, which bounds the temporaries of
@@ -34,7 +31,6 @@ import numpy as np
 from .covers import connected_components
 
 CHART_HALF_WIDTH = 2.2
-EIGHT = np.ones((3, 3), dtype=int)  # 8-connectivity for component labeling
 FILL_BLOCK = 1 << 16  # cells per block when filling a whole-grid table
 MAX_K = 32767  # largest K with 2K^2 < 2^31, so every cell id and count fits int32
 
@@ -197,72 +193,37 @@ class SphereGrid:
         is an ascending int32 array, and components are ordered by their
         smallest cell.
         """
-        cells = np.asarray(cells, dtype=np.int32).ravel()
-        if cells.size == 0:
+        ids = np.sort(np.asarray(cells, dtype=np.int32).ravel())
+        if ids.size == 0:
             return []
-        half = self.K * self.K
-        in_b = cells >= half
-        charts = [_ChartLabels.of(cells[~in_b], self.K), _ChartLabels.of(cells[in_b] - half, self.K)]
-        offsets = [-1, charts[0].count - 1]  # labels 1..count -> sphere-wide 0..
-        # stitch along matched twins: a cell's twin lies in the other chart,
-        # whose label raster gives the twin's label (a missing twin, -1,
-        # falls outside every box)
-        twin = self.twin_flat()
-        src, dst = [], []
-        for chart in (0, 1):
-            own, other = charts[chart], charts[1 - chart]
-            hit = other.at(twin[own.ids + chart * half] - (1 - chart) * half)
-            ok = hit > 0
-            src.append(own.labels[ok] + offsets[chart])
-            dst.append(hit[ok] + offsets[1 - chart])
-        n_lab = charts[0].count + charts[1].count
-        comp = connected_components(n_lab, np.concatenate(src), np.concatenate(dst))
-        # chart A ids precede chart B ids, so the cells stay ascending
-        flat = np.concatenate([charts[0].ids, charts[1].ids + half])
-        labels = np.concatenate([c.labels + off for c, off in zip(charts, offsets)])
-        return group_by_label(flat, comp[labels])
-
-
-@dataclass
-class _ChartLabels:
-    """8-connected components of a set of chart-local cell ids, labelled on
-    the set's bounding box."""
-
-    K: int
-    ids: np.ndarray  # the distinct ids, ascending, int32
-    labels: np.ndarray  # label of each id, 1..count
-    raster: np.ndarray  # box label raster, 0 off the set
-    lo_y: int
-    lo_x: int
-    count: int
-
-    @classmethod
-    def of(cls, rem: np.ndarray, K: int) -> "_ChartLabels":
-        from scipy import ndimage  # only labelling needs it, and it is slow to import
-
-        if not rem.size:
-            return cls(K, rem, np.zeros(0, dtype=np.int32), np.zeros((0, 0), dtype=np.int32), 0, 0, 0)
-        iy, ix = np.divmod(rem, K)
-        lo_y, lo_x = int(iy.min()), int(ix.min())
-        w = int(ix.max()) + 1 - lo_x
-        mask = np.zeros((int(iy.max()) + 1 - lo_y, w), dtype=bool)
-        mask.ravel()[(iy - lo_y) * w + (ix - lo_x)] = True
-        raster, count = ndimage.label(mask, structure=EIGHT)
-        # row-major order in the box is ascending id order: no sort needed
-        pos = np.flatnonzero(mask)
-        ids = (pos + (pos // w) * (K - w) + (lo_y * K + lo_x)).astype(np.int32)
-        return cls(K, ids, raster.ravel()[pos], raster, lo_y, lo_x, count)
-
-    def at(self, rem: np.ndarray) -> np.ndarray:
-        """Labels of any chart-local ids: 0 off the set or outside the box."""
-        ty, tx = np.divmod(rem, self.K)
-        ty -= self.lo_y
-        tx -= self.lo_x
-        h, w = self.raster.shape
-        ok = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
-        out = np.zeros(rem.shape, dtype=self.raster.dtype)
-        out[ok] = self.raster.ravel()[ty[ok] * w + tx[ok]]
-        return out
+        ids = ids[_equal_runs(ids)[0]]  # np.unique is far slower on int32
+        K = self.K
+        # runs: maximal stretches of consecutive ids, cut at the start of a row
+        starts = np.flatnonzero(np.append(True, (np.diff(ids) != 1) | (ids[1:] % K == 0)))
+        ends = np.append(starts[1:], ids.size)
+        first, last = ids[starts], ids[ends - 1]
+        run = np.repeat(np.arange(starts.size), ends - starts)
+        # 8-neighbours: the runs of the next row that meet this run's x-interval
+        # widened by one cell.  The widened interval is clamped to that row,
+        # and chart A's last row has no next row in chart B.
+        row, x0 = np.divmod(first, K)  # int32, as the ids: 2K^2 fits int32
+        below = (row + 1) * K
+        lo = np.searchsorted(last, below + np.maximum(x0 - 1, 0))
+        hi = np.searchsorted(first, below + np.minimum(last - row * K + 1, K - 1), side="right")
+        count = np.where(row == K - 1, 0, hi - lo)
+        # twins: a link for each cell whose twin in the other chart is in the
+        # set, kept once where consecutive cells link the same two runs
+        twin = self.twin_flat()[ids]
+        pos = np.minimum(np.searchsorted(ids, twin), ids.size - 1)
+        hit = np.flatnonzero(ids[pos] == twin)
+        a, b = run[hit], run[pos[hit]]
+        new = (np.diff(a, prepend=-1) != 0) | (np.diff(b, prepend=-1) != 0)
+        comp = connected_components(
+            starts.size,
+            np.concatenate([np.repeat(np.arange(starts.size), count), a[new]]),
+            np.concatenate([run_indices(lo, count), b[new]]),
+        )
+        return group_by_label(ids, comp[run])
 
 
 def group_by_label(items: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
@@ -303,16 +264,43 @@ def inverse_image(img: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """A function from distinct cells to the cells that ``img`` maps into them,
     bucket by bucket in the given order, each bucket ascending, as int32.  The
     inverse image it reads (a stable sort by image, and the bucket starts) is
-    built once here as int32 arrays and lives as long as that function."""
-    start = np.zeros(img.size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(img, minlength=img.size), out=start[1:])
-    pre = np.argsort(img, kind="stable").astype(np.int32)
+    built once here as int32 arrays and lives as long as that function.
+
+    The sort is a stable counting sort over blocks of ``FILL_BLOCK`` cells, so
+    that beside the two int32 arrays only a block's temporaries are live: one
+    pass counts the buckets, and a second places each block's cells, sorted
+    by (image, cell) within the block, at their buckets' running fill marks.
+    """
+    n = img.size
+    # start[v + 1] is bucket v's fill mark, once the counts stored two places
+    # up are summed; when every cell is placed it is where bucket v + 1 starts
+    shifted = np.zeros(n + 2, dtype=np.int32)
+    for lo in range(0, n, FILL_BLOCK):
+        vals = np.sort(img[lo:lo + FILL_BLOCK])
+        head, count = _equal_runs(vals)
+        shifted[vals[head] + 2] += count.astype(np.int32)
+    np.cumsum(shifted, dtype=np.int32, out=shifted)
+    start = shifted[:-1]
+    pre = np.empty(n, dtype=np.int32)
+    for lo in range(0, n, FILL_BLOCK):
+        block = img[lo:lo + FILL_BLOCK]
+        key = np.sort(block.astype(np.int64) * FILL_BLOCK + np.arange(block.size))
+        vals, cell = np.divmod(key, FILL_BLOCK)
+        head, count = _equal_runs(vals)
+        pre[start[vals + 1] + np.arange(vals.size) - np.repeat(head, count)] = cell + lo
+        start[vals[head] + 1] += count.astype(np.int32)
 
     def gather(cells: np.ndarray) -> np.ndarray:
         lo = start[cells]
         return pre[run_indices(lo, start[cells + 1] - lo)]
 
     return gather
+
+
+def _equal_runs(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal values in a sorted array."""
+    head = np.flatnonzero(np.append(True, vals[1:] != vals[:-1]))
+    return head, np.diff(np.append(head, vals.size))
 
 
 def run_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

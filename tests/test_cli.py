@@ -27,8 +27,19 @@ def scipy_modules_after(code: str) -> str:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Only the raster labeller needs scipy, so starting the CLI must not pay for it."""
+    """No qvista module needs scipy, so starting the CLI must not pay for it."""
     assert scipy_modules_after("import qvista.cli") == "[]"
+
+
+def test_julia_run_leaves_scipy_unloaded(tmp_path):
+    """A Julia run labels its pull-back components without scipy."""
+    code = f"""
+from qvista.cli import main
+code = main(["julia", "--map", "z^2-1", "--depth", "6", "--levels", "3", "--grid", "128",
+             "--out", {str(tmp_path / "julia.json")!r}])
+assert code in (0, 1), code  # a verdict, pass or fail: the pull-backs were labelled
+"""
+    assert scipy_modules_after(code) == "[]"
 
 
 def test_metric_chain_leaves_scipy_unloaded():
@@ -460,3 +471,16 @@ def test_build_on_coincident_twins_is_usage_error(tmp_path, args):
     assert out.returncode == 2
     assert out.stderr.startswith("qvista: error:") and "Traceback" not in out.stderr
     assert "coincident pairs include [[0, 1], [2, 3]]" in out.stderr
+
+
+def test_julia_flat_diameter_gap_is_fit_failure(tmp_path):
+    """At 16 sample points every tile below the root is a single point, so the
+    max diameter ratio of level gap 1 is 0: the rate fit must fail by name,
+    not take the log of 0 and report rho as nan."""
+    out = run_python("-m", "qvista.cli", "julia", "--map", "(z^2+1)/(z^2-1)", "--depth", "4",
+                     "--levels", "2", "--grid", "128", "--out", str(tmp_path / "julia.json"),
+                     timeout=120)
+    assert out.returncode == 2
+    assert out.stderr.startswith("qvista: error:")
+    assert "level gap 1" in out.stderr
+    assert "Warning" not in out.stderr and "Traceback" not in out.stderr

@@ -92,6 +92,41 @@ def dynamical_checks_oracle(cover, point_map, nu=None, shift_tolerance=0.0, exac
     )
 
 
+def distortion_oracle(cover, point_map, nu):
+    """The distortion scan as it ran tile by tile: per tile of positive
+    diameter, the rows of its ball against the whole ball, in blocks of
+    ``ROW_BLOCK`` entries."""
+    g = np.asarray(point_map, dtype=np.int64)
+    d = cover.space.dist
+    dist_C = 0.0
+    gn = np.arange(cover.n_points)
+    for k in range(1, cover.depth):
+        gn = g[gn]
+        for dm, idx in zip(cover.diams(k + 1), cover.members(k + 1)):
+            if dm == 0:
+                continue
+            ball = np.flatnonzero(d[idx[0]] < 2.0 * dm)
+            if ball.size < 2:
+                continue
+            img_ball = gn[ball]
+            step = max(1, proximity.ROW_BLOCK // ball.size)
+            for lo in range(0, ball.size, step):
+                sub = d[np.ix_(ball[lo:lo + step], ball)]
+                img = d[np.ix_(img_ball[lo:lo + step], img_ball)]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    bound = (sub / dm) ** nu
+                    ratio = np.where(bound > 0, img / bound, 0.0)
+                dist_C = max(dist_C, float(ratio.max()))
+    return dist_C
+
+
+def assert_same_distortion(cover, point_map, nu):
+    got = dynamical_checks(cover, point_map, nu=nu).distortion_C
+    want = distortion_oracle(cover, point_map, nu)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    return got
+
+
 def julia_cover(text, depth, K=256, levels=3):
     g = RationalMap.parse(text)
     sample = julia_sample(g, depth)
@@ -187,6 +222,27 @@ def test_julia_cover_exact_image_matches_oracle(basilica_1024):
     bad[7] = g[7 + g.size // 2]
     rep = assert_same_report(cover, bad, nu, exact_image=True)
     assert rep.shift_violations
+
+
+@pytest.mark.parametrize("text, K", [("z^2-1", 768), ("z^2-3", 512)])
+def test_batched_distortion_matches_per_tile_scan_on_benchmark_covers(text, K):
+    """The covers of the seed-0 julia-basilica and julia-cantor benchmark passes."""
+    cover, g, nu = julia_cover(text, 10, K=K, levels=4)
+    assert assert_same_distortion(cover, g, nu) > 0
+
+
+@pytest.mark.parametrize("row_block", [proximity.ROW_BLOCK, 64])
+@pytest.mark.parametrize("name", ["cantor", "dyadic", "tree", "gasket"])
+def test_batched_distortion_matches_per_tile_scan_on_fixtures(name, row_block, monkeypatch, request):
+    """Seeded self-maps and several exponents.  64-entry blocks split the
+    balls into many blocks, and the dyadic fixture's balls of up to 127
+    points hold rows longer than one block."""
+    _, cover = request.getfixturevalue(name)
+    monkeypatch.setattr(proximity, "ROW_BLOCK", row_block)
+    for seed in (2, 3):
+        for g in self_maps(cover.n_points, seed):
+            for nu in (0.3, 0.5, 1.0):
+                assert_same_distortion(cover, g, nu)
 
 
 def traced_peak(fn) -> int:

@@ -1,4 +1,6 @@
-"""The sort-free raster kernels against the sorting implementations they replace."""
+"""The raster kernels against the implementations they replace."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +11,14 @@ from scipy.sparse.csgraph import connected_components
 from qvista.julia import RationalMap, admissible_cover, julia_sample, pullback_cover
 from qvista.metricspace import greedy_separated_subset
 from qvista.sphere import sphere_from_complex
-from qvista.spheregrid import EIGHT, FILL_BLOCK, MAX_K, SphereGrid, group_by_label, inverse_image
+from qvista.spheregrid import FILL_BLOCK, MAX_K, SphereGrid, group_by_label, inverse_image
+
+EIGHT = np.ones((3, 3), dtype=int)  # 8-connectivity for ndimage.label
 
 
 def components_oracle(grid, cells):
-    """Components by np.unique and a binary search for each twin."""
+    """Components by an 8-connected ndimage.label of each chart's bounding
+    box, stitched by a binary search for each twin."""
     cells = np.unique(np.asarray(cells, dtype=np.int64))
     if cells.size == 0:
         return []
@@ -88,6 +93,35 @@ def test_components_do_not_wrap_rows():
     comps = assert_same_components(grid, cells)
     assert [c.tolist() for c in comps] == [[5 * grid.K + grid.K - 1, 7 * grid.K - 1],
                                           [6 * grid.K, 6 * grid.K + 1]]
+
+
+@pytest.mark.parametrize("K", [16, 37])
+def test_components_do_not_cross_from_chart_a_to_b(K):
+    """Chart A's last row and chart B's first row have consecutive flat rows
+    but are far apart on the sphere: only a twin joins cells of two charts."""
+    grid = SphereGrid(K=K)
+    half = K * K
+    twin = grid.twin_flat()
+    for x in (0, K // 2, K - 1):
+        a, b = half - K + x, half + x
+        assert twin[a] != b and twin[b] != a
+        comps = assert_same_components(grid, [b, a])
+        assert [c.tolist() for c in comps] == [[a], [b]]
+        assert twin[a] > b
+        comps = assert_same_components(grid, [a, b, twin[a]])
+        assert [c.tolist() for c in comps] == [[a, twin[a]], [b]]
+
+
+def test_components_join_runs_touching_at_a_corner():
+    grid = SphereGrid(K=32)
+
+    def run(y, xs):
+        return [y * grid.K + x for x in xs]
+
+    upper, right, apart = run(5, range(2, 5)), run(6, range(5, 8)), run(6, [0])
+    anti_upper, anti_lower, anti_apart = run(10, [20]), run(11, [19]), run(11, [22])
+    comps = assert_same_components(grid, upper + right + apart + anti_upper + anti_lower + anti_apart)
+    assert [c.tolist() for c in comps] == [upper + right, apart, anti_upper + anti_lower, anti_apart]
 
 
 @pytest.mark.parametrize("K", [64, 37])
@@ -191,6 +225,39 @@ def test_blocked_image_cells_matches_unblocked(text):
     assert got.dtype == np.int32
     assert np.array_equal(got, want)
     assert g.image_cells(grid) is got  # cached under (K, H)
+
+
+@pytest.mark.parametrize("text", ["z^2-1", "(z^2+1)/(z^2-1)"])
+def test_blocked_inverse_image_is_a_stable_argsort(text):
+    """Over more than one block, the buckets of every cell in ascending order
+    concatenate to the stable argsort of the image table."""
+    grid = SphereGrid(K=BLOCKED_K)
+    img = RationalMap.parse(text).image_cells(grid)
+    assert img.size > FILL_BLOCK and img.size % FILL_BLOCK != 0
+    preimage = inverse_image(img)
+    got = preimage(np.arange(grid.n_cells))
+    assert got.dtype == np.int32
+    assert np.array_equal(got, np.argsort(img, kind="stable"))
+    cells = np.random.default_rng(0).choice(grid.n_cells, size=500, replace=False)
+    assert preimage(cells).tolist() == [i for c in cells for i in np.flatnonzero(img == c)]
+
+
+def test_inverse_image_holds_little_beside_its_tables():
+    """The two int32 tables take 8 bytes a cell.  The intp stable argsort and
+    int64 bucket counts they were once built from peaked at more than twice
+    that; the blocked counting sort adds only a block's temporaries."""
+    n = 1 << 22
+    img = np.random.default_rng(1).integers(0, n, size=n).astype(np.int32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        preimage = inverse_image(img)
+        live, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert live >= 8 * n
+    assert peak < 1.25 * 8 * n
+    assert preimage(np.array([img[0]])).tolist() == np.flatnonzero(img == img[0]).tolist()
 
 
 def test_raster_ids_are_int32_end_to_end():
