@@ -292,6 +292,24 @@ def test_julia_singleton_traces_keep_their_points(tmp_path):
     assert report["passed"] is (code == 0)
 
 
+# SHA-256 of the whole report file (manifest included, seed 0) of two runs
+# that both exit 1; a raster change that moves any verdict or figure shows here
+JULIA_REPORT_DIGESTS = {
+    ("z^2-1", "256"): "1bdc1c92cda030b9f5dec3b70d593bc0e7fad3f7238da2df25ce3e42f6f0c6f0",
+    ("z^2-3", "128"): "877473b5db5fa4da5bda644c15d58e5528722bbe7b3d3a0f196be9f021a8dd96",
+}
+
+
+@pytest.mark.parametrize("text, grid", JULIA_REPORT_DIGESTS, ids=["basilica", "cantor"])
+def test_julia_report_golden(tmp_path, monkeypatch, text, grid):
+    monkeypatch.delenv("QVISTA_SEED", raising=False)
+    out = tmp_path / "julia.json"
+    code = main(["julia", "--map", text, "--depth", "8", "--levels", "3", "--grid", grid,
+                 "--out", str(out)])
+    assert code == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == JULIA_REPORT_DIGESTS[text, grid]
+
+
 def test_julia_grid_beyond_int32_ids_is_usage_error(tmp_path, capsys, monkeypatch):
     from qvista.spheregrid import SphereGrid
 
