@@ -2,10 +2,13 @@
 
 The sample is produced by inverse iteration from a repelling fixed point, so
 it is a subset of the Julia set that is exactly forward invariant.  Ambient
-covers live on the two-chart sphere raster: a level-1 family of spherical
-balls around a net of the sample is pulled back one step at a time by marking
-cells whose image lands in the parent region and splitting into connected
-components.  Preimage components are never computed by factoring iterates.
+covers live on the live cells of the two-chart sphere raster (each chart's
+disc of radius 1 + 2 grid steps, see ``spheregrid``): a level-1 family of
+spherical balls around a net of the sample is pulled back one step at a time
+by marking the live cells whose image lands in the parent region and
+splitting them into connected components, stitched across the charts
+through the seam band.  Cells off the live set have image -1 and are never
+marked.  Preimage components are never computed by factoring iterates.
 """
 
 from __future__ import annotations
@@ -187,7 +190,8 @@ class RationalMap:
         return pts, mult
 
     def image_cells(self, grid: SphereGrid) -> np.ndarray:
-        """Per grid cell, the canonical cell of the image of its center (cached)."""
+        """Per live grid cell, the canonical cell of the image of its center;
+        -1 off the live set (cached)."""
         key = (grid.K, grid.H)
         if key not in self._img_cache:
             self._img_cache[key] = grid.fill_cells(
@@ -408,10 +412,15 @@ def _farthest_point_prune(pts: np.ndarray, target: int) -> np.ndarray:
 
 @dataclass
 class AmbientRegion:
-    """A connected raster region on the sphere at one pull-back level."""
+    """A connected raster region on the sphere at one pull-back level.
+
+    ``cells`` are live cells only (``SphereGrid.live_flat``): the region's
+    points are held by their canonical cells, and those in the seam band
+    1/R <= |z| <= R also by cells of the other chart, which stitch the
+    region across the charts."""
 
     level: int
-    cells: np.ndarray  # sorted int32 flat cell ids
+    cells: np.ndarray  # sorted int32 flat ids of live cells
     parent: int  # index in the previous level's family, -1 at level 1
     sample_points: tuple[int, ...]
 
@@ -471,12 +480,14 @@ def admissible_cover(
 def pullback_cover(pull: PullbackCover, n_levels: int) -> PullbackCover:
     """Extend the family chain to ``n_levels`` by one-step pull-backs.
 
-    The cells whose g-image lands in a parent region are gathered from the
-    inverse image of g on the raster, split into sphere components, and kept
-    when they meet the sample.  Tile membership is decided by the dynamics in
-    ``induce_tiles``, which reads only the level-1 regions: the regions below
-    level 1 decide only how many levels there are, and whether a level comes
-    out empty (EmptyLevel).
+    The live cells whose g-image lands in a parent region are gathered from
+    the inverse image of g on the raster (cells off the live set have image
+    -1 and lie in no bucket), split into sphere components, and kept when
+    they meet the sample through a sample point's canonical cell or its
+    twin.  Tile membership is decided by the dynamics in ``induce_tiles``,
+    which reads only the level-1 regions: the regions below level 1 decide
+    only how many levels there are, and whether a level comes out empty
+    (EmptyLevel).
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be at least 1, got {n_levels}")

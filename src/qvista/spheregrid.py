@@ -1,19 +1,27 @@
 """Two-chart raster of the Riemann sphere for pull-back component tracking.
 
 Chart A is the z-plane square [-H, H]^2, chart B the w = 1/z plane square of
-the same size, overlapping on 1/H <= |z| <= H.  Every sphere point has a
-canonical cell (chart A when |z| <= 1, else chart B), and cells in the
-overlap know their twin in the other chart.  Connected components are
-labelled on row runs of the sorted, distinct cells: a run is a maximal
-stretch of consecutive ids within one row.  Runs in consecutive rows of one
-chart whose x-intervals meet within one cell are 8-neighbours, runs holding a
-cell and its twin are stitched across the charts, and one
-``covers.connected_components`` call labels the runs.  No step builds a
-raster of the cells' bounding box, and no step needs scipy.
+the same size.  Every sphere point has a canonical cell (chart A when
+|z| <= 1, else chart B), whose center lies within step/sqrt(2) of the unit
+circle or inside it.  The raster works on the **live** cells alone: those
+whose center lies within R = 1 + 2 step of their chart's origin, about 16 %
+of each square.  The rest of a square holds copies of sphere points that the
+other chart holds canonically.  The live cells of the two charts overlap on
+the seam band 1/R <= |z| <= R: every canonical cell is live, and every live
+cell outside its chart's unit circle has a live twin, so regions stitch
+across the charts there.  The whole-grid tables, the raster of a ball and
+with them every pull-back region hold live cells only.
+
+Connected components are labelled on row runs of the sorted, distinct cells:
+a run is a maximal stretch of consecutive ids within one row.  Runs in
+consecutive rows of one chart whose x-intervals meet within one cell are
+8-neighbours, runs holding a cell and its twin are stitched across the
+charts, and one ``covers.connected_components`` call labels the runs.  No
+step builds a raster of the cells' bounding box, and no step needs scipy.
 
 Whole-grid per-cell tables (the twin table here, the image table of a map)
-are filled in blocks of ``FILL_BLOCK`` cells, which bounds the temporaries of
-the elementwise maths instead of letting them scale with 2K^2.
+hold -1 off the live set and are computed on live ids only, in blocks of
+``FILL_BLOCK`` ids, which bounds the temporaries of the elementwise maths.
 
 Cell ids are int32 from end to end: the whole-grid tables, the raster of a
 ball, the components, the inverse image and what it gathers.  Only index
@@ -42,6 +50,7 @@ class SphereGrid:
     K: int = 2048
     H: float = CHART_HALF_WIDTH
     _twin: np.ndarray | None = field(default=None, repr=False)
+    _live: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.K < 1:
@@ -59,6 +68,33 @@ class SphereGrid:
     @property
     def n_cells(self) -> int:
         return 2 * self.K * self.K
+
+    @property
+    def live_radius(self) -> float:
+        """R = 1 + 2 step: a cell is live when its center lies within R of its
+        chart's origin.  Canonical cells reach only 1 + step/sqrt(2)."""
+        return 1.0 + 2.0 * self.step
+
+    def _live_mask(self, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Whether the cell centered at (xs[j], ys[i]) is live, as a (rows, cols) mask."""
+        return (ys * ys)[:, None] + xs * xs <= self.live_radius ** 2
+
+    def _live_span(self) -> tuple[int, int]:
+        """The axis indices [lo, hi) within R of 0: the live cells' bounding box
+        is [lo, hi)^2 in each chart."""
+        axis = self.axis_centers()
+        near = np.flatnonzero(axis * axis <= self.live_radius ** 2)
+        return int(near[0]), int(near[-1]) + 1
+
+    def live_flat(self) -> np.ndarray:
+        """Ascending int32 flat ids of the live cells of both charts (built once)."""
+        if self._live is None:
+            lo, hi = self._live_span()
+            axis = self.axis_centers()[lo:hi]
+            iy, ix = np.nonzero(self._live_mask(axis, axis))
+            chart_a = ((iy + lo) * self.K + (ix + lo)).astype(np.int32)
+            self._live = np.concatenate([chart_a, chart_a + self.K * self.K])
+        return self._live
 
     # -- coordinates -------------------------------------------------------
 
@@ -116,8 +152,9 @@ class SphereGrid:
         return np.where(use_a, 0, self.K * self.K) + iy * self.K + ix
 
     def twin_flat(self) -> np.ndarray:
-        """Per cell, the other-chart cell containing the same sphere point
-        (-1 when it falls outside the other chart's square)."""
+        """Per live cell, the other-chart cell containing the same sphere point
+        (-1 when it falls outside the other chart's square); -1 off the live
+        set.  A live cell outside its unit circle always has a live twin."""
         if self._twin is None:
             self._twin = self.fill_cells(self._twin_block)
         return self._twin
@@ -132,18 +169,22 @@ class SphereGrid:
         return np.where(ok, other + iy * self.K + ix, -1)
 
     def fill_cells(self, per_cell: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """The int32 table ``per_cell(flat)`` over every flat id, computed in
-        blocks of ``FILL_BLOCK`` ids; ``per_cell`` must act elementwise."""
-        out = np.empty(self.n_cells, dtype=np.int32)
-        for lo in range(0, self.n_cells, FILL_BLOCK):
-            hi = min(lo + FILL_BLOCK, self.n_cells)
-            out[lo:hi] = per_cell(np.arange(lo, hi, dtype=np.int64))
+        """The int32 table over every flat id that holds ``per_cell(flat)`` at
+        the live ids and -1 elsewhere.  ``per_cell`` must act elementwise; it
+        is called on blocks of ``FILL_BLOCK`` live ids only."""
+        out = np.full(self.n_cells, -1, dtype=np.int32)
+        live = self.live_flat()
+        for lo in range(0, live.size, FILL_BLOCK):
+            ids = live[lo:lo + FILL_BLOCK]
+            out[ids] = per_cell(ids.astype(np.int64))
         return out
 
     # -- rasterization and components ---------------------------------------
 
     def raster_spherical_ball(self, center_vec: np.ndarray, radius: float) -> np.ndarray:
-        """Flat ids of all cells (both charts) whose center lies in the open ball.
+        """Flat ids of the live cells (both charts) whose center lies in the
+        open ball.  Each chart's search box is clipped to the live box, so a
+        cap holding a chart's pole costs that box and not the whole square.
 
         The ids come strictly ascending: chart A's before chart B's, and each
         chart's in row-major order, so callers need not sort or deduplicate.
@@ -159,12 +200,13 @@ class SphereGrid:
         v = np.asarray(center_vec, dtype=float)
         flip = 1.0 if chart == 0 else -1.0  # chart B mirrors the y and z axes
         axis = self.axis_centers()
+        lo, hi = self._live_span()
         # a chart is the stereographic projection from its pole (z = inf for
         # A, z = 0 for B): a point at polar angle t from it lands at radius cot(t/2)
         rho = np.hypot(v[0], v[1])
         theta = np.arctan2(rho, flip * v[2])
         if theta <= radius:
-            lo_x, hi_x, lo_y, hi_y = 0, self.K, 0, self.K  # the cap holds the pole
+            lo_x, hi_x, lo_y, hi_y = lo, hi, lo, hi  # the cap holds the pole
         else:
             # the cap's image is the disk whose diameter joins the images of
             # polar angles theta -+ radius along the center's azimuth; the
@@ -173,25 +215,29 @@ class SphereGrid:
             near = 1.0 / np.tan(0.5 * (theta + radius))
             mid = 0.5 * (far + near) * (complex(v[0], flip * v[1]) / rho if rho > 0 else 1.0)
             pad = 0.5 * (far - near) + 2 * self.step
-            lo_x = max(0, np.searchsorted(axis, mid.real - pad) - 1)
-            hi_x = min(self.K, np.searchsorted(axis, mid.real + pad) + 1)
-            lo_y = max(0, np.searchsorted(axis, mid.imag - pad) - 1)
-            hi_y = min(self.K, np.searchsorted(axis, mid.imag + pad) + 1)
+            lo_x = max(lo, np.searchsorted(axis, mid.real - pad) - 1)
+            hi_x = min(hi, np.searchsorted(axis, mid.real + pad) + 1)
+            lo_y = max(lo, np.searchsorted(axis, mid.imag - pad) - 1)
+            hi_y = min(hi, np.searchsorted(axis, mid.imag + pad) + 1)
         xs = axis[lo_x:hi_x]
         ys = axis[lo_y:hi_y]
         cc = xs[None, :] + 1j * ys[:, None]
         s = np.abs(cc) ** 2
         dots = (2 * cc.real * v[0] + flip * 2 * cc.imag * v[1] + flip * (s - 1) * v[2]) / (s + 1)
-        inside = np.flatnonzero(np.arccos(np.clip(dots, -1, 1)) < radius)
+        inside = np.arccos(np.clip(dots, -1, 1)) < radius
+        inside = np.flatnonzero(inside & self._live_mask(ys, xs))
         iy, ix = np.divmod(inside, hi_x - lo_x)
         return ((iy + lo_y) * self.K + (ix + lo_x)).astype(np.int32)
 
     def components(self, cells: np.ndarray) -> list[np.ndarray]:
         """Connected components of a set of cells, stitched across charts.
 
-        ``cells`` may come in any order and may repeat cells.  Each component
-        is an ascending int32 array, and components are ordered by their
-        smallest cell.
+        Cells of one chart join as 8-neighbours, and a cell joins its twin.
+        Only live cells have twins, so only they stitch across the charts:
+        a pull-back region holds live cells alone, joined across the charts
+        through its cells in the seam band.  ``cells`` may come in any order
+        and may repeat cells.  Each component is an ascending int32 array,
+        and components are ordered by their smallest cell.
         """
         ids = np.sort(np.asarray(cells, dtype=np.int32).ravel())
         if ids.size == 0:
@@ -262,9 +308,11 @@ def locate_cells(cells: np.ndarray, sets: list[np.ndarray]) -> tuple[np.ndarray,
 
 def inverse_image(img: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """A function from distinct cells to the cells that ``img`` maps into them,
-    bucket by bucket in the given order, each bucket ascending, as int32.  The
-    inverse image it reads (a stable sort by image, and the bucket starts) is
-    built once here as int32 arrays and lives as long as that function.
+    bucket by bucket in the given order, each bucket ascending, as int32.
+    Entries of -1 (the cells off the live set) lie in no bucket.  The inverse
+    image it reads (a stable sort by image of the entries >= 0, and the
+    bucket starts) is built once here as int32 arrays and lives as long as
+    that function.
 
     The sort is a stable counting sort over blocks of ``FILL_BLOCK`` cells, so
     that beside the two int32 arrays only a block's temporaries are live: one
@@ -276,15 +324,17 @@ def inverse_image(img: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     # up are summed; when every cell is placed it is where bucket v + 1 starts
     shifted = np.zeros(n + 2, dtype=np.int32)
     for lo in range(0, n, FILL_BLOCK):
-        vals = np.sort(img[lo:lo + FILL_BLOCK])
+        block = img[lo:lo + FILL_BLOCK]
+        vals = np.sort(block[block >= 0])
         head, count = _equal_runs(vals)
         shifted[vals[head] + 2] += count.astype(np.int32)
     np.cumsum(shifted, dtype=np.int32, out=shifted)
     start = shifted[:-1]
-    pre = np.empty(n, dtype=np.int32)
+    pre = np.empty(int(shifted[-1]), dtype=np.int32)
     for lo in range(0, n, FILL_BLOCK):
         block = img[lo:lo + FILL_BLOCK]
-        key = np.sort(block.astype(np.int64) * FILL_BLOCK + np.arange(block.size))
+        cell = np.flatnonzero(block >= 0)
+        key = np.sort(block[cell].astype(np.int64) * FILL_BLOCK + cell)
         vals, cell = np.divmod(key, FILL_BLOCK)
         head, count = _equal_runs(vals)
         pre[start[vals + 1] + np.arange(vals.size) - np.repeat(head, count)] = cell + lo
@@ -299,7 +349,7 @@ def inverse_image(img: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 def _equal_runs(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of each run of equal values in a sorted array."""
-    head = np.flatnonzero(np.append(True, vals[1:] != vals[:-1]))
+    head = np.flatnonzero(np.append(vals.size > 0, vals[1:] != vals[:-1]))
     return head, np.diff(np.append(head, vals.size))
 
 

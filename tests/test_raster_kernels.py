@@ -98,9 +98,12 @@ def test_components_do_not_wrap_rows():
 @pytest.mark.parametrize("K", [16, 37])
 def test_components_do_not_cross_from_chart_a_to_b(K):
     """Chart A's last row and chart B's first row have consecutive flat rows
-    but are far apart on the sphere: only a twin joins cells of two charts."""
+    but are far apart on the sphere: only a twin joins cells of two charts.
+    Those rows lie off the live band, so the grid is given the twin table of
+    every cell."""
     grid = SphereGrid(K=K)
     half = K * K
+    grid._twin = twin_oracle(grid, band=False).astype(np.int32)
     twin = grid.twin_flat()
     for x in (0, K // 2, K - 1):
         a, b = half - K + x, half + x
@@ -155,16 +158,23 @@ def test_raster_ball_is_strictly_ascending(K):
         assert np.all(np.diff(cells) > 0)
 
 
+def live_oracle(grid):
+    """Per flat id, whether the cell center lies within 1 + 2 step of its
+    chart's origin, from the centers of every cell."""
+    _chart, c = grid.chart_coord(np.arange(grid.n_cells, dtype=np.int64))
+    return c.real ** 2 + c.imag ** 2 <= (1.0 + 2.0 * grid.step) ** 2
+
+
 def raster_ball_oracle(grid, v, radius):
-    """Every cell of both charts whose center lies in the open ball, by a
-    scan of the whole chart."""
+    """Every live cell of both charts whose center lies in the open ball, by
+    a scan of the whole chart."""
     xs = grid.axis_centers()
     cc = xs[None, :] + 1j * xs[:, None]
     s = np.abs(cc) ** 2
     a = (2 * cc.real * v[0] + 2 * cc.imag * v[1] + (s - 1) * v[2]) / (s + 1)
     b = (2 * cc.real * v[0] - 2 * cc.imag * v[1] + (1 - s) * v[2]) / (s + 1)
     dots = np.concatenate([a.ravel(), b.ravel()])
-    return np.flatnonzero(np.arccos(np.clip(dots, -1, 1)) < radius)
+    return np.flatnonzero((np.arccos(np.clip(dots, -1, 1)) < radius) & live_oracle(grid))
 
 
 @pytest.mark.parametrize("K", [37, 64])
@@ -187,8 +197,9 @@ def test_raster_ball_matches_full_chart_scan(K):
 BLOCKED_K = 200
 
 
-def twin_oracle(grid):
-    """The twin table in one unblocked int64 pass over every cell."""
+def twin_oracle(grid, band=True):
+    """The twin table in one unblocked int64 pass over every cell; with
+    ``band``, -1 off the live cells as ``twin_flat`` holds it."""
     flat = np.arange(grid.n_cells, dtype=np.int64)
     chart, c = grid.chart_coord(flat)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -198,13 +209,17 @@ def twin_oracle(grid):
     ix = np.floor((w.real + grid.H) / grid.step).astype(np.int64)
     iy = np.floor((w.imag + grid.H) / grid.step).astype(np.int64)
     twin = np.where(chart == 0, grid.K * grid.K, 0) + iy * grid.K + ix
+    if band:
+        ok &= live_oracle(grid)
     return np.where(ok, twin, -1).astype(np.int64)
 
 
 def image_oracle(g, grid):
-    """The image table in one unblocked int64 pass over every cell."""
+    """The image table in one unblocked int64 pass over every cell, -1 off
+    the live cells."""
     flat = np.arange(grid.n_cells, dtype=np.int64)
-    return grid.canonical_flat(g.eval(grid.cell_centers_z(flat))).astype(np.int64)
+    img = grid.canonical_flat(g.eval(grid.cell_centers_z(flat))).astype(np.int64)
+    return np.where(live_oracle(grid), img, -1)
 
 
 def test_blocked_twin_matches_unblocked():
@@ -230,14 +245,15 @@ def test_blocked_image_cells_matches_unblocked(text):
 @pytest.mark.parametrize("text", ["z^2-1", "(z^2+1)/(z^2-1)"])
 def test_blocked_inverse_image_is_a_stable_argsort(text):
     """Over more than one block, the buckets of every cell in ascending order
-    concatenate to the stable argsort of the image table."""
+    concatenate to the stable argsort of the image table's entries >= 0."""
     grid = SphereGrid(K=BLOCKED_K)
     img = RationalMap.parse(text).image_cells(grid)
     assert img.size > FILL_BLOCK and img.size % FILL_BLOCK != 0
     preimage = inverse_image(img)
     got = preimage(np.arange(grid.n_cells))
     assert got.dtype == np.int32
-    assert np.array_equal(got, np.argsort(img, kind="stable"))
+    order = np.argsort(img, kind="stable")
+    assert np.array_equal(got, order[img[order] >= 0])
     cells = np.random.default_rng(0).choice(grid.n_cells, size=500, replace=False)
     assert preimage(cells).tolist() == [i for c in cells for i in np.flatnonzero(img == c)]
 
@@ -258,6 +274,29 @@ def test_inverse_image_holds_little_beside_its_tables():
     assert live >= 8 * n
     assert peak < 1.25 * 8 * n
     assert preimage(np.array([img[0]])).tolist() == np.flatnonzero(img == img[0]).tolist()
+
+
+def test_inverse_image_skips_entries_off_the_band():
+    """Entries of -1 lie in no bucket and take no room: beside the bucket
+    starts the sorted table holds the entries >= 0 alone."""
+    n = 1 << 22
+    rng = np.random.default_rng(2)
+    img = rng.integers(0, n, size=n).astype(np.int32)
+    img[rng.random(n) < 0.84] = -1  # about the share of cells off the live band
+    kept = int((img >= 0).sum())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        preimage = inverse_image(img)
+        live, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    tables = 4 * (n + 1) + 4 * kept
+    assert tables <= live < 1.25 * tables
+    assert peak < 1.25 * tables
+    cells = rng.choice(n, size=300, replace=False)
+    assert preimage(cells).tolist() == [i for c in cells for i in np.flatnonzero(img == c)]
+    assert preimage(np.arange(n)).size == kept
 
 
 def test_raster_ids_are_int32_end_to_end():
@@ -299,3 +338,67 @@ def test_grid_size_is_limited_to_int32_ids():
     assert grid.n_cells < 2**31 <= 2 * (MAX_K + 1) ** 2
     with pytest.raises(ValueError, match="at most 32767"):
         SphereGrid(K=MAX_K + 1)
+
+
+# -- the live band --------------------------------------------------------
+
+BAND_KS = [1, 2, 6, 37, 64, 101, 256]
+
+
+@pytest.mark.parametrize("K", BAND_KS + [768])
+def test_live_cells_are_the_band(K):
+    grid = SphereGrid(K=K)
+    live = grid.live_flat()
+    assert live.dtype == np.int32
+    assert np.array_equal(live, np.flatnonzero(live_oracle(grid)))
+    assert grid.live_flat() is live  # built once
+
+
+def sphere_points(rng, n):
+    """Random sphere points in the z-chart, the points within 1e-12 of
+    |z| = 1 on both sides and on it, and 0, inf and points near both."""
+    v = rng.normal(size=(n, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    rand = (v[:, 0] + 1j * v[:, 1]) / (1.0 - v[:, 2])
+    turn = np.exp(1j * np.concatenate([rng.uniform(0, 2 * np.pi, n), np.arange(8) * np.pi / 4]))
+    rims = [r * turn for r in (1 - 1e-12, 1 - 1e-13, 1.0, 1 + 1e-13, 1 + 1e-12)]
+    poles = np.array([0, 1e-300, 1e-9 + 1e-9j, np.inf, 1e300, -1e9j])
+    return np.concatenate([rand, *rims, poles])
+
+
+@pytest.mark.parametrize("K", BAND_KS)
+def test_canonical_cells_are_live(K):
+    grid = SphereGrid(K=K)
+    z = sphere_points(np.random.default_rng(K), 2000)
+    cells = grid.canonical_flat(z)
+    assert live_oracle(grid)[cells].all()
+    assert np.isin(cells, grid.live_flat()).all()
+
+
+@pytest.mark.parametrize("K", [37, 64])
+@pytest.mark.parametrize("text", ["z^2-1", "(z^2+1)/(z^2-1)"])
+def test_tables_are_minus_one_exactly_off_the_band(K, text):
+    """The image table is -1 exactly off the live set and lands on live
+    cells; the twin table is -1 off it, and every live cell outside its
+    unit circle has a live twin, so the seam band stitches the charts."""
+    grid = SphereGrid(K=K)
+    live = live_oracle(grid)
+    img = RationalMap.parse(text).image_cells(grid)
+    assert (img[~live] == -1).all()
+    assert (img[live] >= 0).all() and live[img[live]].all()
+    twin = grid.twin_flat()
+    assert (twin[~live] == -1).all()
+    _chart, c = grid.chart_coord(np.arange(grid.n_cells))
+    outer = np.flatnonzero(live & (np.abs(c) > 1.0))
+    assert outer.size and (twin[outer] >= 0).all() and live[twin[outer]].all()
+
+
+@pytest.mark.parametrize("K", [64, 65])
+@pytest.mark.parametrize("text", ["z^2-1", "z^2-3"])
+def test_pullback_regions_hold_live_cells_only(K, text):
+    g = RationalMap.parse(text)
+    grid = SphereGrid(K=K)
+    pull = pullback_cover(admissible_cover(g, julia_sample(g, 6), 0.25, grid=grid), 3)
+    live = live_oracle(grid)
+    assert pull.n_levels == 3
+    assert all(live[r.cells].all() for fam in pull.families for r in fam)

@@ -78,11 +78,12 @@ def test_components_stitch_seam_and_order():
 
 
 # sha256 per level of [[parent, cells, sample_points], ...] for the z^2-1
-# pull-back families below; any change to components or their order shows here
+# pull-back families below (26 / 51 / 98 regions of live cells only); any
+# change to components or their order shows here
 BASILICA_FAMILY_DIGESTS = [
-    "8cea65fd7af339694221c9cd5cc75699368acc8a5507582e8761fa3cd60b941c",
-    "ce9dfe0402f3f9af9c228ad1472e6201b06b62e6aff2046f51d0e0c70836c2a8",
-    "5f88b6251c6f260cfdbaf208c3bc18b69bc7deb634d374e01953a094adbe5336",
+    "7037045f2650f420c0c342c0ac6bb7c93f770c6ac8bcd95444f4bdd49d07f6f5",
+    "badb2098c8e16cfcae58c2ffda2a8db217a1b92d9dcf6d518f28755aec80fca4",
+    "8bbacb3140d6a13782d8c64b84291a804b285916f403f611e84e99a769465234",
 ]
 
 
@@ -100,9 +101,9 @@ def test_basilica_pullback_families_golden():
 # the same digests for z^2-3 at the julia-cantor smoke size: depth 8, K = 128,
 # 3 levels, with 6 / 9 / 10 regions
 CANTOR_FAMILY_DIGESTS = [
-    "9d3e34bfc5a4e6d39a551806eb996c1be63da96045f849fb964f25069559370c",
-    "f7b15d7bed64a2e46f52f28e0eb926402c7b067704bf2cd9eeeb6b007cf05cb0",
-    "7a580ff656cc602718c9f5bcff61cda8277fc3f22fc87f001ca33c490e002a3b",
+    "7cde4fc082be61d0fb0ebccbb2c1f460199b8daab32568194a21a56d424186a0",
+    "5c66b8000c347cf704b01291c560f0fc9cdb11cd4d74bbe3f4d32de2ffb5cb4d",
+    "dda28d71b4095168c7495d50f604bdf77aef120e7035817f8486ce4b980a5e17",
 ]
 
 
