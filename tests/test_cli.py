@@ -310,6 +310,37 @@ def test_julia_report_golden(tmp_path, monkeypatch, text, grid):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == JULIA_REPORT_DIGESTS[text, grid]
 
 
+# SHA-256 of the whole report file (manifest included, seed 0) of each command
+# on the cantor chain, with the exit code; the commands run in the directory
+# of their inputs, so that the manifest names the same relative paths each time
+CHAIN = ["--space", "space.json", "--cover", "built.json"]
+CLI_REPORT_DIGESTS = {
+    "verify-quasi": (["verify", *CHAIN, "--mode", "quasi", "--out", "report.json"], 0,
+                     "b96acb12a781a2c966b6289d7bdc717616b24fae58e654167d76656ec7349e14"),
+    "verify-text": (["verify", *CHAIN, "--format", "text", "--out", "report.json"], 0,
+                    "fddd881ea94aa297e3068b8a88d1db97b9766c6cc66f8a6cb1fbad882232bbee"),
+    "synthesize": (["synthesize", "--cover", "built.json", "--lambda", "1.5",
+                    "--out", "metric.json", "--report", "report.json"], 0,
+                   "5a29bbbcf278ae89c9f8fd96f7c901319122ce1d8dbeee81ada2ce3b934f36dc"),
+    "tilegraph-cluster": (["tilegraph", *CHAIN, "--cluster-r", "1", "--out", "report.json"], 0,
+                          "f6bdff0c1163fbde25e9f4f221c9ee8588c28a87fac95b5ab469bf94e1ab941f"),
+    "boundary": (["boundary", *CHAIN, "--lambda", "3", "--out", "report.json"], 1,
+                 "12c1e56d21e65b50fd7e2fa20e5e992aa85597d6eb1d174347782a6580cf55aa"),
+    "qscheck": (["qscheck", "--d1", "space.json", "--d2", "space.json", "--out", "report.json"], 0,
+                "345d5673cf9ec73889aeadf79ff79c46b75d5d6a0907f7d61ce0c3e3031240f1"),
+}
+
+
+@pytest.mark.parametrize("name", CLI_REPORT_DIGESTS)
+def test_cli_report_golden(tmp_path, monkeypatch, name):
+    monkeypatch.delenv("QVISTA_SEED", raising=False)
+    _cantor_chain(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv, code, digest = CLI_REPORT_DIGESTS[name]
+    assert main(argv) == code
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+
+
 def test_julia_grid_beyond_int32_ids_is_usage_error(tmp_path, capsys, monkeypatch):
     from qvista.spheregrid import SphereGrid
 
