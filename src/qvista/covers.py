@@ -352,7 +352,6 @@ class VerificationReport:
     truncation: int
     conditions: list[ConditionRecord]
     params: dict = field(default_factory=dict)
-    notes: list[str] = field(default_factory=lambda: [FINITE_COVER_NOTE])
 
     @property
     def passed(self) -> bool:
@@ -372,7 +371,7 @@ class VerificationReport:
             "passed": self.passed,
             "conditions": [c.to_dict() for c in self.conditions],
             "params": self.params,
-            "notes": self.notes,
+            "notes": [FINITE_COVER_NOTE],
         }
 
 

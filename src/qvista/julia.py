@@ -39,7 +39,6 @@ from .spheregrid import SphereGrid, group_by_label, inverse_image, locate_cells,
 MAX_PREIMAGE_COUNT = 4096
 ROOT_CLUSTER_TOL = 1e-7
 ANCHOR_CLUSTER_TOL = 1e-6  # relative; degree_probe's anchor preimages
-SUBSAMPLE_CELLS = 256  # cells a region keeps when probing its diameter or nearness
 
 
 def _strip_leading(c: np.ndarray) -> np.ndarray:
@@ -54,7 +53,7 @@ class RationalMap:
     p: np.ndarray
     q: np.ndarray
     text: str = ""
-    _img_cache: dict = field(default_factory=dict, repr=False)
+    _img_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.p = _strip_leading(np.asarray(self.p, dtype=complex))
@@ -322,10 +321,8 @@ class JuliaSample:
     """Inverse-iteration sample of a Julia set, stored on the sphere, with its
     metric, self-map and projection error computed once by ``julia_sample``."""
 
-    map: RationalMap
     z: np.ndarray  # complex chart values (inf allowed)
     vecs: np.ndarray  # unit 3-vectors
-    depth: int
     mesh: float  # max nearest-neighbor spherical distance
     space: FiniteMetricSpace = field(repr=False)  # the sample under the spherical metric
     self_map: np.ndarray = field(repr=False)  # nearest-sample projection of g, as indices
@@ -334,15 +331,6 @@ class JuliaSample:
     @property
     def n(self) -> int:
         return self.z.shape[0]
-
-
-def _vecs_of(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    finite = np.isfinite(z)
-    out = np.empty(z.shape + (3,))
-    out[finite] = sphere_from_complex_array(z[finite])
-    out[~finite] = np.array([0.0, 0.0, 1.0])
-    return out
 
 
 def julia_sample(
@@ -368,10 +356,10 @@ def julia_sample(
             pts = _farthest_point_prune(pts, 2 * target_count)
     if pts.size > target_count:
         pts = _farthest_point_prune(pts, target_count)
-    vecs = _vecs_of(pts)
+    vecs = sphere_from_complex_array(pts)
     space = FiniteMetricSpace(dist=spherical_dist_matrix(vecs), coords=vecs)
     mesh = float(space.nearest_neighbor_distances().max())
-    iv = _vecs_of(map_.eval(pts))
+    iv = sphere_from_complex_array(map_.eval(pts))
     dots = iv @ vecs.T
     self_map = np.argmax(dots, axis=1)
     self_map.flags.writeable = False
@@ -382,20 +370,20 @@ def julia_sample(
             f"forward invariance violated: image strays {gaps.max()!r} from the sample"
         )
     return JuliaSample(
-        map=map_, z=pts, vecs=vecs, depth=depth, mesh=mesh,
+        z=pts, vecs=vecs, mesh=mesh,
         space=space, self_map=self_map, projection_error=float(proj.max()),
     )
 
 
 def _dedupe_sphere(pts: np.ndarray) -> np.ndarray:
-    vecs = _vecs_of(pts)
+    vecs = sphere_from_complex_array(pts)
     keys = np.round(vecs / 1e-9).astype(np.int64)
     _uniq, idx = np.unique(keys, axis=0, return_index=True)
     return pts[np.sort(idx)]
 
 
 def _farthest_point_prune(pts: np.ndarray, target: int) -> np.ndarray:
-    vecs = _vecs_of(pts)
+    vecs = sphere_from_complex_array(pts)
     n = pts.shape[0]
     chosen = [0]
     mind = np.arccos(np.clip(vecs @ vecs[0], -1, 1))
@@ -423,21 +411,6 @@ class AmbientRegion:
     cells: np.ndarray  # sorted int32 flat ids of live cells
     parent: int  # index in the previous level's family, -1 at level 1
     sample_points: tuple[int, ...]
-
-    def diam(self, grid: SphereGrid) -> float:
-        return _cells_diam(grid, self.cells)
-
-
-def _cell_subsample(cells: np.ndarray) -> np.ndarray:
-    """At most SUBSAMPLE_CELLS of the sorted ``cells``, evenly spread."""
-    if cells.size <= SUBSAMPLE_CELLS:
-        return cells
-    return cells[np.linspace(0, cells.size - 1, SUBSAMPLE_CELLS).astype(int)]
-
-
-def _cells_diam(grid: SphereGrid, cells: np.ndarray) -> float:
-    v = grid.cell_unit_vectors(_cell_subsample(cells))
-    return float(np.arccos(np.clip(v @ v.T, -1, 1)).max())
 
 
 @dataclass

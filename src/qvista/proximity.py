@@ -97,10 +97,6 @@ class PowerDistortion:
     K: float
     nu: float
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.K * np.maximum(t ** self.nu, t ** (1.0 / self.nu))
-
     def to_dict(self) -> dict:
         return {"K": self.K, "nu": self.nu}
 

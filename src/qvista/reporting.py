@@ -45,7 +45,6 @@ class RunManifest:
     inputs: dict = field(default_factory=dict)  # path -> sha256
     parameters: dict = field(default_factory=dict)
     seed: int = 0
-    version: str = __version__
 
     def to_dict(self) -> dict:
         return {
@@ -53,7 +52,7 @@ class RunManifest:
             "inputs": self.inputs,
             "parameters": self.parameters,
             "seed": self.seed,
-            "version": self.version,
+            "version": __version__,
         }
 
 

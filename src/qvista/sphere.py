@@ -24,14 +24,18 @@ def sphere_from_complex(z: complex | None) -> np.ndarray:
 
 
 def sphere_from_complex_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized chart map for finite complex arrays; returns (n,3)."""
+    """Vectorized chart map; returns (n,3).  A non-finite entry is the point
+    at infinity, the pole (0, 0, 1)."""
     z = np.asarray(z, dtype=complex)
+    finite = np.isfinite(z)
+    z = np.where(finite, z, 0)
     s = np.abs(z) ** 2
     out = np.empty(z.shape + (3,))
     out[..., 0] = 2.0 * z.real
     out[..., 1] = 2.0 * z.imag
     out[..., 2] = s - 1.0
     out /= (s + 1.0)[..., None]
+    out[~finite] = (0.0, 0.0, 1.0)
     return out
 
 

@@ -38,7 +38,6 @@ import numpy as np
 
 from .covers import connected_components
 
-CHART_HALF_WIDTH = 2.2
 FILL_BLOCK = 1 << 16  # cells per block when filling a whole-grid table
 MAX_K = 32767  # largest K with 2K^2 < 2^31, so every cell id and count fits int32
 
@@ -47,10 +46,10 @@ MAX_K = 32767  # largest K with 2K^2 < 2^31, so every cell id and count fits int
 class SphereGrid:
     """Uniform K x K grids on both charts; cells indexed flat as chart*K*K + iy*K + ix."""
 
+    H = 2.2  # each chart is the square [-H, H]^2
     K: int = 2048
-    H: float = CHART_HALF_WIDTH
-    _twin: np.ndarray | None = field(default=None, repr=False)
-    _live: np.ndarray | None = field(default=None, repr=False)
+    _twin: np.ndarray | None = field(default=None, init=False, repr=False)
+    _live: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.K < 1:
@@ -116,22 +115,6 @@ class SphereGrid:
             z = np.where(chart == 0, c, 1.0 / np.where(c == 0, 1.0, c))
         z = np.where((chart == 1) & (c == 0), np.inf + 0j, z)
         return z
-
-    def cell_unit_vectors(self, flat: np.ndarray) -> np.ndarray:
-        """Cell centers as unit 3-vectors."""
-        chart, c = self.chart_coord(flat)
-        s = np.abs(c) ** 2
-        out = np.empty(flat.shape + (3,))
-        a = chart == 0
-        out[a, 0] = 2.0 * c[a].real
-        out[a, 1] = 2.0 * c[a].imag
-        out[a, 2] = s[a] - 1.0
-        b = ~a
-        out[b, 0] = 2.0 * c[b].real
-        out[b, 1] = -2.0 * c[b].imag
-        out[b, 2] = 1.0 - s[b]
-        out /= (s + 1.0)[..., None]
-        return out
 
     def _coord_to_cell(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ix = np.floor((c.real + self.H) / self.step).astype(np.int64)

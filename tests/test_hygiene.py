@@ -1,6 +1,6 @@
 """Static scan of the package for unused imports, orphaned private helpers,
-public names, class members and defaulted parameters only tests reach, and
-private names reached across modules."""
+public names, class members, defaulted parameters and defaulted dataclass
+fields only tests reach, and private names reached across modules."""
 
 import ast
 from collections import Counter
@@ -24,8 +24,6 @@ TEST_ORACLES = {
 
 # class members that no module reads and that stay for the tests
 TEST_MEMBERS = {
-    "AmbientRegion.diam": "the raster geometry test test_angular_width_halves; "
-                          "it goes with the pull-back raster",
     "NaturalGeodesic.tiles": "the output of the natural_geodesic oracle",
 }
 
@@ -36,6 +34,9 @@ UNSET_DEFAULTS = {
     "cli.main.argv": "the console entry point",
     "boundary.natural_geodesic.tie_break": "an oracle's choice of ray",
 }
+
+# defaulted dataclass fields that no constructor call or replace sets
+UNSET_FIELDS: dict[str, str] = {}
 
 
 def parse(path: Path) -> ast.Module:
@@ -284,3 +285,75 @@ def test_defaulted_parameters_are_set():
     assert not only_tests, f"defaulted parameters that no call sets: {only_tests}"
     stale = sorted(UNSET_DEFAULTS.keys() - unset)
     assert not stale, f"unset defaults that a call now sets: {stale}"
+
+
+def decorator_name(node: ast.expr) -> str | None:
+    """The name a decorator goes by: ``dataclass`` for ``@dataclass``,
+    ``@dataclass(frozen=True)`` and ``@dataclasses.dataclass``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def init_fields(cls: ast.ClassDef):
+    """(field name, whether it has a default) for each ``__init__`` field of
+    a dataclass, in order: annotated class attributes, less ``ClassVar``s and
+    ``field(init=False)`` ones."""
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(node.annotation):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and called_name(value) == "field":
+            kw = {k.arg: k.value for k in value.keywords}
+            if isinstance(kw.get("init"), ast.Constant) and kw["init"].value is False:
+                continue
+            yield node.target.id, "default" in kw or "default_factory" in kw
+        else:
+            yield node.target.id, value is not None
+
+
+def dataclass_defaults(path: Path):
+    """(``Class.field``, class name, field, its index among the positional
+    arguments of the constructor) for each defaulted ``__init__`` field of
+    each dataclass in ``path``."""
+    for cls in ast.walk(parse(path)):
+        if isinstance(cls, ast.ClassDef) and any(
+                decorator_name(d) == "dataclass" for d in cls.decorator_list):
+            for i, (name, defaulted) in enumerate(init_fields(cls)):
+                if defaulted:
+                    yield f"{cls.name}.{name}", cls.name, name, i
+
+
+def test_dataclass_fields_are_set():
+    """Every defaulted ``__init__`` field of a dataclass in the package is set
+    by a constructor call in a package module or a perfbench script (by
+    keyword, by position, or as ``cls(...)`` inside the class) or by a
+    ``dataclasses.replace``, unless it is one of the UNSET_FIELDS.  A field
+    that only tests set is a knob: it becomes a class constant, or
+    ``field(init=False)`` when it is state."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in [parse(p) for p in MODULES + BENCH_MODULES]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(called_name(node), []).append(node)
+            if isinstance(node, ast.ClassDef):
+                calls.setdefault(node.name, []).extend(
+                    c for c in ast.walk(node)
+                    if isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == "cls"
+                )
+    replaced = calls.get("replace", [])
+    unset = {
+        name
+        for path in MODULES
+        for name, cls, field, index in dataclass_defaults(path)
+        if not any(sets_parameter(c, field, index) for c in calls.get(cls, ()))
+        and not any(sets_parameter(c, field, None) for c in replaced)
+    }
+    only_tests = sorted(unset - UNSET_FIELDS.keys())
+    assert not only_tests, f"defaulted dataclass fields that no constructor sets: {only_tests}"
+    stale = sorted(UNSET_FIELDS.keys() - unset)
+    assert not stale, f"unset fields that a constructor now sets: {stale}"
