@@ -185,13 +185,6 @@ def compare_m_gromov(graph: TileGraph, table: ProximityTable) -> GromovCompariso
     )
 
 
-def cluster(graph: TileGraph, x: tuple[int, int], r: int) -> frozenset[int]:
-    """Neighborhood cluster V_r(X): union of members of tiles within distance r."""
-    i = graph.vertex(x)
-    near = np.flatnonzero(graph.dist[i] <= r)
-    return frozenset(np.concatenate([graph.members_of(int(j)) for j in near]).tolist())
-
-
 def cluster_cover_sequence(graph: TileGraph, r: int) -> CoverSequence:
     """Per-level families of clusters V^n = {V_r(X) : X in X^n}.
 
@@ -202,11 +195,12 @@ def cluster_cover_sequence(graph: TileGraph, r: int) -> CoverSequence:
     """
     check_depth(r, "cluster radius r")
     cover = graph.cover
-    levels: list[list[tuple[int, ...]]] = []
-    for lev, fam in enumerate(cover.levels):
-        levels.append(
-            [tuple(sorted(cluster(graph, (lev, t.index), r))) for t in fam]
-        )
+    # V_r(X) is the union of the members of the tiles within r of X: one
+    # boolean product of the hop-distance mask with the stacked memberships,
+    # whose rows run in vertex order
+    members = np.vstack([cover.membership(lev) for lev in range(cover.depth + 1)])
+    rows = iter(bool_product(graph.dist <= r, members))
+    levels = [[np.flatnonzero(next(rows)) for _ in fam] for fam in cover.levels]
     return CoverSequence(
         cover.space, levels, width=1, visual_parameter=cover.visual_parameter
     )

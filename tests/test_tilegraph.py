@@ -10,7 +10,6 @@ from qvista.fixtures import fixture
 from qvista.proximity import check_combinatorially_visual, compute_proximity
 from qvista.tilegraph import (
     build_tile_graph,
-    cluster,
     cluster_cover_sequence,
     compare_m_gromov,
     extended_proximity,
@@ -240,6 +239,12 @@ class TestCompareMGromov:
             consts[name] = vals
             assert abs(vals[1] - vals[0]) <= 1.0
         assert consts
+
+
+def cluster(graph, x, r):
+    """The members of V_r(X), the cluster of the tile ``x = (level, index)``."""
+    lev, idx = x
+    return cluster_cover_sequence(graph, r).levels[lev][idx].members
 
 
 class TestClusters:
