@@ -155,9 +155,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    seed = default_seed()
     try:
-        return _dispatch(args, seed)
+        return _dispatch(args, default_seed())
     except (QvistaError, OSError, ValueError, KeyError) as exc:
         print(f"qvista: error: {exc}", file=sys.stderr)
         return 2
@@ -199,6 +198,8 @@ def _dispatch(args, seed: int) -> int:
     if cmd == "qscheck":
         d1 = FiniteMetricSpace.load(args.d1)
         d2 = FiniteMetricSpace.load(args.d2)
+        if d1.n != d2.n:
+            raise ValueError(f"--d1 and --d2 have different point counts: {d1.n} and {d2.n}")
         snow = snowflake_check(d1, d2)
         qs = fit_power_quasisymmetry(d1, d2)
         result = {

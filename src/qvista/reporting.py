@@ -28,7 +28,12 @@ from . import __version__
 
 
 def default_seed() -> int:
-    return int(os.environ.get("QVISTA_SEED", "0"))
+    """The seed in ``QVISTA_SEED``, 0 when it is unset; ValueError unless it
+    is a non-negative integer."""
+    text = os.environ.get("QVISTA_SEED", "0")
+    if not text.isdecimal():
+        raise ValueError(f"QVISTA_SEED must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def file_sha256(path) -> str:

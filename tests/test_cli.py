@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -180,6 +181,14 @@ def test_synthesize_exit_codes(tmp_path):
     # lam^C = 3 > 2 is a usage error
     assert main(["synthesize", "--cover", str(built), "--lambda", "3",
                  "--out", str(tmp_path / "too_large.json")]) == 2
+    # a one-point tile has diameter 0 under any metric, so no metric makes
+    # this cover visual: without --report the verdict still sets the exit code
+    singleton = tmp_path / "singleton.json"
+    singleton.write_text(json.dumps({"levels": [[[0, 1, 2]], [[0], [1, 2]]]}))
+    metric = tmp_path / "singleton_metric.json"
+    assert main(["synthesize", "--cover", str(singleton), "--lambda", "1.5",
+                 "--out", str(metric)]) == 1
+    assert metric.exists()
 
 
 # SHA-256 of each output without its manifest (which names the input paths)
@@ -222,6 +231,10 @@ def test_boundary_exit_codes(tmp_path):
     assert main(["boundary", "--cover", str(cover), "--space", str(space), "--lambda", "3",
                  "--check", "snowflake", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["injectivity"]["ok"] is True
+    # the default --check both reports both comparisons
+    assert main(["boundary", "--cover", str(cover), "--space", str(space), "--lambda", "3",
+                 "--out", str(out)]) == 0
+    assert {"snowflake", "regularity"} <= json.loads(out.read_text()).keys()
     # the depth-3 chain cover leaves sample-depth-4 pairs unseparated: a FAIL
     chain_space, built = _cantor_chain(tmp_path)
     assert main(["boundary", "--cover", str(built), "--space", str(chain_space),
@@ -423,6 +436,7 @@ MALFORMED_INPUTS = {
     "cover_int_levels.json": {"levels": 5},
     "cover_list.json": [[[0]]],
     "cover_str_width.json": {"levels": [[[0]]], "width": "1"},
+    "space_two_points.json": {"n": 2, "dist": [[0.0, 1.0], [1.0, 0.0]]},
 }
 VERIFY = ["verify", "--space", "{space}", "--cover", "{built}"]
 JULIA = ["julia", "--map", "z^2", "--depth", "6", "--levels", "2", "--grid", "128"]
@@ -449,6 +463,8 @@ FIXTURE = ["--depth", "0", "--sample-depth", "-1",
                  ["labels are a list, got 5"], id="space-int-labels"),
     pytest.param(["verify", "--space", "{space}", "--cover", "{dir}/cover_int_levels.json"],
                  ["'levels'"], id="cover-int-levels"),
+    pytest.param(["qscheck", "--d1", "{space}", "--d2", "{dir}/space_two_points.json"],
+                 ["different point counts: 32 and 2"], id="qscheck-sizes"),
     pytest.param(["proximity", "--cover", "{dir}/cover_list.json", *OUT],
                  ["JSON object, got list"], id="cover-list"),
     pytest.param(["proximity", "--cover", "{dir}/cover_str_width.json", *OUT],
@@ -485,6 +501,17 @@ FIXTURE = ["--depth", "0", "--sample-depth", "-1",
                  ["degree_probes must be non-negative, got -2"], id="julia-degree-probes-neg"),
     pytest.param(["tilegraph", "--cover", "{built}", "--space", "{space}", "--cluster-r", "-1", *OUT],
                  ["cluster radius r must be non-negative, got -1"], id="tilegraph-cluster-r-neg"),
+    pytest.param(["tilegraph", "--cover", "{built}", "--cluster-r", "1", *OUT],
+                 ["--cluster-r verification requires --space"], id="tilegraph-cluster-r-no-space"),
+    # a malformed seed, even for a command that draws none
+    pytest.param(["QVISTA_SEED=abc", "fixture", "cantor", "--depth", "1",
+                  "--out-space", "{dir}/s.json", "--out-cover", "{dir}/c.json"],
+                 ["QVISTA_SEED must be a non-negative integer, got 'abc'"], id="seed-abc"),
+    pytest.param(["QVISTA_SEED=1.5", *JULIA, *OUT],
+                 ["QVISTA_SEED must be a non-negative integer, got '1.5'"], id="seed-float"),
+    pytest.param(["QVISTA_SEED=-5", "tilegraph", "--cover", "{built}",
+                  "--hyperbolicity", "sampled", *OUT],
+                 ["QVISTA_SEED must be a non-negative integer, got '-5'"], id="seed-neg"),
     pytest.param(["fixture", "cantor", *FIXTURE],
                  ["sample_depth must be non-negative, got -1"], id="cantor-sample-depth-neg"),
     pytest.param(["fixture", "sierpinski_gasket", *FIXTURE],
@@ -494,15 +521,19 @@ FIXTURE = ["--depth", "0", "--sample-depth", "-1",
     pytest.param(["fixture", "dyadic_interleaved", *FIXTURE],
                  ["sample_exp must be non-negative, got -1"], id="interleaved-sample-exp-neg"),
 ])
-def test_bad_input_is_usage_error(tmp_path, capsys, argv, words):
-    """Malformed files and out-of-range numbers exit 2 with a message naming
-    the bad value, never a traceback, and write nothing."""
+def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, words):
+    """Malformed files, out-of-range numbers and a malformed seed exit 2 with
+    a message naming the bad value, never a traceback, and write nothing.
+    Leading ``NAME=value`` items of ``argv`` set the environment, as a shell does."""
     space, built = _cantor_chain(tmp_path)
     for name, data in MALFORMED_INPUTS.items():
         (tmp_path / name).write_text(json.dumps(data))
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()
-    code = main([a.format(dir=tmp_path, space=space, built=built) for a in argv])
+    env = list(itertools.takewhile(lambda a: "=" in a, argv))
+    for item in env:
+        monkeypatch.setenv(*item.split("=", 1))
+    code = main([a.format(dir=tmp_path, space=space, built=built) for a in argv[len(env):]])
     assert_usage_error(capsys, code, *words)
     assert sorted(tmp_path.iterdir()) == before
 
