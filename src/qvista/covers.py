@@ -56,12 +56,33 @@ def check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be finite, got {lam!r}")
 
 
+BLAS_TILE_RATIO = 32  # tiles per incidence-list entry below which BLAS wins
+
+
+def blas_cheaper(tiles: int, width: int) -> bool:
+    """Whether a dense ``bool_product`` over ``tiles`` tiles costs less than
+    the join over incidence lists of ``width`` entries a row that gives the
+    same matrix.
+
+    A product's work grows with the tile count, a join's with the incidences:
+    a point lies in a few tiles of a level, a tile meets a few others.
+    """
+    return tiles < BLAS_TILE_RATIO * width
+
+
 def bool_product(*mats: np.ndarray) -> np.ndarray:
     """Boolean matrix product of 0/1 factors, left to right, on BLAS.
 
     Exact at any size: each step multiplies 0/1 float32 matrices, every term
     of a sum is non-negative, so a sum is 0 only when every term is, and
     products of 1.0 cannot underflow.
+
+    The tile-intersection products (``CoverSequence.meets``,
+    ``reach_within``, the point proximity of a level and the shift
+    containment of ``dynamical_checks``) come here only when
+    ``blas_cheaper`` says so; otherwise they join the point-to-tile tables
+    of ``CoverSequence.tiles_of``, whose size is set by the incidences and
+    not by the tile count.
     """
     out = mats[0]
     for m in mats[1:]:
@@ -101,6 +122,16 @@ def connected_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _padded_rows(row: np.ndarray, value: np.ndarray, n_rows: int, pad: int) -> np.ndarray:
+    """The table whose row r lists, in order, the entries of ``value`` at the
+    positions where the sorted ``row`` equals r, padded with ``pad`` to the
+    longest row."""
+    count = np.bincount(row, minlength=n_rows)
+    table = np.full((n_rows, int(count.max(initial=0))), pad, dtype=np.intp)
+    table[row, np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)] = value
+    return table
 
 
 def maxmin_product(a: np.ndarray) -> np.ndarray:
@@ -189,6 +220,7 @@ class CoverSequence:
             raise ValueError("level 0 must consist of the single whole-space tile")
         self._members: dict[int, tuple[np.ndarray, ...]] = {}
         self._membership: dict[int, np.ndarray] = {}
+        self._tiles_of: dict[int, np.ndarray] = {}
         self._meets: dict[tuple[int, int], np.ndarray] = {}
         self._diams: dict[int, np.ndarray] = {}
         self._reach: dict[tuple[int, int], np.ndarray] = {}
@@ -225,12 +257,37 @@ class CoverSequence:
             self._membership[level] = _read_only(m)
         return self._membership[level]
 
+    def tiles_of(self, level: int) -> np.ndarray:
+        """The point-to-tile table of one level: row p lists the tiles that
+        hold point p in ascending order, padded to the widest row with the
+        tile count k (one past the last tile).  Cached and read-only."""
+        if level not in self._tiles_of:
+            members = self.members(level)
+            point = np.concatenate(members)
+            owner = np.repeat(np.arange(len(members)), [idx.size for idx in members])
+            order = np.argsort(point, kind="stable")  # owners stay ascending per point
+            table = _padded_rows(point[order], owner[order], self.n_points, len(members))
+            self._tiles_of[level] = _read_only(table)
+        return self._tiles_of[level]
+
     def meets(self, n: int, m: int) -> np.ndarray:
         """Boolean matrix of intersecting pairs X in X^n, Y in X^m; cached and
-        read-only.  ``meets(n, n)`` is the same-level intersection graph."""
+        read-only.  ``meets(n, n)`` is the same-level intersection graph.
+
+        Without BLAS, each point marks every pair of its tiles at the two
+        levels, and the pad column and row of the tables are cut off.
+        """
         key = (n, m)
         if key not in self._meets:
-            self._meets[key] = _read_only(bool_product(self.membership(n), self.membership(m).T))
+            rows, cols = self.tiles_of(n), self.tiles_of(m)
+            kn, km = len(self.levels[n]), len(self.levels[m])
+            if blas_cheaper(kn, rows.shape[1]) and blas_cheaper(km, cols.shape[1]):
+                out = bool_product(self.membership(n), self.membership(m).T)
+            else:
+                out = np.zeros((kn + 1, km + 1), dtype=bool)
+                out[rows[:, :, None], cols[:, None, :]] = True
+                out = out[:kn, :km]
+            self._meets[key] = _read_only(out)
         return self._meets[key]
 
     def diams(self, level: int) -> np.ndarray:
@@ -243,12 +300,28 @@ class CoverSequence:
     def reach_within(self, level: int, length: int) -> np.ndarray:
         """Tile pairs joined by a chain of at most ``length`` same-level tiles.
 
-        Cached per (level, length) and read-only.
+        Cached per (level, length) and read-only.  Length 0 is the identity
+        and length 1 the intersection graph.  Without BLAS, each further step
+        ORs the rows of the tiles that each tile meets, through neighbour
+        lists padded with an all-False row.
         """
         key = (level, length)
         if key not in self._reach:
             adj = self.meets(level, level)  # diagonal True, so reach only grows
-            reach = bool_product(np.eye(len(adj), dtype=bool), *[adj] * length)
+            k = len(adj)
+            if length == 0:
+                reach = np.eye(k, dtype=bool)
+            elif blas_cheaper(k, int(adj.sum(axis=1).max())):
+                reach = bool_product(*[adj] * length)
+            else:
+                lists = _padded_rows(*np.nonzero(adj), k, k)
+                reach = adj
+                for _ in range(length - 1):
+                    padded = np.zeros((k + 1, k), dtype=bool)
+                    padded[:k] = reach
+                    reach = padded[lists[:, 0]]
+                    for j in range(1, lists.shape[1]):
+                        reach |= padded[lists[:, j]]
             self._reach[key] = _read_only(reach)
         return self._reach[key]
 

@@ -33,12 +33,18 @@ from .errors import (
 )
 from .metricspace import FiniteMetricSpace, greedy_separated_subset
 from .proximity import dynamical_checks
-from .sphere import sphere_from_complex_array, spherical_dist_matrix
+from .sphere import BLOCK_ROWS, sphere_from_complex_array, spherical_dist_matrix
 from .spheregrid import SphereGrid, group_by_label, inverse_image, locate_cells, run_indices
 
 MAX_PREIMAGE_COUNT = 4096
 ROOT_CLUSTER_TOL = 1e-7
 ANCHOR_CLUSTER_TOL = 1e-6  # relative; degree_probe's anchor preimages
+# the tokens of a map's text: numbers (with e/E exponents), z, the
+# imaginary unit i, I or j, the operators + - * / ^, parentheses and spaces;
+# a number ends where no digit or dot follows, so a text splits one way only
+MAP_GRAMMAR = re.compile(
+    r"(?:(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?(?![\d.])|[zijI]|[-+*/^() ])*"
+)
 
 
 def _strip_leading(c: np.ndarray) -> np.ndarray:
@@ -46,9 +52,12 @@ def _strip_leading(c: np.ndarray) -> np.ndarray:
     return c[keep[0]:] if keep.size else c[-1:]
 
 
-@dataclass
+@dataclass(eq=False)
 class RationalMap:
-    """A rational map p/q on the sphere, coefficients highest power first."""
+    """A rational map p/q on the sphere, coefficients highest power first.
+
+    Equality is identity: arrays have no single truth value to compare by.
+    """
 
     p: np.ndarray
     q: np.ndarray
@@ -85,8 +94,13 @@ class RationalMap:
         """Parse e.g. "z^2 - 2", "(z^2+1)/(z^2-1)", complex coeffs "(1+2i)*z^3".
 
         ValueError when ``text`` is not a quotient of polynomials in z with
-        numeric coefficients.
+        numeric coefficients.  sympy evaluates its input as Python, so text
+        outside ``MAP_GRAMMAR`` is refused before sympy sees it: no name but
+        z and the imaginary unit, and no dot outside a number, can reach it.
         """
+        if not MAP_GRAMMAR.fullmatch(text):
+            raise ValueError(f"cannot read map {text!r}: only numbers, z, the imaginary unit "
+                             "i (or I, j), + - * / ^, parentheses and spaces may appear")
         import sympy  # only parsing needs it, and it is slow to import
 
         z = sympy.Symbol("z")
@@ -340,7 +354,11 @@ def julia_sample(
 
     It starts from a fixed point, so preimage generations are nested and the
     final set is forward invariant up to root-finding error.  Each generation
-    is one batched ``preimages`` call.
+    is one batched ``preimages`` call.  The self-map takes the sample point of
+    largest dot product with each image, a block of ``BLOCK_ROWS`` images at
+    a time; a block's products may differ from a whole-matrix product in the
+    last bit, which could move the choice only between sample points tied to
+    rounding error.
     """
     check_depth(depth)
     if target_count < 1:
@@ -360,11 +378,15 @@ def julia_sample(
     space = FiniteMetricSpace(dist=spherical_dist_matrix(vecs), coords=vecs)
     mesh = float(space.nearest_neighbor_distances().max())
     iv = sphere_from_complex_array(map_.eval(pts))
-    dots = iv @ vecs.T
-    self_map = np.argmax(dots, axis=1)
+    self_map = np.empty(pts.size, dtype=np.intp)
+    closest = np.empty(pts.size)
+    for lo in range(0, pts.size, BLOCK_ROWS):
+        dots = iv[lo:lo + BLOCK_ROWS] @ vecs.T
+        self_map[lo:lo + BLOCK_ROWS] = np.argmax(dots, axis=1)
+        closest[lo:lo + BLOCK_ROWS] = dots.max(axis=1)
     self_map.flags.writeable = False
     proj = np.arccos(np.clip((iv * vecs[self_map]).sum(axis=1), -1, 1))
-    gaps = np.arccos(np.clip(dots, -1, 1, out=dots), out=dots).min(axis=1)
+    gaps = np.arccos(np.clip(closest, -1, 1))  # arccos decreases: the least angle of each row
     if pts.size > 1 and float(gaps.max()) > 2.0 * max(mesh, 1e-9):
         raise RootFindFailure(
             f"forward invariance violated: image strays {gaps.max()!r} from the sample"

@@ -66,7 +66,9 @@ class FiniteMetricSpace:
             if self.n < 2:
                 nn = np.zeros(self.n)
             else:
-                nn = (self.dist + np.diag(np.full(self.n, np.inf))).min(axis=1)
+                d = self.dist.copy()
+                np.fill_diagonal(d, np.inf)
+                nn = d.min(axis=1)
             nn.flags.writeable = False
             object.__setattr__(self, "_nn", nn)
         return self._nn

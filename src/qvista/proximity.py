@@ -19,6 +19,7 @@ from .covers import (
     CoverSequence,
     VerificationReport,
     WorstCase,
+    blas_cheaper,
     bool_product,
     check_lambda,
     maxmin_product,
@@ -102,9 +103,27 @@ class PowerDistortion:
 
 
 def _point_proximity_at_level(cover: CoverSequence, level: int) -> np.ndarray:
-    """Boolean matrix: pairs occupying tiles X, Y with U_w(X) meeting U_w(Y)."""
-    mem = cover.membership(level)
-    return bool_product(mem.T, ~cover.separated(level), mem)
+    """Boolean matrix: pairs occupying tiles X, Y with U_w(X) meeting U_w(Y).
+
+    Without BLAS, two OR-gathers of rows through the point-to-tile table:
+    first, per point q, the tiles X with U_w(X) meeting U_w(Y) for a tile Y
+    of q; then, per point p, the points q so found for a tile of p.
+    """
+    table = cover.tiles_of(level)
+    k = len(cover.levels[level])
+    if blas_cheaper(k, table.shape[1]):
+        mem = cover.membership(level)
+        return bool_product(mem.T, ~cover.separated(level), mem)
+    near = np.zeros((k + 1, k + 1), dtype=bool)  # row and column k pad the table
+    near[:k, :k] = ~cover.separated(level).T
+    found = near[table[:, 0]]
+    for j in range(1, table.shape[1]):
+        found |= near[table[:, j]]
+    found = np.ascontiguousarray(found.T)  # found[a, q]: tile a is near a tile of q
+    out = found[table[:, 0]]
+    for j in range(1, table.shape[1]):
+        out |= found[table[:, j]]
+    return out
 
 
 def compute_proximity(cover: CoverSequence) -> ProximityTable:
@@ -115,10 +134,12 @@ def compute_proximity(cover: CoverSequence) -> ProximityTable:
     """
     n = cover.n_points
     depth = cover.depth
-    m = np.zeros((n, n), dtype=np.int64)
+    # the levels go into the smallest type that holds N + 1, which
+    # ProximityTable widens to int64 once: a dense level's float32 product
+    # then never stands beside an int64 table
+    m = np.zeros((n, n), dtype=np.min_scalar_type(depth + 1))
     for lev in range(1, depth + 1):
-        prox = _point_proximity_at_level(cover, lev)
-        m[prox] = lev
+        np.copyto(m, lev, where=_point_proximity_at_level(cover, lev))
     m[m == depth] = depth + 1
     np.fill_diagonal(m, depth + 1)
     return ProximityTable(m=m, width=cover.width, truncation=depth)
@@ -505,6 +526,13 @@ def dynamical_checks(
     the smallest C with d(g^n x, g^n y) <= C (d(x,y)/diam Z)^nu over pairs in
     balls B(z0, 2 diam Z) around members of (n+1)-tiles Z.
 
+    Proximity decay asks m(g^n x, g^n y) >= min(m(x, y), N) - n for every
+    pair and every n = 1..N, and n = 1 alone decides it when it holds there:
+    then m(g^n x, g^n y) >= min(m(g^(n-1) x, g^(n-1) y), N) - 1, which by
+    induction is at least min(m(x, y), N) - (n - 1) - 1.  So the scan stops
+    after n = 1 when that finds no violation, and scans every n otherwise.
+    The table is dropped before the distortion scan.
+
     Both quadratic scans stream in blocks of at most ``ROW_BLOCK`` entries,
     so neither builds an n x n or ball x ball temporary beside the proximity
     table: the distortion scan takes the ball pairs of all tiles of a level
@@ -521,15 +549,11 @@ def dynamical_checks(
 
     shift_violations = []
     for lev in range(1, depth):
-        mem_up, mem_dn = cover.membership(lev), cover.membership(lev + 1)
-        # image point sets: one scatter, so a non-injective g keeps every point
-        img = np.zeros_like(mem_dn)
-        tile, point = np.nonzero(mem_dn)
-        img[tile, g[point]] = True
-        contained = ~bool_product(img, ~mem_up.T)  # image of tile t inside host a
+        contained, size = _image_hosts(cover, lev, g)
         hosted = contained.any(axis=1)
         # an image inside a host of its own size is that host
-        exact = (contained & (img.sum(axis=1)[:, None] == mem_up.sum(axis=1))).any(axis=1)
+        host_size = np.array([idx.size for idx in cover.members(lev)])
+        exact = (contained & (size[:, None] == host_size)).any(axis=1)
         # nearest-host slack of the unhosted tiles: how far each image sticks
         # out of its best host, the largest dist(g(x), X_a) over members x,
         # least over hosts X_a
@@ -563,6 +587,9 @@ def dynamical_checks(
                     {"n": k, "pair": [i, j], "m": int(m[i, j]), "m_image": int(m[gn[i], gn[j]])}
                 )
                 break
+        if not prox_violations:  # decay at n = 1 implies it at every n
+            break
+    del m  # the distortion scan needs no n x n table
 
     dist_C = 0.0
     gn = np.arange(n_pts)
@@ -578,6 +605,30 @@ def dynamical_checks(
         distortion_C=dist_C,
         nu=float(nu),
     )
+
+
+def _image_hosts(cover: CoverSequence, level: int, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether g(X_t) lies in X_a, for each tile X_t of level + 1 (rows) and
+    X_a of ``level`` (columns), and the number of points of each g(X_t).
+
+    The image sets are the distinct (tile, g(point)) pairs, so a non-injective
+    g keeps every point.  Without BLAS, a bincount of the hosts of the image
+    points through the point-to-tile table: X_a holds g(X_t) when it holds
+    all of its points.
+    """
+    members = cover.members(level + 1)
+    n, k_dn, k_up = cover.n_points, len(members), len(cover.levels[level])
+    tile = np.repeat(np.arange(k_dn), [idx.size for idx in members])
+    tile, point = np.divmod(np.unique(tile * n + g[np.concatenate(members)]), n)
+    size = np.bincount(tile, minlength=k_dn)
+    table, below = cover.tiles_of(level), cover.tiles_of(level + 1)
+    if blas_cheaper(k_dn, below.shape[1]) and blas_cheaper(k_up, table.shape[1]):
+        img = np.zeros((k_dn, n), dtype=bool)
+        img[tile, point] = True
+        return ~bool_product(img, ~cover.membership(level).T), size
+    hosts = np.bincount((tile[:, None] * (k_up + 1) + table[point]).ravel(),
+                        minlength=k_dn * (k_up + 1))
+    return hosts.reshape(k_dn, k_up + 1)[:, :k_up] == size[:, None], size
 
 
 def _distortion_level(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+BLOCK_ROWS = 128  # rows per block of the pairwise dot products
+
 
 def sphere_from_complex(z: complex | None) -> np.ndarray:
     """Map a chart point (None means the point at infinity) to a unit 3-vector."""
@@ -40,11 +42,22 @@ def sphere_from_complex_array(z: np.ndarray) -> np.ndarray:
 
 
 def spherical_dist_matrix(vecs: np.ndarray) -> np.ndarray:
-    """Pairwise great-circle distances for an (n,3) array of unit vectors."""
-    vecs = np.asarray(vecs, dtype=float)
-    dot = np.clip(vecs @ vecs.T, -1.0, 1.0)
-    # atan2 form is more accurate for nearby points than arccos
-    cross = np.sqrt(np.maximum(0.0, 1.0 - dot * dot))
-    d = np.arctan2(cross, dot)
+    """Pairwise great-circle distances for an (n,3) array of unit vectors.
+
+    numpy hands ``vecs @ vecs.T`` of a contiguous array to BLAS as a
+    symmetric rank-k update, which mirrors one triangle, so the dot products
+    are exactly symmetric.  The distances overwrite them in place, in blocks
+    of ``BLOCK_ROWS`` rows of the upper triangle that are then mirrored below
+    the diagonal: each entry is the float the whole-matrix formula gives.
+    """
+    vecs = np.ascontiguousarray(vecs, dtype=float)
+    d = vecs @ vecs.T
+    for lo in range(0, len(d), BLOCK_ROWS):
+        hi = lo + BLOCK_ROWS
+        dot = np.clip(d[lo:hi, lo:], -1.0, 1.0)
+        # atan2 form is more accurate for nearby points than arccos
+        cross = np.sqrt(np.maximum(0.0, 1.0 - dot * dot))
+        np.arctan2(cross, dot, out=d[lo:hi, lo:])
+        d[hi:, lo:hi] = d[lo:hi, hi:].T
     np.fill_diagonal(d, 0.0)
     return d

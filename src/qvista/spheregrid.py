@@ -42,7 +42,7 @@ FILL_BLOCK = 1 << 16  # cells per block when filling a whole-grid table
 MAX_K = 32767  # largest K with 2K^2 < 2^31, so every cell id and count fits int32
 
 
-@dataclass
+@dataclass(eq=False)
 class SphereGrid:
     """Uniform K x K grids on both charts; cells indexed flat as chart*K*K + iy*K + ix."""
 

@@ -370,7 +370,9 @@ def test_julia_grid_beyond_int32_ids_is_usage_error(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ["z^2 + x", "sin(z)", "z^(1/2)", "z^2.5", "oo*z^2"])
+@pytest.mark.parametrize("text", ["z^2 + x", "sin(z)", "z^(1/2)", "z^2.5", "oo*z^2",
+                                  'z^2 + len("abc")', "z^2 + (lambda: 5)()",
+                                  '__import__("os").getcwd()'])
 def test_julia_malformed_map_is_usage_error(tmp_path, capsys, text):
     """A map that is not a rational function of z with finite numeric
     coefficients exits 2 with a one-line message naming it."""

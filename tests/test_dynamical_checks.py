@@ -5,13 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qvista import proximity
-from qvista.covers import derive_rho_tau_nu
+from qvista.covers import CoverSequence, derive_rho_tau_nu
 from qvista.errors import MapNotClosed
 from qvista.julia import RationalMap, admissible_cover, induce_tiles, julia_sample, pullback_cover
 from qvista.proximity import DynamicalReport, compute_proximity, dynamical_checks
 from qvista.spheregrid import SphereGrid
+from helpers import line_space, overlapping_covers
 
 
 def dynamical_checks_oracle(cover, point_map, nu=None, shift_tolerance=0.0, exact_image=False):
@@ -243,6 +245,52 @@ def test_batched_distortion_matches_per_tile_scan_on_fixtures(name, row_block, m
         for g in self_maps(cover.n_points, seed):
             for nu in (0.3, 0.5, 1.0):
                 assert_same_distortion(cover, g, nu)
+
+
+def full_decay_scan(cover, point_map):
+    """The first violating pair of proximity decay at every n = 1..N."""
+    m = compute_proximity(cover).m
+    rhs = np.minimum(m, cover.depth)
+    found = []
+    gn = np.arange(cover.n_points)
+    for k in range(1, cover.depth + 1):
+        gn = point_map[gn]
+        bad = m[np.ix_(gn, gn)] < rhs - k
+        if bad.any():
+            i, j = map(int, np.unravel_index(int(np.argmax(bad)), bad.shape))
+            found.append(
+                {"n": k, "pair": [i, j], "m": int(m[i, j]), "m_image": int(m[gn[i], gn[j]])}
+            )
+    return found
+
+
+@pytest.mark.parametrize("name", ["cantor", "dyadic", "tree", "interleaved", "gasket"])
+def test_decay_shortcut_matches_full_scan_on_fixtures(name, request):
+    """The identity keeps decay and gets an empty list; the shift and the
+    random map break it at n = 1 and get the whole n = 1..N scan, which on
+    all but the gasket finds violations past n = 1 too."""
+    _, cover = request.getfixturevalue(name)
+    identity, *breaking = self_maps(cover.n_points)
+    assert dynamical_checks(cover, identity, 0.5).proximity_violations == []
+    for g in breaking:
+        want = full_decay_scan(cover, g)
+        assert want[0]["n"] == 1
+        assert dynamical_checks(cover, g, 0.5).proximity_violations == want
+
+
+def test_decay_holding_at_one_step_holds_at_every_step(basilica_1024):
+    """The shortcut stops after n = 1, and a scan of every n finds nothing."""
+    cover, g, nu = basilica_1024
+    assert full_decay_scan(cover, g) == []
+    assert dynamical_checks(cover, g, nu).proximity_violations == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=overlapping_covers())
+def test_decay_shortcut_matches_full_scan_on_random_covers(case):
+    levels, width, g = case
+    cover = CoverSequence(line_space(len(levels[0][0])), levels, width=width)
+    assert dynamical_checks(cover, g, 0.5).proximity_violations == full_decay_scan(cover, g)
 
 
 def traced_peak(fn) -> int:

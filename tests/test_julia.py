@@ -54,6 +54,26 @@ class TestRationalMap:
         assert m.degree == 3
         assert m.p[0] == pytest.approx(1 + 2j)
 
+    def test_equality_is_identity(self):
+        a, b = RationalMap.parse("z^2-1"), RationalMap.parse("z^2-1")
+        assert a == a and a != b  # a field-wise == would raise on the coefficient arrays
+
+    @pytest.mark.parametrize("text", ['z^2 + len("abc")', "z^2 + (lambda: 5)()",
+                                      '__import__("os").getcwd()', "I.e", "z^2 + E"])
+    def test_text_outside_the_grammar_never_reaches_sympy(self, text, monkeypatch):
+        import sympy
+
+        def fail(*_args, **_kw):
+            raise AssertionError("sympify was called")
+
+        monkeypatch.setattr(sympy, "sympify", fail)
+        with pytest.raises(ValueError, match="may appear"):
+            RationalMap.parse(text)
+
+    def test_grammar_splits_long_numbers_in_linear_time(self):
+        with pytest.raises(ValueError, match="may appear"):
+            RationalMap.parse("1" * 100_000 + "x")
+
     def test_degree_floor(self):
         with pytest.raises(ValueError):
             RationalMap.parse("z + 1")
@@ -302,6 +322,17 @@ class TestJuliaSample:
             sample.self_map[0] = 0
         with pytest.raises(ValueError):
             sample.space.dist[0, 1] = 0.0
+
+    @pytest.mark.parametrize("text, depth", [("z^2-1", 10), ("z^2-2", 11), ("z^2+i", 9),
+                                             ("z^3-0.5*z+0.3", 6), ("(z^2+1)/(z^2-1)", 9)])
+    def test_self_map_matches_one_shot(self, text, depth):
+        """The row-blocked nearest-sample search picks the sample point that
+        the argmax over the whole image-by-sample dot matrix picks."""
+        g = RationalMap.parse(text)
+        s = julia_sample(g, depth)
+        iv = sphere_from_complex_array(g.eval(s.z))
+        assert s.n > 128
+        assert np.array_equal(s.self_map, np.argmax(iv @ s.vecs.T, axis=1))
 
     def test_target_count_prune(self, zsq):
         s = julia_sample(zsq, 8, target_count=100)

@@ -59,6 +59,34 @@ def test_metric_axioms_random_sample():
         assert np.all(d <= d[:, k][:, None] + d[k, :][None, :] + 1e-12)
 
 
+def one_shot_dist_matrix(vecs):
+    """``spherical_dist_matrix`` as it was written before row blocks."""
+    dot = np.clip(vecs @ vecs.T, -1.0, 1.0)
+    cross = np.sqrt(np.maximum(0.0, 1.0 - dot * dot))
+    d = np.arctan2(cross, dot)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 500, 1025])
+def test_dist_matrix_row_blocks_match_one_shot(n):
+    """Bit for bit, around the block edges, and exactly symmetric; at n = 500
+    a row block of a general BLAS product differs from the whole product in
+    the last bit of some entries, so the blocks must not make their own."""
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=(n, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    d = spherical_dist_matrix(v)
+    assert d.tobytes() == one_shot_dist_matrix(v).tobytes()
+    assert np.array_equal(d, d.T)
+
+
+def test_sphere_grid_equality_is_identity():
+    a, b = SphereGrid(K=32), SphereGrid(K=32)
+    a.twin_flat(), b.twin_flat()  # array-valued state, which a field-wise == cannot compare
+    assert a == a and a != b
+
+
 def test_components_stitch_seam_and_order():
     grid = SphereGrid(K=128)
     half = grid.K * grid.K
