@@ -133,7 +133,7 @@ def check_dichotomy(space: FiniteMetricSpace, colored: ColoredNet) -> tuple[bool
 
 
 def _net_balls(space: FiniteMetricSpace, lam: float, depth: int, resolution: float,
-               balls) -> list[list[tuple[int, ...]]]:
+               balls) -> list[list[np.ndarray]]:
     """The levels of a net-ball cover: the whole space, then per level n the
     balls ``balls(net, scale)`` around a maximal scale-net, scale = L^-n, with
     repeated balls dropped in order.
@@ -152,11 +152,11 @@ def _net_balls(space: FiniteMetricSpace, lam: float, depth: int, resolution: flo
         center, radius = probe.witness
         raise ValueError(f"space fails the uniform perfectness probe: the annulus around "
                          f"point {center} at radius {radius!r} is empty")
-    levels: list[list[tuple[int, ...]]] = [[tuple(range(space.n))]]
+    levels: list[list[np.ndarray]] = [[np.arange(space.n)]]
     for n in range(1, depth + 1):
         scale = lam ** (-n)
         net = maximal_separated_net(space, scale)
-        levels.append(list(dict.fromkeys(tuple(b.tolist()) for b in balls(net, scale))))
+        levels.append(list({b.tobytes(): b for b in balls(net, scale)}.values()))
     return levels
 
 

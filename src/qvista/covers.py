@@ -30,16 +30,18 @@ FINITE_COVER_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tile:
-    """A tile: a non-empty subset of the point set, living at a level."""
+    """A tile: a non-empty subset of the point set, living at a level.
+
+    ``members`` is the sorted, read-only int64 array of its point indices,
+    a view into its level's incidence (``CoverSequence.incidence``).
+    Equality is identity: arrays have no single truth value to compare by.
+    """
 
     level: int
     index: int
-    members: frozenset[int]
-
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+    members: np.ndarray
 
 
 def check_depth(depth: int, name: str = "depth") -> None:
@@ -119,6 +121,25 @@ def connected_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray
     return (np.cumsum(root == np.arange(n)) - 1)[root]
 
 
+def group_by_label(items: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
+    """Split ``items`` into one array per label, in ascending label order.
+
+    Each group keeps the input order of its items.  With labels from
+    ``connected_components``, which numbers components by their lowest node,
+    groups come out ordered by their first item.
+    """
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.split(items[order], cuts)
+
+
+def run_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated index runs ``starts[k] + (0 .. counts[k] - 1)``, in order."""
+    counts = np.asarray(counts, dtype=np.int64)
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()), dtype=np.int64)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -177,7 +198,9 @@ class CoverSequence:
     """A truncated sequence of covers X^0..X^N of a finite metric space.
 
     Invariants enforced at construction: X^0 is the single whole-space tile,
-    every tile is non-empty, and each level covers the point set.
+    every tile is non-empty, and each level covers the point set.  Each level
+    is validated and stored once, as its (tile, point) incidence; the tiles'
+    member arrays are read-only views into it.
     """
 
     def __init__(
@@ -196,29 +219,40 @@ class CoverSequence:
         self.space = space
         self.width = int(width)
         self.visual_parameter = float(visual_parameter) if visual_parameter else None
-        n = space.n if space is not None else len(set().union(*levels[0])) if levels else 0
-        all_points = frozenset(range(n))
-        self.levels: list[list[Tile]] = []
+        fams = []  # any iterable of integers is a tile
         for lev, fam in enumerate(levels):
-            tiles = []
-            union: set[int] = set()
-            for idx, members in enumerate(fam):
-                ms = frozenset(int(i) for i in members)
-                if not ms:
-                    raise EmptyTile(f"empty tile at level {lev}, index {idx}")
-                if not ms <= all_points:
-                    raise ValueError(f"tile at level {lev} references unknown points")
-                tiles.append(Tile(level=lev, index=idx, members=ms))
-                union |= ms
-            if union != all_points:
-                missing = sorted(all_points - union)[:5]
+            try:
+                fams.append([np.fromiter(t, dtype=np.int64) for t in fam])
+            except OverflowError:  # an id beyond int64 is beyond any point count
+                raise ValueError(f"tile at level {lev} references unknown points") from None
+        n = space.n if space is not None else len(set().union(*fams[0])) if fams else 0
+        self.n_points = n
+        self.levels: list[list[Tile]] = []
+        self._members: list[tuple[np.ndarray, ...]] = []
+        self._incidence: list[tuple[np.ndarray, np.ndarray]] = []
+        for lev, fam in enumerate(fams):
+            sizes = np.array([t.size for t in fam], dtype=np.int64)
+            if (empty := np.flatnonzero(sizes == 0)).size:
+                raise EmptyTile(f"empty tile at level {lev}, index {empty[0]}")
+            point = np.concatenate([np.empty(0, dtype=np.int64), *fam])
+            if ((point < 0) | (point >= n)).any():
+                raise ValueError(f"tile at level {lev} references unknown points")
+            # the distinct (tile, point) pairs, ordered by tile, then point; a
+            # sort, not np.unique, whose first call imports numpy.ma (10-15 ms)
+            key = np.sort(np.repeat(np.arange(len(fam), dtype=np.int64), sizes) * n + point)
+            tile, point = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
+            if (missing := np.flatnonzero(np.bincount(point, minlength=n) == 0)).size:
+                missing = missing[:5].tolist()
                 raise ValueError(f"level {lev} is not a cover; misses points {missing}")
-            self.levels.append(tiles)
+            self._incidence.append((_read_only(tile), _read_only(point)))
+            cuts = np.searchsorted(tile, np.arange(len(fam) + 1)).tolist()
+            members = tuple(point[a:b] for a, b in zip(cuts, cuts[1:]))
+            self._members.append(members)
+            self.levels.append([Tile(lev, i, m) for i, m in enumerate(members)])
         if not self.levels:
             raise ValueError("need at least level 0")
-        if len(self.levels[0]) != 1 or self.levels[0][0].members != all_points:
+        if len(self.levels[0]) != 1 or self.levels[0][0].members.size != n:
             raise ValueError("level 0 must consist of the single whole-space tile")
-        self._members: dict[int, tuple[np.ndarray, ...]] = {}
         self._membership: dict[int, np.ndarray] = {}
         self._tiles_of: dict[int, np.ndarray] = {}
         self._meets: dict[tuple[int, int], np.ndarray] = {}
@@ -232,28 +266,22 @@ class CoverSequence:
         """Truncation depth N (largest level present)."""
         return len(self.levels) - 1
 
-    @property
-    def n_points(self) -> int:
-        return len(self.levels[0][0].members)
-
     def members(self, level: int) -> tuple[np.ndarray, ...]:
-        """Per tile of one level, its members as a sorted int64 array; cached
+        """Per tile of one level, its ``Tile.members`` array: sorted, int64
         and read-only.  Reductions over members never depend on their order."""
-        if level not in self._members:
-            self._members[level] = tuple(
-                _read_only(np.sort(np.fromiter(t.members, dtype=np.int64, count=len(t.members))))
-                for t in self.levels[level]
-            )
         return self._members[level]
+
+    def incidence(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (tile, point) pairs of one level as two parallel read-only
+        arrays, ordered by tile, then by point."""
+        return self._incidence[level]
 
     def membership(self, level: int) -> np.ndarray:
         """Boolean (n_tiles, n_points) membership matrix for one level; cached
         and read-only."""
         if level not in self._membership:
-            members = self.members(level)
-            m = np.zeros((len(members), self.n_points), dtype=bool)
-            for i, idx in enumerate(members):
-                m[i, idx] = True
+            m = np.zeros((len(self.levels[level]), self.n_points), dtype=bool)
+            m[self._incidence[level]] = True
             self._membership[level] = _read_only(m)
         return self._membership[level]
 
@@ -262,11 +290,9 @@ class CoverSequence:
         hold point p in ascending order, padded to the widest row with the
         tile count k (one past the last tile).  Cached and read-only."""
         if level not in self._tiles_of:
-            members = self.members(level)
-            point = np.concatenate(members)
-            owner = np.repeat(np.arange(len(members)), [idx.size for idx in members])
-            order = np.argsort(point, kind="stable")  # owners stay ascending per point
-            table = _padded_rows(point[order], owner[order], self.n_points, len(members))
+            tile, point = self._incidence[level]
+            order = np.argsort(point, kind="stable")  # tiles stay ascending per point
+            table = _padded_rows(point[order], tile[order], self.n_points, len(self.levels[level]))
             self._tiles_of[level] = _read_only(table)
         return self._tiles_of[level]
 
@@ -355,7 +381,7 @@ class CoverSequence:
             "width": self.width,
             "lambda": self.visual_parameter,
             "levels": [
-                [list(t.sorted_members()) for t in fam] for fam in self.levels
+                [t.members.tolist() for t in fam] for fam in self.levels
             ],
         }
 
@@ -429,12 +455,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.verdict != "FAIL" for c in self.conditions)
-
-    def condition(self, name: str) -> ConditionRecord:
-        for c in self.conditions:
-            if c.condition == name:
-                return c
-        raise KeyError(name)
 
     def to_dict(self) -> dict:
         return {

@@ -32,6 +32,25 @@ def grid_space(num_points: int = 101) -> FiniteMetricSpace:
     return FiniteMetricSpace(dist=np.abs(xs[:, None] - xs[None, :]), coords=xs[:, None])
 
 
+def _prefix_levels(words: list[tuple], lengths) -> list[list[list[int]]]:
+    """The whole index set, then per prefix length k the indices of ``words``
+    grouped by their first k letters, groups in ascending prefix order."""
+    levels = [[list(range(len(words)))]]
+    for k in lengths:
+        fam: dict[tuple, list[int]] = {}
+        for i, w in enumerate(words):
+            fam.setdefault(w[:k], []).append(i)
+        levels.append([v for _k, v in sorted(fam.items())])
+    return levels
+
+
+def _dyadic_intervals(sample_exp: int, n: int) -> list[range]:
+    """The 2^n closed dyadic intervals of level n, as index ranges of the
+    2^E + 1 grid points, E = ``sample_exp``."""
+    step = 2 ** (sample_exp - n)
+    return [range(j * step, (j + 1) * step + 1) for j in range(2 ** n)]
+
+
 def cantor_fixture(depth: int = 4, sample_depth: int = 6) -> tuple[FiniteMetricSpace, CoverSequence]:
     """Ternary Cantor set sampled by all endpoints of the level-``sample_depth``
     construction intervals; tiles at level n are the 2^n ternary intervals.
@@ -56,13 +75,8 @@ def cantor_fixture(depth: int = 4, sample_depth: int = 6) -> tuple[FiniteMetricS
     space = FiniteMetricSpace(
         dist=np.abs(coords[:, None] - coords[None, :]), coords=coords[:, None]
     )
-    levels: list[list[tuple[int, ...]]] = [[tuple(range(space.n))]]
-    for n in range(1, depth + 1):
-        fam: dict[tuple, list[int]] = {}
-        for i, a in enumerate(ext):
-            fam.setdefault(a[:n], []).append(i)
-        levels.append([tuple(v) for _k, v in sorted(fam.items())])
-    cover = CoverSequence(space, levels, width=0, visual_parameter=3.0)
+    cover = CoverSequence(space, _prefix_levels(ext, range(1, depth + 1)), width=0,
+                          visual_parameter=3.0)
     return space, cover
 
 
@@ -74,14 +88,8 @@ def interval_dyadic_fixture(
     check_depth(sample_exp, "sample_exp")
     if depth > sample_exp:
         raise ValueError("depth must not exceed sample_exp")
-    m = 2 ** sample_exp
-    space = grid_space(m + 1)
-    levels: list[list[tuple[int, ...]]] = [[tuple(range(m + 1))]]
-    for n in range(1, depth + 1):
-        step = 2 ** (sample_exp - n)
-        levels.append(
-            [tuple(range(j * step, (j + 1) * step + 1)) for j in range(2 ** n)]
-        )
+    space = grid_space(2 ** sample_exp + 1)
+    levels = [_dyadic_intervals(sample_exp, n) for n in range(depth + 1)]
     cover = CoverSequence(space, levels, width=0, visual_parameter=2.0)
     return space, cover
 
@@ -97,7 +105,6 @@ def tree_fixture(depth: int = 4) -> tuple[FiniteMetricSpace, CoverSequence]:
     """
     check_depth(depth)
     seqs = list(itertools.product(*[range(i + 2) for i in range(depth)]))
-    n = len(seqs)
     arr = np.array(seqs, dtype=np.int64)  # coordinates x_1..x_D
     agree = arr[:, None, :] == arr[None, :, :]
     # first disagreement index (1-based); equal rows handled separately
@@ -105,13 +112,8 @@ def tree_fixture(depth: int = 4) -> tuple[FiniteMetricSpace, CoverSequence]:
     dist = np.where(first <= depth, 2.0 ** (-first.astype(float)), 0.0)
     np.fill_diagonal(dist, 0.0)
     space = FiniteMetricSpace(dist=dist, coords=arr)
-    levels: list[list[tuple[int, ...]]] = [[tuple(range(n))]]
-    for lev in range(1, depth + 1):
-        fam: dict[tuple, list[int]] = {}
-        for i, s in enumerate(seqs):
-            fam.setdefault(s[: lev - 1], []).append(i)
-        levels.append([tuple(v) for _k, v in sorted(fam.items())])
-    cover = CoverSequence(space, levels, width=0, visual_parameter=2.0)
+    cover = CoverSequence(space, _prefix_levels(seqs, range(depth)), width=0,
+                          visual_parameter=2.0)
     return space, cover
 
 
@@ -128,17 +130,8 @@ def dyadic_interleaved_fixture(
     check_depth(sample_exp, "sample_exp")
     if 2 * k_max > sample_exp:
         raise ValueError("need sample_exp >= 2*k_max")
-    m = 2 ** sample_exp
-    space = grid_space(m + 1)
-
-    def dyadic_level(n: int) -> list[tuple[int, ...]]:
-        step = 2 ** (sample_exp - n)
-        return [tuple(range(j * step, (j + 1) * step + 1)) for j in range(2 ** n)]
-
-    levels: list[list[tuple[int, ...]]] = []
-    for k in range(k_max + 1):
-        levels.append(dyadic_level(k))
-        levels.append(dyadic_level(2 * k))
+    space = grid_space(2 ** sample_exp + 1)
+    levels = [_dyadic_intervals(sample_exp, n) for k in range(k_max + 1) for n in (k, 2 * k)]
     cover = CoverSequence(space, levels, width=0, visual_parameter=None)
     return space, cover
 

@@ -23,6 +23,8 @@ from .covers import (
     check_depth,
     connected_components,
     derive_rho_tau_nu,
+    group_by_label,
+    run_indices,
     verify_quasi_visual,
 )
 from .errors import (
@@ -34,7 +36,7 @@ from .errors import (
 from .metricspace import FiniteMetricSpace, greedy_separated_subset
 from .proximity import dynamical_checks
 from .sphere import BLOCK_ROWS, sphere_from_complex_array, spherical_dist_matrix
-from .spheregrid import SphereGrid, group_by_label, inverse_image, locate_cells, run_indices
+from .spheregrid import SphereGrid, inverse_image, locate_cells
 
 MAX_PREIMAGE_COUNT = 4096
 ROOT_CLUSTER_TOL = 1e-7
@@ -330,7 +332,7 @@ def _cluster_roots(
     return pts, mult
 
 
-@dataclass
+@dataclass(eq=False)
 class JuliaSample:
     """Inverse-iteration sample of a Julia set, stored on the sphere, with its
     metric, self-map and projection error computed once by ``julia_sample``."""
@@ -420,7 +422,7 @@ def _farthest_point_prune(pts: np.ndarray, target: int) -> np.ndarray:
 # -- ambient regions and pull-backs -----------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class AmbientRegion:
     """A connected raster region on the sphere at one pull-back level.
 
@@ -435,7 +437,7 @@ class AmbientRegion:
     sample_points: tuple[int, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class PullbackCover:
     """Per-level families of ambient regions V^1..V^N plus the raster context."""
 
@@ -537,7 +539,7 @@ def induce_tiles(pull: PullbackCover) -> CoverSequence:
     sample = pull.sample
     space = sample.space
     g_idx = sample.self_map
-    levels: list[list[tuple[int, ...]]] = [[tuple(range(sample.n))]]
+    levels: list[list[np.ndarray]] = [[np.arange(sample.n)]]
     near = space.dist <= 3.0 * space.nearest_neighbor_distances()[:, None]
     # the link graph, d <= 3 max(nn_i, nn_j), as neighbour lists: point p's
     # neighbours are linked[start[p]:start[p + 1]]
@@ -577,7 +579,7 @@ def induce_tiles(pull: PullbackCover) -> CoverSequence:
             raise ResolutionInsufficient(
                 f"{sample.n - int(covered.sum())} sample points uncovered at level {fam[0].level}"
             )
-        levels.append([tuple(t.tolist()) for t in tiles])
+        levels.append(tiles)
     return CoverSequence(space, levels, width=1, visual_parameter=None)
 
 

@@ -180,12 +180,11 @@ class PerfectnessProbe:
     """Largest annulus constant certified on a finite radius grid.
 
     ``lambda_up`` is the supremum of constants for which every annulus
-    {y : lam*r < d(x,y) <= r} over the scanned grid is non-empty.  The grid
-    itself is part of the result; nothing is claimed below its first radius.
+    {y : lam*r < d(x,y) <= r} over the scanned grid is non-empty; nothing is
+    claimed below the grid's first radius (``uniform_perfectness_probe``).
     """
 
     lambda_up: float
-    grid: tuple[float, ...]
     witness: tuple[int, float] | None = None  # (center, radius) attaining the minimum
 
 
@@ -231,4 +230,4 @@ def uniform_perfectness_probe(space: FiniteMetricSpace) -> PerfectnessProbe:
         if lam_max[i] < best:
             best = float(lam_max[i])
             witness = (i, float(r))
-    return PerfectnessProbe(lambda_up=best, grid=tuple(grid), witness=witness)
+    return PerfectnessProbe(lambda_up=best, witness=witness)

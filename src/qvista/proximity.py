@@ -23,13 +23,13 @@ from .covers import (
     bool_product,
     check_lambda,
     maxmin_product,
+    run_indices,
     tile_pair_reduce,
     tile_reduce,
     verify_visual,
 )
 from .errors import KTooLarge, LambdaTooLarge, MapNotClosed
 from .metricspace import FiniteMetricSpace
-from .spheregrid import run_indices
 
 NU_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))  # 0.05 .. 1.00
 K_CAP = 1e6
@@ -616,10 +616,9 @@ def _image_hosts(cover: CoverSequence, level: int, g: np.ndarray) -> tuple[np.nd
     points through the point-to-tile table: X_a holds g(X_t) when it holds
     all of its points.
     """
-    members = cover.members(level + 1)
-    n, k_dn, k_up = cover.n_points, len(members), len(cover.levels[level])
-    tile = np.repeat(np.arange(k_dn), [idx.size for idx in members])
-    tile, point = np.divmod(np.unique(tile * n + g[np.concatenate(members)]), n)
+    n, k_dn, k_up = cover.n_points, len(cover.levels[level + 1]), len(cover.levels[level])
+    tile, point = cover.incidence(level + 1)
+    tile, point = np.divmod(np.unique(tile * n + g[point]), n)
     size = np.bincount(tile, minlength=k_dn)
     table, below = cover.tiles_of(level), cover.tiles_of(level + 1)
     if blas_cheaper(k_dn, below.shape[1]) and blas_cheaper(k_up, table.shape[1]):

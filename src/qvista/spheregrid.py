@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covers import connected_components
+from .covers import connected_components, group_by_label, run_indices
 
 FILL_BLOCK = 1 << 16  # cells per block when filling a whole-grid table
 MAX_K = 32767  # largest K with 2K^2 < 2^31, so every cell id and count fits int32
@@ -255,18 +255,6 @@ class SphereGrid:
         return group_by_label(ids, comp[run])
 
 
-def group_by_label(items: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
-    """Split ``items`` into one array per label, in ascending label order.
-
-    Each group keeps the input order of its items.  With labels from
-    ``connected_components``, which numbers components by their lowest node,
-    groups come out ordered by their first item.
-    """
-    order = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    return np.split(items[order], cuts)
-
-
 def locate_cells(cells: np.ndarray, sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Every (query, set) pair with ``cells[query]`` in ``sets[set]``.
 
@@ -334,10 +322,3 @@ def _equal_runs(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of each run of equal values in a sorted array."""
     head = np.flatnonzero(np.append(vals.size > 0, vals[1:] != vals[:-1]))
     return head, np.diff(np.append(head, vals.size))
-
-
-def run_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated index runs ``starts[k] + (0 .. counts[k] - 1)``, in order."""
-    counts = np.asarray(counts, dtype=np.int64)
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()), dtype=np.int64)

@@ -8,6 +8,12 @@ from hypothesis import strategies as st
 from qvista.metricspace import FiniteMetricSpace
 
 
+def condition(report, name):
+    """The record of the condition ``name`` in a verification report."""
+    (record,) = [c for c in report.conditions if c.condition == name]
+    return record
+
+
 def two_point_space():
     return FiniteMetricSpace(dist=np.array([[0.0, 1.0], [1.0, 0.0]]))
 

@@ -14,6 +14,7 @@ from qvista.covers import verify_visual
 from qvista.errors import DoublingUnbounded, ResolutionExceeded
 from qvista.fixtures import fixture, grid_space
 from qvista.metricspace import FiniteMetricSpace, Net, maximal_separated_net
+from helpers import condition
 
 
 def integer_grid(m: int) -> FiniteMetricSpace:
@@ -25,7 +26,7 @@ class TestWidth1:
     def test_depth_zero(self, grid101):
         cover = build_visual_width1(grid101, 2.0, 0)
         assert len(cover.levels) == 1
-        assert cover.levels[0][0].members == frozenset(range(grid101.n))
+        assert cover.levels[0][0].members.tolist() == list(range(grid101.n))
 
     def test_grid_passes(self, grid101):
         cover = build_visual_width1(grid101, 2.0, 5)
@@ -39,7 +40,7 @@ class TestWidth1:
         rep = verify_visual(cover)
         assert rep.passed
         # dist(X,Y) >= lam^-n / 2 for width-1 separated pairs
-        assert rep.condition("visual.separation").constant <= 2.0 + 1e-9
+        assert condition(rep, "visual.separation").constant <= 2.0 + 1e-9
 
     def test_resolution_guard(self, grid101):
         with pytest.raises(ResolutionExceeded):

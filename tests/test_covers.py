@@ -18,7 +18,7 @@ from qvista.covers import (
 )
 from qvista.errors import EmptyTile, FitFailure, MissingLambda
 from qvista.metricspace import FiniteMetricSpace
-from helpers import two_point_space
+from helpers import condition, line_space, two_point_space
 
 
 def brute_force_uw(cover, level, index, w):
@@ -29,7 +29,7 @@ def brute_force_uw(cover, level, index, w):
         nxt = set(frontier)
         for a in frontier:
             for t in fam:
-                if cover.levels[level][a].members & t.members:
+                if set(cover.levels[level][a].members) & set(t.members):
                     nxt.add(t.index)
         frontier = nxt
     return frontier
@@ -246,9 +246,11 @@ class TestTileIncidence:
             members = cover.members(n)
             for t, idx in zip(cover.levels[n], members):
                 assert idx.dtype == np.int64
-                assert idx.tolist() == sorted(t.members)
+                assert idx is t.members
+                assert idx.tolist() == sorted(frozenset(t.members.tolist()))
             for m in range(cover.depth + 1):
-                want = [[bool(x.members & y.members) for y in cover.levels[m]]
+                want = [[bool(frozenset(x.members.tolist()) & frozenset(y.members.tolist()))
+                         for y in cover.levels[m]]
                         for x in cover.levels[n]]
                 assert cover.meets(n, m).tolist() == want
 
@@ -288,13 +290,101 @@ class TestTileIncidence:
             CoverSequence.from_dict({**cover.to_dict(), "n": space.n + 1}, None)
 
 
+# tiles of contiguous ids, as sorted lists, so that every form can hold them
+SORTED_LEVELS = [[list(range(8))], [[0, 1, 2, 3], [3, 4, 5, 6, 7]],
+                 [[0], [1, 2], [2, 3, 4], [5, 6, 7]]]
+TILE_FORMS = {
+    "tuple": lambda t: tuple(t[::-1]) + tuple(t),
+    "list": lambda t: t[::-1] + t[:1],
+    "range": lambda t: range(t[-1], t[0] - 1, -1),
+    "set": set,
+    "array": lambda t: np.array(t[::-1] + t, dtype=np.int32),
+    "iterator": lambda t: iter(t[::-1]),
+}
+NOT_WHOLE = "level 0 must consist of the single whole-space tile"
+# inputs malformed in one way each, over 8 points: the exception raised with
+# the space and, where it differs, without one (None: accepted)
+MALFORMED = {
+    "no levels": ([], ValueError("need at least level 0")),
+    "empty tile": ([[range(8)], [[0, 1, 2, 3], [], [4, 5, 6, 7]]],
+                   EmptyTile("empty tile at level 1, index 1")),
+    "negative id": ([[range(8)], [[0, 1, 2, 3], [-1, 4, 5, 6, 7]]],
+                    ValueError("tile at level 1 references unknown points")),
+    "id >= n": ([[range(8)], [[0, 1, 2, 3], [4, 5, 6, 7, 8]]],
+                ValueError("tile at level 1 references unknown points")),
+    "id beyond int64": ([[range(8)], [[0, 1, 2, 3], [4, 5, 6, 7, 2 ** 63]]],
+                        ValueError("tile at level 1 references unknown points")),
+    "id below int64": ([[range(8)], [[0, 1, 2, 3], [-2 ** 63 - 1, 4, 5, 6, 7]]],
+                       ValueError("tile at level 1 references unknown points")),
+    "uncovered": ([[range(8)], [[0], [7]]],
+                  ValueError("level 1 is not a cover; misses points [1, 2, 3, 4, 5]")),
+    "level without tiles": ([[range(8)], []],
+                            ValueError("level 1 is not a cover; misses points [0, 1, 2, 3, 4]")),
+    "two tiles at level 0": ([[range(4), range(4, 8)], [range(8)]], ValueError(NOT_WHOLE)),
+    # without a space, level 0 sets the point count
+    "level 0 short": ([[range(3)], [range(3)]],
+                      ValueError("level 0 is not a cover; misses points [3, 4, 5, 6, 7]"), None),
+    "no tile at level 0": ([[]],
+                           ValueError("level 0 is not a cover; misses points [0, 1, 2, 3, 4]"),
+                           ValueError(NOT_WHOLE)),
+}
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("with_space", [True, False])
+    @pytest.mark.parametrize("form", TILE_FORMS)
+    def test_any_iterable_of_ids_gives_the_same_cover(self, form, with_space):
+        space = line_space(8) if with_space else None
+        want = CoverSequence(space, SORTED_LEVELS, width=1)
+        levels = [[TILE_FORMS[form](t) for t in fam] for fam in SORTED_LEVELS]
+        cover = CoverSequence(space, levels, width=1)
+        assert cover.n_points == 8
+        assert cover.to_dict() == want.to_dict()
+        assert cover.to_dict()["levels"] == SORTED_LEVELS
+        for lev, fam in enumerate(cover.levels):
+            for t, ids in zip(fam, SORTED_LEVELS[lev]):
+                assert t.members.dtype == np.int64
+                assert t.members.tolist() == ids
+
+    @pytest.mark.parametrize("with_space", [True, False])
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_input_raises(self, case, with_space):
+        levels, *want = MALFORMED[case]
+        want = want[0] if with_space else want[-1]
+        space = line_space(8) if with_space else None
+        if want is None:
+            CoverSequence(space, levels)
+            return
+        with pytest.raises(Exception) as info:
+            CoverSequence(space, levels)
+        assert type(info.value) is type(want)
+        assert str(info.value) == str(want)
+
+    def test_member_arrays_are_the_read_only_tiles(self, gasket):
+        _, cover = gasket
+        for lev, fam in enumerate(cover.levels):
+            members = cover.members(lev)
+            assert len(members) == len(fam)
+            for i, t in enumerate(fam):
+                assert members[i] is t.members
+                assert (t.level, t.index) == (lev, i)
+                with pytest.raises(ValueError):
+                    t.members[0] = 0
+            tile, point = cover.incidence(lev)
+            assert tile.tolist() == [i for i, t in enumerate(fam) for _ in t.members]
+            assert point.tolist() == [p for t in fam for p in t.members.tolist()]
+            for a in (tile, point):
+                with pytest.raises(ValueError):
+                    a[0] = 0
+
+
 class TestVerifyVisual:
     def test_cantor_exact_constants(self, cantor):
         _, cover = cantor
         rep = verify_visual(cover)
         assert rep.passed
-        assert rep.condition("visual.diam").constant == pytest.approx(1.0, abs=1e-9)
-        assert rep.condition("visual.separation").constant == pytest.approx(1.0, abs=1e-9)
+        assert condition(rep, "visual.diam").constant == pytest.approx(1.0, abs=1e-9)
+        assert condition(rep, "visual.separation").constant == pytest.approx(1.0, abs=1e-9)
 
     def test_tree_passes(self, tree):
         _, cover = tree
@@ -302,7 +392,7 @@ class TestVerifyVisual:
         assert rep.passed
         # every tile at level >= 1 attains diam * 2^n = 1 exactly; level 0
         # contributes the global-scale offset diam(S) = 1/2
-        assert rep.condition("visual.diam").constant == pytest.approx(2.0, abs=1e-12)
+        assert condition(rep, "visual.diam").constant == pytest.approx(2.0, abs=1e-12)
 
     def test_missing_lambda(self, interleaved):
         _, cover = interleaved
@@ -313,7 +403,7 @@ class TestVerifyVisual:
         space = two_point_space()
         cover = CoverSequence(space, [[(0, 1)], [(0,), (0, 1)]], width=0, visual_parameter=2.0)
         rep = verify_visual(cover)
-        diam = rep.condition("visual.diam")
+        diam = condition(rep, "visual.diam")
         assert diam.verdict == "FAIL"
         assert diam.witness["tile"] == [1, 0]
 
@@ -333,14 +423,14 @@ class TestVerifyQuasiVisual:
         _, cover = cantor
         rep = verify_quasi_visual(cover)
         assert rep.passed
-        iv = rep.condition("qv.iv")
+        iv = condition(rep, "qv.iv")
         assert iv.details["k0"] == 1
         assert iv.details["lambda"] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_interleaved_condition_iii_ratios(self, interleaved):
         _, cover = interleaved
         rep = verify_quasi_visual(cover, thresholds={"qv.iii": 6.0})
-        c3 = rep.condition("qv.iii")
+        c3 = condition(rep, "qv.iii")
         assert c3.verdict == "FAIL"
         by_pair = c3.details["by_level_pair"]
         for k in range(4):
@@ -358,14 +448,14 @@ class TestVerifyQuasiVisual:
             base = verify_visual(cover)
             widened = CoverSequence(
                 cover.space,
-                [[t.sorted_members() for t in fam] for fam in cover.levels],
+                [[t.members.tolist() for t in fam] for fam in cover.levels],
                 width=cover.width + 1,
                 visual_parameter=cover.visual_parameter,
             )
             rep = verify_visual(widened)
             assert base.passed and rep.passed
-            assert rep.condition("visual.separation").constant <= (
-                base.condition("visual.separation").constant + 1e-12
+            assert condition(rep, "visual.separation").constant <= (
+                condition(base, "visual.separation").constant + 1e-12
             )
 
     @pytest.mark.parametrize("width", [0, 1])
@@ -375,7 +465,7 @@ class TestVerifyQuasiVisual:
         xs = np.array([0.0, 0.0, 5.0])
         space = FiniteMetricSpace(dist=np.abs(xs[:, None] - xs))
         cover = CoverSequence(space, [[(0, 1, 2)], [(0,), (1, 2)]], width=width)
-        rec = verify_quasi_visual(cover).condition("qv.ii")
+        rec = condition(verify_quasi_visual(cover), "qv.ii")
         assert rec.constant is None and rec.verdict == "FAIL"
         assert rec.witness == {"tiles": [[1, 1], [1, 0]], "ratio": np.inf}
 

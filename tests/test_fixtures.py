@@ -13,10 +13,10 @@ def test_all_fixtures_valid_and_covering():
     for name in fixtures.FIXTURE_NAMES:
         space, cover = fixtures.fixture(name)
         assert validate_metric(space) is None, name
-        all_points = frozenset(range(space.n))
-        assert cover.levels[0][0].members == all_points
+        all_points = set(range(space.n))
+        assert set(cover.levels[0][0].members.tolist()) == all_points
         for fam in cover.levels:
-            assert frozenset().union(*(t.members for t in fam)) == all_points
+            assert set().union(*(t.members.tolist() for t in fam)) == all_points
 
 
 def test_tree_ultrametric_values(tree):

@@ -156,6 +156,22 @@ def test_no_function_level_package_imports(path):
     assert not hits, f"function-level imports of qvista modules: {hits}"
 
 
+# the only modules that may import the sphere raster: the metric core stays
+# off it, so deleting the raster touches no other module
+RASTER_IMPORTERS = {"julia.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_dynamical_front_imports_the_raster(path):
+    hits = [
+        node.lineno for node in ast.walk(parse(path))
+        if is_package_import(node) and "spheregrid" in ast.unparse(node)
+    ]
+    assert path.name in RASTER_IMPORTERS or not hits, (
+        f"{path.name} imports spheregrid at lines {hits}; only {sorted(RASTER_IMPORTERS)} may"
+    )
+
+
 def attribute_reads(node: ast.AST) -> Counter:
     """How often each attribute name is read (loaded) under ``node``."""
     return Counter(n.attr for n in ast.walk(node)

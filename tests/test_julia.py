@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qvista.covers import CoverSequence
 from qvista.errors import RootFindFailure, SeedNotRepelling
 from qvista.julia import (
     ROOT_CLUSTER_TOL,
@@ -55,8 +56,14 @@ class TestRationalMap:
         assert m.p[0] == pytest.approx(1 + 2j)
 
     def test_equality_is_identity(self):
-        a, b = RationalMap.parse("z^2-1"), RationalMap.parse("z^2-1")
-        assert a == a and a != b  # a field-wise == would raise on the coefficient arrays
+        # a field-wise == would raise on the array fields of each pair
+        g, grid = RationalMap.parse("z^2-1"), SphereGrid(K=64)
+        samples = julia_sample(g, 3), julia_sample(g, 3)
+        covers = [admissible_cover(g, x, 0.5, grid) for x in samples]
+        tiles = [CoverSequence(None, [[range(4)], [[0, 1], [2, 3]]]).levels[1][0] for _ in "ab"]
+        for a, b in [(g, RationalMap.parse("z^2-1")), samples, covers,
+                     [c.families[0][0] for c in covers], tiles]:
+            assert a == a and a != b, type(a).__name__
 
     @pytest.mark.parametrize("text", ['z^2 + len("abc")', "z^2 + (lambda: 5)()",
                                       '__import__("os").getcwd()', "I.e", "z^2 + E"])
@@ -431,7 +438,7 @@ class TestInduceTiles:
         g = RationalMap.parse(text)
         pull = pullback_cover(admissible_cover(g, julia_sample(g, 8), 0.25, grid=SphereGrid(K=256)), 3)
         cover = induce_tiles(pull)
-        got = [[t.sorted_members() for t in level] for level in cover.levels]
+        got = [[tuple(t.members.tolist()) for t in level] for level in cover.levels]
         assert got == oracle_tiles(pull)
 
     def test_each_point_set_once_per_level(self):
@@ -439,7 +446,7 @@ class TestInduceTiles:
         # out once per parent: 260, 520, 1040 and 2080 tiles at levels 2-5
         g = RationalMap.parse("z^2-3")
         pull = pullback_cover(admissible_cover(g, julia_sample(g, 11), 0.25, grid=SphereGrid(K=256)), 5)
-        tiles = [[t.sorted_members() for t in level] for level in induce_tiles(pull).levels]
+        tiles = [[tuple(t.members.tolist()) for t in level] for level in induce_tiles(pull).levels]
         assert [len(level) for level in tiles] == [1, 6, 256, 512, 1024, 2048]
         assert all(len(set(level)) == len(level) for level in tiles)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qvista.metricspace import (
+    PERFECTNESS_RATIO,
     FiniteMetricSpace,
     greedy_separated_subset,
     maximal_separated_net,
@@ -104,11 +105,18 @@ class TestPerfectnessProbe:
         # only one step inward, so the scan bottoms out near 1/2
         probe = uniform_perfectness_probe(grid101)
         assert 0.45 < probe.lambda_up <= 1.0
-        # independent exhaustive oracle over the same radius grid
+        # independent exhaustive oracle over the same radius grid: from the
+        # largest nearest-neighbour distance up by PERFECTNESS_RATIO, then the
+        # diameter
         d = grid101.dist
+        radii, r = [], float(np.sort(d, axis=1)[:, 1].max())
+        while r < d.max():
+            radii.append(r)
+            r *= PERFECTNESS_RATIO
+        radii.append(float(d.max()))
         best = np.inf
         ecc = d.max(axis=1)
-        for r in probe.grid:
+        for r in radii:
             for x in range(grid101.n):
                 if ecc[x] >= r:
                     best = min(best, d[x][d[x] <= r].max() / r)

@@ -36,7 +36,7 @@ def brute_force_proximity(cover):
         # tile-pair chain distance <= 2w+1 via repeated neighbor expansion
         prox = np.eye(len(fam), dtype=bool)
         adj = np.array(
-            [[bool(a.members & b.members) for b in fam] for a in fam]
+            [[bool(set(a.members) & set(b.members)) for b in fam] for a in fam]
         )
         for _ in range(2 * w + 1):
             prox = prox | (prox @ adj)
@@ -84,7 +84,7 @@ class TestProximity:
         for space, cover in (cantor_small, dyadic):
             small = CoverSequence(
                 space,
-                [[t.sorted_members() for t in fam] for fam in cover.levels[:4]],
+                [[t.members.tolist() for t in fam] for fam in cover.levels[:4]],
                 width=cover.width,
             )
             table = compute_proximity(small)
@@ -92,7 +92,7 @@ class TestProximity:
 
     def test_monotone_in_width(self, dyadic):
         space, cover = dyadic
-        levels = [[t.sorted_members() for t in fam] for fam in cover.levels]
+        levels = [[t.members.tolist() for t in fam] for fam in cover.levels]
         m0 = compute_proximity(CoverSequence(space, levels, width=0)).m
         m1 = compute_proximity(CoverSequence(space, levels, width=1)).m
         assert np.all(m1 >= m0)

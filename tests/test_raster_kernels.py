@@ -8,10 +8,11 @@ from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from qvista.covers import group_by_label
 from qvista.julia import RationalMap, admissible_cover, julia_sample, pullback_cover
 from qvista.metricspace import greedy_separated_subset
 from qvista.sphere import sphere_from_complex
-from qvista.spheregrid import FILL_BLOCK, MAX_K, SphereGrid, group_by_label, inverse_image
+from qvista.spheregrid import FILL_BLOCK, MAX_K, SphereGrid, inverse_image
 
 EIGHT = np.ones((3, 3), dtype=int)  # 8-connectivity for ndimage.label
 

@@ -32,6 +32,7 @@ from qvista.metricspace import FiniteMetricSpace
 from qvista.proximity import check_combinatorially_visual, compute_proximity
 from qvista.spheregrid import SphereGrid
 from qvista.tilegraph import build_tile_graph
+from helpers import condition
 
 # -- the per-tile loops ----------------------------------------------------------
 
@@ -250,7 +251,7 @@ def combinatorial_scans_oracle(cover, table):
 
 def assert_records_match(report, scans):
     for name, (best, wit) in scans.items():
-        rec = report.condition(name)
+        rec = condition(report, name)
         assert rec.constant == (best if np.isfinite(best) else None), name
         assert rec.witness == wit, name
 
@@ -259,7 +260,7 @@ def assert_records_match(report, scans):
 
 
 def with_lambda(cover, lam):
-    return CoverSequence(cover.space, [[t.sorted_members() for t in fam] for fam in cover.levels],
+    return CoverSequence(cover.space, [[t.members.tolist() for t in fam] for fam in cover.levels],
                          width=cover.width, visual_parameter=lam)
 
 
@@ -322,7 +323,7 @@ def assert_all_match(cover):
     assert (check.C_ii, check.C_iii) == (c_ii, c_iii)
     assert {k: v for k, v in check.witnesses.items() if k != "iv"} == wit
     for lam in (1.5, 3.0):
-        rec = verify_visual(with_lambda(cover, lam)).condition("visual.diam")
+        rec = condition(verify_visual(with_lambda(cover, lam)), "visual.diam")
         best, wit = visual_diam_oracle(with_lambda(cover, lam))
         assert rec.constant == (float(best) if np.isfinite(best) else None)
         assert rec.witness == wit
@@ -331,7 +332,7 @@ def assert_all_match(cover):
     report = verify_quasi_visual(cover)
     scans, by_pair = quasi_scans_oracle(cover)
     assert_records_match(report, scans)
-    assert report.condition("qv.iii").details["by_level_pair"] == by_pair
+    assert condition(report, "qv.iii").details["by_level_pair"] == by_pair
 
 
 def test_verifiers_match_per_tile_loops(cover):
@@ -341,7 +342,7 @@ def test_verifiers_match_per_tile_loops(cover):
 def test_zero_diameter_tiles_take_the_inf_paths(cantor_singletons):
     _, cover = cantor_singletons
     assert (cover.diams(cover.depth) == 0).all()
-    rec = verify_visual(cover).condition("visual.diam")
+    rec = condition(verify_visual(cover), "visual.diam")
     assert rec.constant is None and rec.witness == {"tile": [cover.depth, 0], "diam": 0.0}
     assert check_combinatorially_visual(cover).unresolved_tiles >= len(cover.levels[-1])
 
