@@ -58,33 +58,12 @@ def check_lambda(lam: float) -> None:
         raise ValueError(f"lambda must be finite, got {lam!r}")
 
 
-BLAS_TILE_RATIO = 32  # tiles per incidence-list entry below which BLAS wins
-
-
-def blas_cheaper(tiles: int, width: int) -> bool:
-    """Whether a dense ``bool_product`` over ``tiles`` tiles costs less than
-    the join over incidence lists of ``width`` entries a row that gives the
-    same matrix.
-
-    A product's work grows with the tile count, a join's with the incidences:
-    a point lies in a few tiles of a level, a tile meets a few others.
-    """
-    return tiles < BLAS_TILE_RATIO * width
-
-
 def bool_product(*mats: np.ndarray) -> np.ndarray:
     """Boolean matrix product of 0/1 factors, left to right, on BLAS.
 
     Exact at any size: each step multiplies 0/1 float32 matrices, every term
     of a sum is non-negative, so a sum is 0 only when every term is, and
     products of 1.0 cannot underflow.
-
-    The tile-intersection products (``CoverSequence.meets``,
-    ``reach_within``, the point proximity of a level and the shift
-    containment of ``dynamical_checks``) come here only when
-    ``blas_cheaper`` says so; otherwise they join the point-to-tile tables
-    of ``CoverSequence.tiles_of``, whose size is set by the incidences and
-    not by the tile count.
     """
     out = mats[0]
     for m in mats[1:]:
@@ -153,6 +132,26 @@ def _padded_rows(row: np.ndarray, value: np.ndarray, n_rows: int, pad: int) -> n
     table = np.full((n_rows, int(count.max(initial=0))), pad, dtype=np.intp)
     table[row, np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)] = value
     return table
+
+
+def or_rows(mat: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """out[r] = OR of the rows mat[i] over the entries i of ``table[r]``.
+
+    ``table`` is a padded index table with at least one column, such as
+    ``CoverSequence.tiles_of``: an entry len(mat) is padding and adds no row.
+    The work is one row gather per table column, so it grows with the
+    incidences, not with the number of rows of ``mat``.  A clipped gather
+    reads a pad entry as the last row, which is then blanked, so no padded
+    copy of ``mat`` is held beside the output.
+    """
+    pad = table == len(mat)
+    out = np.take(mat, table[:, 0], axis=0, mode="clip")
+    out[pad[:, 0]] = False
+    for j in range(1, table.shape[1]):
+        rows = np.take(mat, table[:, j], axis=0, mode="clip")
+        rows[pad[:, j]] = False
+        out |= rows
+    return out
 
 
 def maxmin_product(a: np.ndarray) -> np.ndarray:
@@ -300,20 +299,15 @@ class CoverSequence:
         """Boolean matrix of intersecting pairs X in X^n, Y in X^m; cached and
         read-only.  ``meets(n, n)`` is the same-level intersection graph.
 
-        Without BLAS, each point marks every pair of its tiles at the two
-        levels, and the pad column and row of the tables are cut off.
+        Each point marks every pair of its tiles at the two levels, and the
+        pad column and row of the tables are cut off.
         """
         key = (n, m)
         if key not in self._meets:
-            rows, cols = self.tiles_of(n), self.tiles_of(m)
             kn, km = len(self.levels[n]), len(self.levels[m])
-            if blas_cheaper(kn, rows.shape[1]) and blas_cheaper(km, cols.shape[1]):
-                out = bool_product(self.membership(n), self.membership(m).T)
-            else:
-                out = np.zeros((kn + 1, km + 1), dtype=bool)
-                out[rows[:, :, None], cols[:, None, :]] = True
-                out = out[:kn, :km]
-            self._meets[key] = _read_only(out)
+            out = np.zeros((kn + 1, km + 1), dtype=bool)
+            out[self.tiles_of(n)[:, :, None], self.tiles_of(m)[:, None, :]] = True
+            self._meets[key] = _read_only(out[:kn, :km])
         return self._meets[key]
 
     def diams(self, level: int) -> np.ndarray:
@@ -327,27 +321,18 @@ class CoverSequence:
         """Tile pairs joined by a chain of at most ``length`` same-level tiles.
 
         Cached per (level, length) and read-only.  Length 0 is the identity
-        and length 1 the intersection graph.  Without BLAS, each further step
-        ORs the rows of the tiles that each tile meets, through neighbour
-        lists padded with an all-False row.
+        and length 1 the intersection graph.  Each further step ORs the rows
+        of the tiles that each tile meets, through its padded neighbour list.
         """
         key = (level, length)
         if key not in self._reach:
             adj = self.meets(level, level)  # diagonal True, so reach only grows
             k = len(adj)
-            if length == 0:
-                reach = np.eye(k, dtype=bool)
-            elif blas_cheaper(k, int(adj.sum(axis=1).max())):
-                reach = bool_product(*[adj] * length)
-            else:
+            reach = np.eye(k, dtype=bool) if length == 0 else adj
+            if length > 1:
                 lists = _padded_rows(*np.nonzero(adj), k, k)
-                reach = adj
                 for _ in range(length - 1):
-                    padded = np.zeros((k + 1, k), dtype=bool)
-                    padded[:k] = reach
-                    reach = padded[lists[:, 0]]
-                    for j in range(1, lists.shape[1]):
-                        reach |= padded[lists[:, j]]
+                    reach = or_rows(reach, lists)
             self._reach[key] = _read_only(reach)
         return self._reach[key]
 
@@ -355,6 +340,11 @@ class CoverSequence:
         """Same-level tile pairs that are U_w-separated: no chain of at most
         2w + 1 tiles joins them, so U_w(X) and U_w(Y) are disjoint."""
         return ~self.reach_within(level, 2 * self.width + 1)
+
+    def hood(self, level: int) -> np.ndarray:
+        """Boolean (n_points, n_tiles) matrix: hood[q, a] says q lies in
+        U_{2w+1}(X_a), that is, in a tile that X_a is not separated from."""
+        return or_rows(~self.separated(level), self.tiles_of(level))
 
     def pair_distances(self, level: int) -> np.ndarray:
         """Matrix of set distances dist(X, Y) between same-level tiles."""
@@ -697,7 +687,7 @@ def _resolved_tile_masks(cover: CoverSequence) -> list[np.ndarray]:
     for lev in range(1, cover.depth + 1):
         coarsest = tile_reduce(local_nn, cover.members(lev), np.maximum)[:, 0]
         masks.append(
-            (cover.membership(lev).sum(axis=1) >= 2)
+            (np.bincount(cover.incidence(lev)[0]) >= 2)
             & (cover.diams(lev) >= RESOLUTION_FLOOR_NN * coarsest)
         )
     return masks
@@ -755,8 +745,7 @@ def quasiball_check(cover: CoverSequence) -> tuple[float, float]:
         diams = cover.diams(lev)
         pos = diams > 0
         members = cover.members(lev)
-        # the points of U_{2w+1}(X), per tile X
-        hood = bool_product(~cover.separated(lev), cover.membership(lev))
+        hood = cover.hood(lev).T  # the points of U_{2w+1}(X), per tile X
         inside = tile_reduce(d, members, np.maximum).max(axis=1, where=hood, initial=0.0)
         outside = tile_reduce(d, members, np.minimum).min(axis=1, where=~hood, initial=np.inf)
         R0 = max(R0, float((inside[pos] / diams[pos]).max(initial=0.0)))

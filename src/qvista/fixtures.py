@@ -108,7 +108,7 @@ def tree_fixture(depth: int = 4) -> tuple[FiniteMetricSpace, CoverSequence]:
     arr = np.array(seqs, dtype=np.int64)  # coordinates x_1..x_D
     agree = arr[:, None, :] == arr[None, :, :]
     # first disagreement index (1-based); equal rows handled separately
-    first = np.where(~agree, np.arange(1, depth + 1)[None, None, :], depth + 2).min(axis=2)
+    first = np.where(~agree, np.arange(1, depth + 1), depth + 2).min(axis=2, initial=depth + 2)
     dist = np.where(first <= depth, 2.0 ** (-first.astype(float)), 0.0)
     np.fill_diagonal(dist, 0.0)
     space = FiniteMetricSpace(dist=dist, coords=arr)

@@ -19,10 +19,10 @@ from .covers import (
     CoverSequence,
     VerificationReport,
     WorstCase,
-    blas_cheaper,
     bool_product,
     check_lambda,
     maxmin_product,
+    or_rows,
     run_indices,
     tile_pair_reduce,
     tile_reduce,
@@ -105,25 +105,11 @@ class PowerDistortion:
 def _point_proximity_at_level(cover: CoverSequence, level: int) -> np.ndarray:
     """Boolean matrix: pairs occupying tiles X, Y with U_w(X) meeting U_w(Y).
 
-    Without BLAS, two OR-gathers of rows through the point-to-tile table:
-    first, per point q, the tiles X with U_w(X) meeting U_w(Y) for a tile Y
-    of q; then, per point p, the points q so found for a tile of p.
+    That is, q lies in U_{2w+1}(X) for a tile X of p: the columns of
+    ``cover.hood`` ORed over the tiles of each point.  They are copied to
+    rows first, so that the hood is freed before the n x n output is built.
     """
-    table = cover.tiles_of(level)
-    k = len(cover.levels[level])
-    if blas_cheaper(k, table.shape[1]):
-        mem = cover.membership(level)
-        return bool_product(mem.T, ~cover.separated(level), mem)
-    near = np.zeros((k + 1, k + 1), dtype=bool)  # row and column k pad the table
-    near[:k, :k] = ~cover.separated(level).T
-    found = near[table[:, 0]]
-    for j in range(1, table.shape[1]):
-        found |= near[table[:, j]]
-    found = np.ascontiguousarray(found.T)  # found[a, q]: tile a is near a tile of q
-    out = found[table[:, 0]]
-    for j in range(1, table.shape[1]):
-        out |= found[table[:, j]]
-    return out
+    return or_rows(np.ascontiguousarray(cover.hood(level).T), cover.tiles_of(level))
 
 
 def compute_proximity(cover: CoverSequence) -> ProximityTable:
@@ -552,7 +538,7 @@ def dynamical_checks(
         contained, size = _image_hosts(cover, lev, g)
         hosted = contained.any(axis=1)
         # an image inside a host of its own size is that host
-        host_size = np.array([idx.size for idx in cover.members(lev)])
+        host_size = np.bincount(cover.incidence(lev)[0])
         exact = (contained & (size[:, None] == host_size)).any(axis=1)
         # nearest-host slack of the unhosted tiles: how far each image sticks
         # out of its best host, the largest dist(g(x), X_a) over members x,
@@ -612,20 +598,14 @@ def _image_hosts(cover: CoverSequence, level: int, g: np.ndarray) -> tuple[np.nd
     X_a of ``level`` (columns), and the number of points of each g(X_t).
 
     The image sets are the distinct (tile, g(point)) pairs, so a non-injective
-    g keeps every point.  Without BLAS, a bincount of the hosts of the image
-    points through the point-to-tile table: X_a holds g(X_t) when it holds
-    all of its points.
+    g keeps every point.  A bincount of the hosts of the image points through
+    the point-to-tile table: X_a holds g(X_t) when it holds all of its points.
     """
     n, k_dn, k_up = cover.n_points, len(cover.levels[level + 1]), len(cover.levels[level])
     tile, point = cover.incidence(level + 1)
     tile, point = np.divmod(np.unique(tile * n + g[point]), n)
     size = np.bincount(tile, minlength=k_dn)
-    table, below = cover.tiles_of(level), cover.tiles_of(level + 1)
-    if blas_cheaper(k_dn, below.shape[1]) and blas_cheaper(k_up, table.shape[1]):
-        img = np.zeros((k_dn, n), dtype=bool)
-        img[tile, point] = True
-        return ~bool_product(img, ~cover.membership(level).T), size
-    hosts = np.bincount((tile[:, None] * (k_up + 1) + table[point]).ravel(),
+    hosts = np.bincount((tile[:, None] * (k_up + 1) + cover.tiles_of(level)[point]).ravel(),
                         minlength=k_dn * (k_up + 1))
     return hosts.reshape(k_dn, k_up + 1)[:, :k_up] == size[:, None], size
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qvista import fixtures
 from qvista.cli import main
 
 
@@ -400,6 +401,16 @@ def test_fixture_negative_depth_is_usage_error(tmp_path, capsys, name):
                  "--out-space", str(space), "--out-cover", str(cover)])
     assert_usage_error(capsys, code, "must be non-negative, got -1")
     assert not space.exists() and not cover.exists()
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_fixture_depth_zero_writes_a_depth_zero_cover(tmp_path, name):
+    space, cover = tmp_path / "space.json", tmp_path / "cover.json"
+    assert main(["fixture", name, "--depth", "0",
+                 "--out-space", str(space), "--out-cover", str(cover)]) == 0
+    # dyadic_interleaved reads --depth as k_max and writes 2 (k_max + 1) levels
+    levels = 2 if name == "dyadic_interleaved" else 1
+    assert len(json.loads(cover.read_text())["levels"]) == levels
 
 
 @pytest.mark.parametrize("width", ["0", "1"])
