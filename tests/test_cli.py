@@ -216,6 +216,26 @@ def test_metric_free_commands_golden(tmp_path):
         assert got == want, name
 
 
+# SHA-256 of each data file the CLI writes on the cantor chain, byte for byte
+DATA_FILE_DIGESTS = {
+    "space.json": "868809d3524ae1bd57db6e759718286e4b786497ebaa61945f72156e3104aa8e",
+    "cover.json": "c80fb1b15f03346cff486d718c9c649d5cdb3228dd34f233e5667c2c0b727678",
+    "built.json": "bbe0e5153ab85310d3c2e2fb09981042f9e914afce604ef3a77791b310a5092b",
+    "prox.json": "a84673b45e476a308d3a7011d3ab089c22d35837a65ef30d3b1f612fd3cf4a06",
+    "metric.json": "e240ce3aaf37cb1a681a6289e91f5e84edead9d908fd7d06c49072303702dc40",
+}
+
+
+def test_data_files_golden(tmp_path):
+    """fixture, build, proximity and synthesize --out write the same bytes."""
+    _, built = _cantor_chain(tmp_path)
+    assert main(["proximity", "--cover", str(built), "--out", str(tmp_path / "prox.json")]) == 0
+    assert main(["synthesize", "--cover", str(built), "--lambda", "1.5",
+                 "--out", str(tmp_path / "metric.json")]) == 0
+    for name, want in DATA_FILE_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
 def test_qscheck_space_against_itself(tmp_path):
     space, _ = _cantor_chain(tmp_path)
     out = tmp_path / "qs.json"
