@@ -20,11 +20,17 @@ rough-similarity bounds of the map from tiles to their radius-r clusters.
 ``fixture``, ``build`` and ``proximity`` have no verdict and exit 0.  Only
 ``verify`` and ``qscheck`` write to stdout, and only without ``--out``: the
 bytes the ``--out`` file would hold.
+
+This is the only module that reads or writes a file: the library takes and
+gives plain data (``from_dict`` / ``to_dict``).  Each input is read once, and
+its manifest hash is the SHA-256 of the bytes that were parsed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import sys
 
 import numpy as np
@@ -34,7 +40,7 @@ from .builder import build_visual_width0, build_visual_width1
 from .covers import (
     CoverSequence,
     check_depth,
-    load_thresholds,
+    check_thresholds,
     quasiball_check,
     verify_quasi_visual,
     verify_visual,
@@ -47,7 +53,7 @@ from .proximity import (
     snowflake_check,
     synthesize_visual_metric,
 )
-from .reporting import RunManifest, default_seed, file_sha256, report_render, write_report
+from .reporting import RunManifest, default_seed, report_render
 from .tilegraph import (
     build_tile_graph,
     cluster_cover_sequence,
@@ -168,15 +174,36 @@ def _emit(path, result, passed, manifest: RunManifest, fmt: str = "json") -> int
     if path is None:
         sys.stdout.write(report_render(result, fmt, manifest).decode())
     else:
-        write_report(result, path, manifest, fmt=fmt)
+        with open(path, "wb") as fh:
+            fh.write(report_render(result, fmt, manifest))
     return 0 if passed else 1
+
+
+def _write(path, data: dict) -> None:
+    """Write the data file ``path``: ``data`` as sorted-key JSON plus a newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, sort_keys=True)
+        fh.write("\n")
 
 
 def _dispatch(args, seed: int) -> int:
     cmd = args.cmd
+    digests: dict = {}  # input path -> SHA-256 of the bytes read from it
+
+    def read(path, parse, *extra):
+        """``parse(data, *extra)`` of the JSON in ``path``; errors name the file."""
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            digests[path] = hashlib.sha256(data).hexdigest()
+            data = data.decode()  # each rebinding frees the bytes, then the text,
+            data = json.loads(data)  # before the next step builds larger objects
+            return parse(data, *extra)
+        except (ValueError, TypeError, QvistaError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def manifest(inputs=(), **parameters) -> RunManifest:
-        return RunManifest(command=cmd, inputs={p: file_sha256(p) for p in inputs},
+        return RunManifest(command=cmd, inputs={p: digests[p] for p in inputs},
                            parameters=parameters, seed=seed)
 
     if cmd == "fixture":
@@ -188,16 +215,16 @@ def _dispatch(args, seed: int) -> int:
                 raise ValueError(f"fixture {args.name!r} takes no --sample-depth")
             params[SAMPLE_DEPTH_PARAMS[args.name]] = args.sample_depth
         space, cover = fixtures.fixture(args.name, **params)
-        space.save(args.out_space)
-        cover.save(args.out_cover)
+        _write(args.out_space, space.to_dict())
+        _write(args.out_cover, cover.to_dict())
         return 0
 
     if cmd == "julia":
         return _julia(args, seed, manifest)
 
     if cmd == "qscheck":
-        d1 = FiniteMetricSpace.load(args.d1)
-        d2 = FiniteMetricSpace.load(args.d2)
+        d1 = read(args.d1, FiniteMetricSpace.from_dict)
+        d2 = d1 if args.d2 == args.d1 else read(args.d2, FiniteMetricSpace.from_dict)
         if d1.n != d2.n:
             raise ValueError(f"--d1 and --d2 have different point counts: {d1.n} and {d2.n}")
         snow = snowflake_check(d1, d2)
@@ -209,15 +236,15 @@ def _dispatch(args, seed: int) -> int:
         return _emit(args.out, result, snow or qs, manifest((args.d1, args.d2)))
 
     # every other command reads a space, a cover, or a cover over a space
-    space = FiniteMetricSpace.load(args.space) if getattr(args, "space", None) else None
+    space = read(args.space, FiniteMetricSpace.from_dict) if getattr(args, "space", None) else None
     if cmd == "build":
         build = build_visual_width1 if args.width == 1 else build_visual_width0
-        build(space, args.lam, args.depth).save(args.out)
+        _write(args.out, build(space, args.lam, args.depth).to_dict())
         return 0
-    cover = CoverSequence.load(args.cover, space)
+    cover = read(args.cover, CoverSequence.from_dict, space)
 
     if cmd == "verify":
-        thresholds = load_thresholds(args.thresholds) if args.thresholds else None
+        thresholds = read(args.thresholds, check_thresholds) if args.thresholds else None
         if args.mode == "visual":
             report = result = verify_visual(cover, thresholds=thresholds)
         else:
@@ -229,12 +256,12 @@ def _dispatch(args, seed: int) -> int:
                      args.format)
 
     if cmd == "proximity":
-        compute_proximity(cover).save(args.out)
+        _write(args.out, compute_proximity(cover).to_dict())
         return 0
 
     if cmd == "synthesize":
         metric, report = synthesize_visual_metric(cover, args.lam)
-        metric.save(args.out)
+        _write(args.out, metric.to_dict())
         if args.report is None:
             return 0 if report.passed else 1
         return _emit(args.report, report, report.passed,

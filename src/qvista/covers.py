@@ -11,7 +11,6 @@ thresholds; no verdict ever claims more than the truncation depth certifies.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -398,16 +397,6 @@ class CoverSequence:
             raise ValueError("cover was built for a different point count")
         return cover
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path, space: FiniteMetricSpace | None) -> "CoverSequence":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh), space)
-
 
 # -- reports ---------------------------------------------------------------
 
@@ -458,10 +447,8 @@ class VerificationReport:
         }
 
 
-def load_thresholds(path) -> dict:
-    """Read a thresholds file: a JSON object mapping names in THRESHOLD_KEYS to numbers."""
-    with open(path) as fh:
-        data = json.load(fh)
+def check_thresholds(data) -> dict:
+    """``data`` if it maps names in THRESHOLD_KEYS to numbers, else ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"thresholds must be a JSON object, got {type(data).__name__}")
     for key, value in data.items():

@@ -111,16 +111,14 @@ class RationalMap:
                       "not a rational function of z with numeric coefficients")
         try:
             expr = sympy.sympify(normalized, locals={"z": z, "i": sympy.I, "I": sympy.I})
-        except sympy.SympifyError:
-            raise ValueError(unreadable) from None
-        if not isinstance(expr, sympy.Expr) or expr.free_symbols - {z}:
-            raise ValueError(unreadable)
-        num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
-        try:
+            if not isinstance(expr, sympy.Expr) or expr.free_symbols - {z}:
+                raise ValueError(unreadable)
+            num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
             p = [complex(c) for c in sympy.Poly(num, z).all_coeffs()]
             qq = sympy.Poly(den, z).all_coeffs() if den.has(z) else [den]
             q = [complex(c) for c in qq]
-        except sympy.PolynomialError:  # z under a function or a non-integer power
+        # a call such as 2(z) is a TypeError, z^(1/2) a PolynomialError
+        except (sympy.SympifyError, sympy.PolynomialError, TypeError):
             raise ValueError(unreadable) from None
         return cls(p=np.array(p), q=np.array(q), text=text)
 

@@ -6,7 +6,6 @@ probes work directly on the matrix; nothing here assumes coordinates exist.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -30,14 +29,13 @@ class FiniteMetricSpace:
     _nn: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = np.asarray(self.dist, dtype=float)
+        d = np.array(self.dist, dtype=float)  # one n x n copy, also from nested lists
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise ValueError("distance matrix must have finite entries")
         if not np.array_equal(d, d.T):
             raise ValueError("distance matrix must be symmetric")
-        d = d.copy()
         d.flags.writeable = False
         object.__setattr__(self, "dist", d)
         if self.coords is not None:
@@ -76,7 +74,7 @@ class FiniteMetricSpace:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        out: dict = {"n": self.n, "dist": [[float(v) for v in row] for row in self.dist]}
+        out: dict = {"n": self.n, "dist": self.dist.tolist()}
         if self.coords is not None:
             out["coords"] = np.asarray(self.coords).tolist()
         if self.labels is not None:
@@ -88,24 +86,16 @@ class FiniteMetricSpace:
         """The space ``to_dict`` wrote; ValueError when ``data`` is not of that shape."""
         if not isinstance(data, dict):
             raise ValueError(f"a space is a JSON object, got {type(data).__name__}")
+        for key in ("n", "dist"):
+            if key not in data:
+                raise ValueError(f"a space holds 'n' and 'dist', got no {key!r}")
         if not isinstance(data.get("labels", []), (list, type(None))):
             raise ValueError(f"a space's labels are a list, got {data['labels']!r}")
-        dist = np.asarray(data["dist"], dtype=float)
-        if dist.shape != (data["n"], data["n"]):
-            raise ValueError("dist shape does not match declared n")
-        coords = np.asarray(data["coords"]) if data.get("coords") is not None else None
         labels = tuple(data["labels"]) if data.get("labels") is not None else None
-        return cls(dist=dist, coords=coords, labels=labels)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "FiniteMetricSpace":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        space = cls(dist=data["dist"], coords=data.get("coords"), labels=labels)
+        if space.n != data["n"]:
+            raise ValueError("dist shape does not match declared n")
+        return space
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ constants remain valid bounds for the certified range.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,11 +66,6 @@ class ProximityTable:
             "sentinel": self.sentinel,
             "m": self.m.tolist(),
         }
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ one ``repr`` per distinct float.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -34,14 +33,6 @@ def default_seed() -> int:
     if not text.isdecimal():
         raise ValueError(f"QVISTA_SEED must be a non-negative integer, got {text!r}")
     return int(text)
-
-
-def file_sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
 
 
 @dataclass
@@ -202,8 +193,3 @@ def _render_text(data, lines: list[str], indent: int) -> None:
     else:
         lines.append(f"{pad}{data}")
 
-
-def write_report(report, path, manifest: RunManifest | None = None, fmt: str = "json") -> None:
-    data = report_render(report, fmt, manifest)
-    with open(path, "wb") as fh:
-        fh.write(data)

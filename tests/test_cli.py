@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import itertools
 import json
@@ -236,6 +237,25 @@ def test_data_files_golden(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 
+def test_verify_opens_each_file_once(tmp_path, monkeypatch):
+    """verify hashes the bytes it parses: each input is opened once, and
+    so is the report."""
+    space, built = _cantor_chain(tmp_path)
+    thresholds, out = tmp_path / "thresholds.json", tmp_path / "verify.json"
+    thresholds.write_text(json.dumps({"qv.i": 64.0}))
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["verify", "--space", str(space), "--cover", str(built), "--mode", "quasi",
+                 "--thresholds", str(thresholds), "--out", str(out)]) == 0
+    assert sorted(opened) == ["built.json", "space.json", "thresholds.json", "verify.json"]
+
+
 def test_qscheck_space_against_itself(tmp_path):
     space, _ = _cantor_chain(tmp_path)
     out = tmp_path / "qs.json"
@@ -393,7 +413,7 @@ def test_julia_grid_beyond_int32_ids_is_usage_error(tmp_path, capsys, monkeypatc
 
 @pytest.mark.parametrize("text", ["z^2 + x", "sin(z)", "z^(1/2)", "z^2.5", "oo*z^2",
                                   'z^2 + len("abc")', "z^2 + (lambda: 5)()",
-                                  '__import__("os").getcwd()'])
+                                  '__import__("os").getcwd()', "2(z)", "z(1)", "(z)(z)"])
 def test_julia_malformed_map_is_usage_error(tmp_path, capsys, text):
     """A map that is not a rational function of z with finite numeric
     coefficients exits 2 with a one-line message naming it."""
@@ -470,6 +490,9 @@ MALFORMED_INPUTS = {
     "cover_list.json": [[[0]]],
     "cover_str_width.json": {"levels": [[[0]]], "width": "1"},
     "space_two_points.json": {"n": 2, "dist": [[0.0, 1.0], [1.0, 0.0]]},
+    "space_no_dist.json": {"n": 2},
+    "space_no_n.json": {"dist": [[0, 1], [1, 0]]},
+    "space_dict_dist.json": {"n": 2, "dist": {"0": [0, 1]}},
 }
 VERIFY = ["verify", "--space", "{space}", "--cover", "{built}"]
 JULIA = ["julia", "--map", "z^2", "--depth", "6", "--levels", "2", "--grid", "128"]
@@ -498,6 +521,13 @@ FIXTURE = ["--depth", "0", "--sample-depth", "-1",
                  ["'levels'"], id="cover-int-levels"),
     pytest.param(["qscheck", "--d1", "{space}", "--d2", "{dir}/space_two_points.json"],
                  ["different point counts: 32 and 2"], id="qscheck-sizes"),
+    pytest.param(["verify", "--space", "{dir}/space_no_dist.json", "--cover", "{built}"],
+                 ["{dir}/space_no_dist.json: ", "got no 'dist'"], id="space-no-dist"),
+    pytest.param(["qscheck", "--d1", "{space}", "--d2", "{dir}/space_no_n.json"],
+                 ["{dir}/space_no_n.json: ", "got no 'n'"], id="space-no-n"),
+    pytest.param(["build", "--space", "{dir}/space_dict_dist.json", "--lambda", "3",
+                  "--depth", "3", *OUT],
+                 ["{dir}/space_dict_dist.json: ", "not 'dict'"], id="space-dict-dist"),
     pytest.param(["proximity", "--cover", "{dir}/cover_list.json", *OUT],
                  ["JSON object, got list"], id="cover-list"),
     pytest.param(["proximity", "--cover", "{dir}/cover_str_width.json", *OUT],
@@ -556,7 +586,8 @@ FIXTURE = ["--depth", "0", "--sample-depth", "-1",
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, words):
     """Malformed files, out-of-range numbers and a malformed seed exit 2 with
-    a message naming the bad value, never a traceback, and write nothing.
+    a message naming the bad value (and a malformed file), never a traceback,
+    and write nothing.
     Leading ``NAME=value`` items of ``argv`` set the environment, as a shell does."""
     space, built = _cantor_chain(tmp_path)
     for name, data in MALFORMED_INPUTS.items():
@@ -567,7 +598,7 @@ def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, words):
     for item in env:
         monkeypatch.setenv(*item.split("=", 1))
     code = main([a.format(dir=tmp_path, space=space, built=built) for a in argv[len(env):]])
-    assert_usage_error(capsys, code, *words)
+    assert_usage_error(capsys, code, *(w.format(dir=tmp_path) for w in words))
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -373,3 +373,22 @@ def test_dataclass_fields_are_set():
     assert not only_tests, f"defaulted dataclass fields that no constructor sets: {only_tests}"
     stale = sorted(UNSET_FIELDS.keys() - unset)
     assert not stale, f"unset fields that a constructor now sets: {stale}"
+
+
+# the calls that open, read or write a file; ``load`` and ``dump`` are matched
+# on any object, so ``np.load`` and ``pickle.dump`` count too
+FILE_CALLS = {"open", "load", "dump"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_cli_touches_files(path):
+    """Only cli.py opens, reads, writes or hashes a file: the library modules
+    take and give plain data, so the file format and the input hashes of the
+    manifests live in one module."""
+    hits = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Call) and called_name(node) in FILE_CALLS:
+            hits.append(f"{path.name}:{node.lineno} calls {ast.unparse(node.func)}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and "hashlib" in ast.unparse(node):
+            hits.append(f"{path.name}:{node.lineno} imports hashlib")
+    assert path.name == "cli.py" or not hits, f"file access outside cli.py: {hits}"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,21 @@ def test_nearest_neighbor_distances_cached_read_only():
     assert nn.tolist() == [2.0, 2.0]
     with pytest.raises(ValueError):
         nn[0] = 0.0
+
+
+def test_from_dict_builds_one_matrix():
+    """A space parsed from JSON holds one n x n float array: ``from_dict``
+    hands the parsed rows to the constructor, which copies them once (8 n^2
+    bytes), and the symmetry check adds a boolean n x n temporary."""
+    n = 512
+    x = np.random.default_rng(0).random(n)
+    data = {"n": n, "dist": np.abs(x[:, None] - x[None, :]).tolist()}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        space = FiniteMetricSpace.from_dict(data)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert space.dist.tolist() == data["dist"]
+    assert peak < 12 * n * n

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -97,13 +98,10 @@ class TestProximity:
         m1 = compute_proximity(CoverSequence(space, levels, width=1)).m
         assert np.all(m1 >= m0)
 
-    def test_round_trip_json(self, cantor_small, tmp_path):
+    def test_round_trip_json(self, cantor_small):
         _, cover = cantor_small
         table = compute_proximity(cover)
-        table.save(tmp_path / "m.json")
-        import json
-
-        data = json.loads((tmp_path / "m.json").read_text())
+        data = json.loads(json.dumps(table.to_dict()))
         assert np.array_equal(np.array(data["m"], dtype=np.int64), table.m)
 
 

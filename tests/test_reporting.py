@@ -5,7 +5,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from qvista.reporting import RunManifest, _plain, report_render, write_report
+from qvista.reporting import RunManifest, _plain, report_render
 
 
 def test_render_golden():
@@ -110,13 +110,11 @@ def test_render_matches_stdlib_encoder(obj):
     assert report_render(obj, "json") == stdlib_render(obj)
 
 
-def test_manifest_merge(tmp_path):
+def test_manifest_merge():
     manifest = RunManifest(command="verify", parameters={"mode": "visual"})
     report = {"passed": True, "ratios": np.array([[1.0, -0.0], [np.inf, 0.5]])}
     rendered = report_render(report, "json", manifest)
     assert rendered == stdlib_render({**report, "manifest": manifest.to_dict()})
-    write_report(report, tmp_path / "r.json", manifest)
-    assert (tmp_path / "r.json").read_bytes() == rendered
     # a report that is not a dict moves under "report"
     assert report_render([1.5, 2.5], "json", manifest) == stdlib_render(
         {"report": [1.5, 2.5], "manifest": manifest.to_dict()}
