@@ -52,11 +52,13 @@ class BoundaryMetricApprox:
         return off & (self.dist == 0)
 
     def to_dict(self) -> dict:
+        """The report fields; ``dist`` stays an array for the renderer.  Unlike
+        the space, cover and proximity table, this object has no file schema."""
         return {
             "n": self.n,
             "lambda": self.lam,
             "truncation": self.truncation,
-            "dist": self.dist.tolist(),
+            "dist": self.dist,
             "diam_comparability": self.diam_comparability,
             "note": BOUNDARY_NOTE,
         }

@@ -39,7 +39,7 @@ class FiniteMetricSpace:
         d.flags.writeable = False
         object.__setattr__(self, "dist", d)
         if self.coords is not None:
-            c = np.asarray(self.coords)
+            c = np.array(self.coords)  # a copy: the caller's array stays writeable
             c.flags.writeable = False
             object.__setattr__(self, "coords", c)
 

@@ -7,10 +7,11 @@ floats) guarantees.
 
 The canonical bytes of a report ``x`` are exactly what
 ``json.dumps(_plain(x), sort_keys=True)`` writes with an indent of 1, plus a
-newline.  ``report_render`` produces them without the stdlib's pure-Python
-indenting encoder: it splices the indentation in itself, renders each list of
-scalars with one C-encoder call, and formats a rectangular float matrix with
-one ``repr`` per distinct float.
+newline, with each array read as its ``tolist()``.  ``report_render`` produces
+them without the stdlib's pure-Python indenting encoder: it splices the
+indentation in itself, renders each list of scalars with one C-encoder call,
+and formats a float matrix straight from its array with one ``repr`` per
+distinct float, quoted (``"inf"``, ``"nan"``) when the float is not finite.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class RunManifest:
 
 def _plain(obj):
     """Recursively convert report objects to JSON-serializable plain data."""
-    # plain Python scalars first: a report's large matrices arrive as lists of them
+    # plain Python scalars first: a report's large lists are lists of them
     if type(obj) is float:
         return obj if math.isfinite(obj) else repr(obj)
     if obj is None or type(obj) in (int, str, bool):
@@ -77,6 +78,8 @@ def _plain(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 2 and obj.size and obj.dtype.kind == "f":
+            return obj  # a float matrix: the renderer formats the array itself
         return _plain(obj.tolist())
     return obj
 
@@ -87,10 +90,10 @@ def report_render(report, fmt: str = "json", manifest: RunManifest | None = None
     ``"report"``).
 
     The JSON bytes equal ``json.dumps(_plain(x), sort_keys=True)`` with an
-    indent of 1, plus a newline, where ``x`` is the merged report.  They are built without
-    the stdlib's pure-Python indenting encoder: the C encoder renders each list
-    of scalars, and a rectangular matrix of floats formats each distinct float
-    (by bit pattern, so ``-0.0`` stays apart from ``0.0``) with one ``repr``.
+    indent of 1, plus a newline, where ``x`` is the merged report and each array
+    is read as its ``tolist()``.  The C encoder renders each list of scalars,
+    and one formatter writes a 2-D float array, or a list of equally long float
+    rows, from its array.  The text summary prints an array as its ``tolist()``.
     """
     data = _plain(report)
     if manifest is not None:
@@ -101,7 +104,9 @@ def report_render(report, fmt: str = "json", manifest: RunManifest | None = None
         parts: list[str] = []
         _render_json(data, 0, parts)
         parts.append("\n")
-        return "".join(parts).encode()
+        text = "".join(parts)
+        parts.clear()  # free the pieces before the bytes are made
+        return text.encode()
     if fmt == "text":
         lines: list[str] = []
         _render_text(data, lines, 0)
@@ -114,7 +119,9 @@ def _render_json(data, depth: int, parts: list[str]) -> None:
     of 1 for plain data nested ``depth`` levels deep."""
     inner = "\n" + " " * (depth + 1)
     close = "\n" + " " * depth
-    if isinstance(data, dict):
+    if isinstance(data, np.ndarray):  # a float matrix that _plain kept
+        _render_float_matrix(data, depth, parts)
+    elif isinstance(data, dict):
         if not data:
             parts.append("{}")
             return
@@ -128,8 +135,8 @@ def _render_json(data, depth: int, parts: list[str]) -> None:
         if not data:
             parts.append("[]")
         elif _is_float_matrix(data):
-            parts.append(_render_float_matrix(data, depth))
-        elif not any(isinstance(v, (dict, list)) for v in data):
+            _render_float_matrix(np.array(data), depth, parts)
+        elif not any(isinstance(v, (dict, list, np.ndarray)) for v in data):
             row = json.dumps(data, separators=("," + inner, ": "))  # one C-encoder call
             parts.append("[" + inner + row[1:-1] + close + "]")
         else:
@@ -153,39 +160,43 @@ def _is_float_matrix(rows) -> bool:
     return set(map(type, itertools.chain.from_iterable(rows))) == {float}
 
 
-def _render_float_matrix(rows: list[list[float]], depth: int) -> str:
-    """The indented JSON of a float matrix at ``depth``, one ``repr`` per
-    distinct float.  ``_plain`` has already turned non-finite floats into
-    strings, and ``repr`` is the encoder's format for a finite float."""
-    bits = np.array(rows, dtype=np.float64).view(np.uint64).ravel()
-    distinct, index = np.unique(bits, return_inverse=True)
-    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    items = text[index].tolist()
-    width = len(rows[0])
+def _render_float_matrix(matrix: np.ndarray, depth: int, parts: list[str]) -> None:
+    """Append the indented JSON of a non-empty 2-D float array at ``depth``:
+    one ``repr`` per distinct bit pattern (``-0.0`` stays apart from ``0.0``),
+    a JSON string of it when the float is not finite, as ``_plain`` writes it.
+    One sort of the bits finds the distinct patterns (numpy's hashed unique of
+    integers is slower) and ``np.searchsorted`` each entry's, with no argsort."""
+    bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.uint64)
+    ordered = np.sort(bits, axis=None)
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    text = np.array([repr(v) if math.isfinite(v) else json.dumps(repr(v))
+                     for v in distinct.view(np.float64).tolist()], dtype=object)
     pad = "\n" + " " * (depth + 1)
     row_open = "[" + pad + " "
     item_sep = "," + pad + " "
     row_close = pad + "]"
-    body = ("," + pad).join(
-        row_open + item_sep.join(items[i:i + width]) + row_close
-        for i in range(0, len(items), width)
-    )
-    return "[" + pad + body + "\n" + " " * depth + "]"
+    sep = "[" + pad
+    for row in np.searchsorted(distinct, bits):
+        parts.append(sep + row_open + item_sep.join(text[row].tolist()) + row_close)
+        sep = "," + pad
+    parts.append("\n" + " " * depth + "]")
 
 
 def _render_text(data, lines: list[str], indent: int) -> None:
     pad = "  " * indent
+    if isinstance(data, np.ndarray):
+        data = data.tolist()
     if isinstance(data, dict):
         for k in sorted(data):
             v = data[k]
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, np.ndarray)):
                 lines.append(f"{pad}{k}:")
                 _render_text(v, lines, indent + 1)
             else:
                 lines.append(f"{pad}{k}: {v}")
     elif isinstance(data, list):
         for v in data:
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, np.ndarray)):
                 _render_text(v, lines, indent)
                 lines.append(pad + "-")
             else:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qvista import fixtures
+from qvista import cli, fixtures
 from qvista.cli import main
 
 
@@ -235,6 +235,26 @@ def test_data_files_golden(tmp_path):
                  "--out", str(tmp_path / "metric.json")]) == 0
     for name, want in DATA_FILE_DIGESTS.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
+def test_data_files_hold_plain_data(tmp_path, monkeypatch):
+    """Every object the CLI writes as a data file on the cantor chain is plain
+    data: ``json.dumps`` writes the file's bytes, so no array reaches the writer."""
+    written = {}
+    real_write = cli._write
+
+    def recording_write(path, data):
+        written[Path(path).name] = data
+        real_write(path, data)
+
+    monkeypatch.setattr(cli, "_write", recording_write)
+    _, built = _cantor_chain(tmp_path)
+    assert main(["proximity", "--cover", str(built), "--out", str(tmp_path / "prox.json")]) == 0
+    assert main(["synthesize", "--cover", str(built), "--lambda", "1.5",
+                 "--out", str(tmp_path / "metric.json")]) == 0
+    assert sorted(written) == sorted(DATA_FILE_DIGESTS)
+    for name, data in written.items():
+        assert json.dumps(data, sort_keys=True) + "\n" == (tmp_path / name).read_text(), name
 
 
 def test_verify_opens_each_file_once(tmp_path, monkeypatch):

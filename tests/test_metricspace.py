@@ -151,6 +151,17 @@ def test_nearest_neighbor_distances_cached_read_only():
         nn[0] = 0.0
 
 
+def test_coords_are_copied_read_only():
+    """The space freezes its own copy of ``coords``, not the caller's array."""
+    c = np.zeros((2, 3))
+    space = FiniteMetricSpace(dist=[[0, 1], [1, 0]], coords=c)
+    assert c.flags.writeable
+    c[0, 0] = 5.0
+    assert space.coords.tolist() == [[0.0, 0.0, 0.0]] * 2
+    with pytest.raises(ValueError):
+        space.coords[0, 0] = 1.0
+
+
 def test_from_dict_builds_one_matrix():
     """A space parsed from JSON holds one n x n float array: ``from_dict``
     hands the parsed rows to the constructor, which copies them once (8 n^2

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -59,7 +60,21 @@ def test_float_matrix_golden():
 
 
 def stdlib_render(obj) -> bytes:
-    return (json.dumps(_plain(obj), sort_keys=True, indent=1) + "\n").encode()
+    """The stdlib's indenting encoder over the same values: an array that
+    ``_plain`` keeps is read as its ``tolist()``."""
+    return (json.dumps(_plain(obj), sort_keys=True, indent=1,
+                       default=lambda a: _plain(a.tolist())) + "\n").encode()
+
+
+def without_arrays(obj):
+    """``obj`` with every array replaced by its ``tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: without_arrays(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(without_arrays, obj))
+    return obj
 
 
 # values around which repr switches between positional and exponent notation
@@ -75,22 +90,30 @@ scalars = st.one_of(floats, st.integers(), st.booleans(), st.none(), st.text())
 
 
 @st.composite
-def rectangular(draw, items=floats):
+def rectangular(draw, items=floats, dtype=np.float64):
+    """A rows x cols list of lists, or half the time its array (of ``dtype``
+    when the items are floats), empty shapes included."""
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     m = [[draw(items) for _ in range(cols)] for _ in range(rows)]
-    if rows and cols and draw(st.booleans()):
-        return np.array(m, dtype=float if items is floats else object)
+    if draw(st.booleans()):
+        with np.errstate(over="ignore"):  # a float16 overflows to inf
+            a = np.array(m, dtype=dtype if items is floats else object)
+        return a.reshape(rows, cols)
     return m
 
 
 matrices = st.one_of(
     rectangular(),
+    rectangular(dtype=np.float32),
+    rectangular(dtype=np.float16),
     rectangular(items=st.sampled_from(EDGE_FLOATS)),  # few distinct values
     rectangular(items=st.one_of(floats, st.integers(), st.booleans())),
     rectangular(items=scalars),  # None and strings too
     st.lists(st.lists(floats, max_size=5), max_size=5),  # ragged
     st.just([[]]),
     st.lists(floats, min_size=1, max_size=6).map(lambda row: [row]),
+    st.lists(floats, max_size=6).map(lambda row: np.array(row, dtype=float)),  # 1-D
+    st.lists(rectangular(), min_size=1, max_size=3).map(tuple),  # arrays in a tuple
 )
 keys = st.one_of(st.text(), st.integers())
 values = st.recursive(
@@ -108,6 +131,26 @@ values = st.recursive(
 @given(values)
 def test_render_matches_stdlib_encoder(obj):
     assert report_render(obj, "json") == stdlib_render(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values)
+def test_text_reads_arrays_as_lists(obj):
+    assert report_render(obj, "text") == report_render(without_arrays(obj), "text")
+
+
+def test_float_matrix_render_memory():
+    """The formatter reads the array itself: no Python list of its floats and
+    no text per entry beyond the rendered report."""
+    m = np.random.default_rng(0).choice(0.7 ** np.arange(12), size=(600, 600))
+    tracemalloc.start()
+    try:
+        rendered = report_render({"dist": m})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rendered == stdlib_render({"dist": m})
+    assert peak < 4.5 * len(rendered)
 
 
 def test_manifest_merge():
