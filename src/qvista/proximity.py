@@ -39,14 +39,22 @@ CHAIN_ROW_CHUNK = 32  # rows per chunk it updates at once
 
 @dataclass(frozen=True)
 class ProximityTable:
-    """Symmetric matrix of proximity levels with sentinel N+1."""
+    """Symmetric matrix of proximity levels with sentinel N+1.
+
+    ``m`` is a read-only copy of the input in the smallest signed integer
+    type that holds twice its largest absolute entry and twice the sentinel:
+    int8 while N + 1 <= 63.  Twice, because readers form 2 m and m + c in the
+    table's own type.
+    """
 
     m: np.ndarray  # int matrix
     width: int
     truncation: int
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.int64)
+        m = np.asarray(self.m)
+        top = max(self.sentinel, int(m.max(initial=0)), -int(m.min(initial=0)))
+        m = m.astype(_level_type(top))
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
 
@@ -76,7 +84,7 @@ class QuasiMetric:
     K: float
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
+        q = np.array(self.q, dtype=float)
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
 
@@ -94,6 +102,12 @@ class PowerDistortion:
 
     def to_dict(self) -> dict:
         return {"K": self.K, "nu": self.nu}
+
+
+def _level_type(top: int) -> np.dtype:
+    """The smallest signed integer type that holds 2 top and -2 top: the one
+    that holds -2 top - 1, since a signed range is [-(M + 1), M]."""
+    return np.min_scalar_type(-2 * top - 1)
 
 
 def _point_proximity_at_level(cover: CoverSequence, level: int) -> np.ndarray:
@@ -114,10 +128,7 @@ def compute_proximity(cover: CoverSequence) -> ProximityTable:
     """
     n = cover.n_points
     depth = cover.depth
-    # the levels go into the smallest type that holds N + 1, which
-    # ProximityTable widens to int64 once: a dense level's float32 product
-    # then never stands beside an int64 table
-    m = np.zeros((n, n), dtype=np.min_scalar_type(depth + 1))
+    m = np.zeros((n, n), dtype=_level_type(depth + 1))
     for lev in range(1, depth + 1):
         np.copyto(m, lev, where=_point_proximity_at_level(cover, lev))
     m[m == depth] = depth + 1
@@ -273,8 +284,8 @@ def quasi_metric_from_m(
         raise LambdaTooLarge(
             f"lam^C = {K!r} exceeds 2; shrink lam below {2 ** (1 / max(C, 1e-9))!r}"
         )
-    mf = table.m.astype(float)
-    q = float(lam) ** (-mf)
+    q = table.m.astype(float)
+    np.power(float(lam), np.negative(q, out=q), out=q)
     np.fill_diagonal(q, 0.0)
     qm = QuasiMetric(q=q, K=max(K, 1.0))
     emp = empirical_quasi_constant(qm)
@@ -337,10 +348,23 @@ def _shortest_chains(q: np.ndarray) -> np.ndarray:
     row i reads.  A chunk skips pivot k when no sum through k can beat the
     chunk's largest entry: d[i, k] + min_{j != k} d[k, j] >= max d for each
     row i of the chunk (j = k and j = i improve nothing).
+
+    When mu + mu >= max d, mu the smallest off-diagonal entry, d is already
+    a metric and is returned at once: the loop would change no entry.  By
+    induction over its steps, with d unchanged so far, a sum d[i, k] +
+    d[k, j] through a third point k adds two entries >= mu, so under
+    rounded addition, which is monotone, it is >= fl(mu + mu) >= max d >=
+    d[i, j]; a sum through k = i or k = j is 0 + d[i, j], that entry
+    itself.  So no step changes anything, and the result is bitwise the
+    loop's.
     """
     n = q.shape[0]
     d = np.minimum(q, q.T)
+    np.fill_diagonal(d, np.inf)
+    mu = d.min(initial=np.inf)
     np.fill_diagonal(d, 0.0)
+    if mu + mu >= d.max(initial=0.0):
+        return d
     scratch = np.empty(CHAIN_ROW_CHUNK * n)
     for k0 in range(0, n, CHAIN_PIVOT_BLOCK):
         k1 = min(k0 + CHAIN_PIVOT_BLOCK, n)

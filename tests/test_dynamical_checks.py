@@ -307,10 +307,11 @@ def traced_peak(fn) -> int:
 def test_checks_build_no_quadratic_temporary(basilica_1024):
     """Beside the proximity table, the streamed scans hold only row blocks.
 
-    The table is an n x n int64 matrix, 8 bytes a pair.  An n x n matrix of
-    the decay check, or a ball x ball float64 matrix of the distortion scan
-    (the largest ball here is over half the sample), adds over 2 bytes a pair
-    at this n.
+    The table is an n x n int8 matrix, and building it takes at least that.
+    A ball x ball float64 matrix of the distortion scan (the largest ball
+    here is over half the sample) adds over 2 bytes a pair at this n.  A
+    whole-matrix decay check would stay under the table's build peak: the
+    next test guards it.
     """
     cover, g, nu = basilica_1024
     n = cover.n_points
@@ -318,5 +319,31 @@ def test_checks_build_no_quadratic_temporary(basilica_1024):
     dynamical_checks(cover, g, nu=nu)  # fill the cover's caches first
     table_peak = traced_peak(lambda: compute_proximity(cover))
     checks_peak = traced_peak(lambda: dynamical_checks(cover, g, nu=nu))
-    assert table_peak >= 8 * n * n
+    assert table_peak >= n * n
     assert checks_peak - table_peak < 2 * n * n
+
+
+def test_decay_scan_holds_only_row_blocks(basilica_1024, monkeypatch):
+    """Beside a table built beforehand, the decay scan holds only row blocks.
+
+    A whole-matrix decay scan takes a byte a pair for each of a gather of
+    the table, its bound and their comparison.  That stays under the int8
+    table's own build peak, and the distortion scan's ball lists (O(sum of
+    ball sizes)) reach 4 bytes a pair at this n, so both are left out of
+    the measurement.
+    """
+    cover, g, nu = basilica_1024
+    n = cover.n_points
+    table = compute_proximity(cover)
+    monkeypatch.setattr(proximity, "compute_proximity", lambda cover: table)
+    monkeypatch.setattr(proximity, "_distortion_level", lambda *args: 0.0)
+    dynamical_checks(cover, g, nu=nu)  # fill the cover's caches first
+    assert traced_peak(lambda: dynamical_checks(cover, g, nu=nu)) < n * n
+
+
+def test_proximity_table_peak_is_under_five_bytes_a_pair(basilica_1024):
+    """The levels are built in the table's narrow type, with no int64 copy."""
+    cover, _, _ = basilica_1024
+    n = cover.n_points
+    compute_proximity(cover)  # fill the cover's caches first
+    assert traced_peak(lambda: compute_proximity(cover)) < 5 * n * n

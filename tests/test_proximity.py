@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import floyd_warshall
 
+from qvista import proximity
 from qvista.covers import CoverSequence, verify_quasi_visual
 from qvista.errors import KTooLarge, LambdaTooLarge, MapNotClosed
 from qvista.julia import RationalMap, admissible_cover, induce_tiles, julia_sample, pullback_cover
@@ -14,6 +16,7 @@ from qvista.metricspace import FiniteMetricSpace
 from qvista.proximity import (
     ProximityTable,
     QuasiMetric,
+    _shortest_chains,
     chain_metrize,
     check_combinatorially_visual,
     compute_proximity,
@@ -25,6 +28,7 @@ from qvista.proximity import (
     synthesize_visual_metric,
 )
 from qvista.spheregrid import SphereGrid
+from qvista.tilegraph import build_tile_graph, compare_m_gromov, extended_proximity
 
 
 def brute_force_proximity(cover):
@@ -201,6 +205,47 @@ class TestChainMetrize:
         assert (want < q).any()
         assert chain_metrize(qm).dist.tobytes() == want.tobytes()
 
+    @staticmethod
+    def within_factor_two(n, a, seed):
+        """A symmetric q whose off-diagonal entries lie in [a, 2a], with
+        q(0, 1) = q(1, 2) = a and q(0, 2) = 2a exactly."""
+        rng = np.random.default_rng(seed)
+        q = np.triu(rng.uniform(a, 2 * a, size=(n, n)), 1)
+        if n >= 3:
+            q[0, 1] = q[1, 2] = a
+            q[0, 2] = 2 * a
+        q = q + q.T
+        np.fill_diagonal(q, 0.0)
+        return q
+
+    @pytest.mark.parametrize("a", [1.0, 0.1, 1.2 ** -5, 3.7e-5])
+    @pytest.mark.parametrize("n", [3, 17, 80])
+    def test_short_circuit_where_no_chain_is_shorter(self, n, a):
+        # fl(a + a) = 2a reaches the largest entry: q is already a metric
+        q = self.within_factor_two(n, a, seed=n)
+        off = q[~np.eye(n, dtype=bool)]
+        assert off.min() + off.min() >= off.max() and off.max() == 2 * a
+        want = floyd_warshall(q, directed=False)
+        assert want.tobytes() == q.tobytes()
+        assert _shortest_chains(q).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("a", [1.0, 0.1, 1.2 ** -5, 3.7e-5])
+    @pytest.mark.parametrize("n", [3, 17, 80])
+    def test_no_short_circuit_past_twice_the_least_entry(self, n, a):
+        # one entry nudged above 2a: the chain 0 - 1 - 2 of two a-steps beats it
+        q = self.within_factor_two(n, a, seed=n)
+        q[0, 2] = q[2, 0] = np.nextafter(2 * a, np.inf)
+        off = q[~np.eye(n, dtype=bool)]
+        assert off.min() + off.min() < off.max()
+        want = floyd_warshall(q, directed=False)
+        assert want[0, 2] == 2 * a < q[0, 2]
+        assert _shortest_chains(q).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_short_circuit_on_few_points(self, n):
+        for q in (np.ones((n, n)) - np.eye(n), self.within_factor_two(n, 0.5, seed=n)):
+            assert _shortest_chains(q).tobytes() == floyd_warshall(q, directed=False).tobytes()
+
     def test_rejects_zero_off_diagonal(self):
         # scipy reads a dense 0 as a missing edge; a quasi-metric has none
         q = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
@@ -338,7 +383,7 @@ def test_cantor_julia_proximity_golden():
     cov = induce_tiles(pullback_cover(pull, 3))
     assert [len(f) for f in cov.levels] == [1, 6, 32, 64]
     assert cov.n_points == 256
-    digest = hashlib.sha256(compute_proximity(cov).m.tobytes()).hexdigest()
+    digest = hashlib.sha256(compute_proximity(cov).m.astype(np.int64).tobytes()).hexdigest()
     assert digest == "3195aa29536c773da33571492f9edb9244d32b4bb4d451da58ef86b2b59eae68"
 
 
@@ -435,6 +480,81 @@ def random_table(cover, seed):
     m = np.minimum(m, m.T)
     np.fill_diagonal(m, cover.depth + 1)
     return ProximityTable(m=m, width=cover.width, truncation=cover.depth)
+
+
+def widened(table):
+    """``table`` with its levels held as int64 instead of the narrow type."""
+    wide = copy.copy(table)
+    object.__setattr__(wide, "m", table.m.astype(np.int64))
+    return wide
+
+
+class TestNarrowTable:
+    def test_int8_at_the_gasket_depth(self, gasket):
+        assert compute_proximity(gasket[1]).m.dtype == np.int8
+
+    @pytest.mark.parametrize("truncation, dtype", [(62, np.int8), (63, np.int16), (64, np.int16)])
+    def test_levels_keep_their_values(self, truncation, dtype):
+        rng = np.random.default_rng(truncation)
+        m = rng.integers(0, truncation + 2, size=(40, 40))
+        m = np.minimum(m, m.T)
+        np.fill_diagonal(m, truncation + 1)
+        table = ProximityTable(m=m, width=0, truncation=truncation)
+        assert table.m.dtype == dtype
+        assert np.array_equal(table.m, m)
+        # what readers form in the table's own type does not wrap either
+        c = table.m.dtype.type(table.sentinel)
+        assert np.array_equal(2 * table.m, 2 * m)
+        assert np.array_equal(table.m + c, m + table.sentinel)
+        assert np.array_equal(table.m - c, m - table.sentinel)
+
+    def test_large_entry_widens_the_type(self):
+        m = np.array([[3, 200], [200, 3]])
+        table = ProximityTable(m=m, width=0, truncation=2)
+        assert table.m.dtype == np.int16
+        assert np.array_equal(table.m, m) and np.array_equal(2 * table.m, 2 * m)
+
+    def test_table_copies_the_callers_array(self):
+        m = np.full((2, 2), 2)
+        table = ProximityTable(m=m, width=0, truncation=1)
+        assert m.flags.writeable and not table.m.flags.writeable
+        m[0, 1] = 0
+        assert table.m[0, 1] == 2
+
+    def test_quasi_metric_copies_the_callers_array(self):
+        q = np.ones((2, 2)) - np.eye(2)
+        qm = QuasiMetric(q=q, K=1.0)
+        assert q.flags.writeable and not qm.q.flags.writeable
+        q[0, 1] = 5.0
+        assert qm.q[0, 1] == 1.0
+
+    @pytest.mark.parametrize("name", ["gasket", "interleaved", "dyadic", "tree"])
+    def test_consumers_read_the_same_as_int64(self, name, request, monkeypatch):
+        _, cover = request.getfixturevalue(name)
+        graph = build_tile_graph(cover)
+        pairs = [(graph.vertex_ids[i], graph.vertex_ids[j])
+                 for i in range(0, graph.n_vertices, 7) for j in range(0, graph.n_vertices, 5)]
+        g = (3 * np.arange(cover.n_points) + 1) % cover.n_points
+        tables = [compute_proximity(cover)] + [random_table(cover, s) for s in range(2)]
+        violations = []
+        for narrow in tables:
+            wide = widened(narrow)
+            assert narrow.m.dtype == np.int8
+            got, want = (check_combinatorially_visual(cover, t) for t in (narrow, wide))
+            assert got.to_dict() == want.to_dict()
+            for check in (None, got):
+                qn, qw = (quasi_metric_from_m(t, 1.01, check) for t in (narrow, wide))
+                assert qn.K == qw.K and qn.q.tobytes() == qw.q.tobytes()
+            assert compare_m_gromov(graph, narrow).to_dict() == compare_m_gromov(graph, wide).to_dict()
+            assert [extended_proximity(graph, narrow, x, y) for x, y in pairs] == [
+                extended_proximity(graph, wide, x, y) for x, y in pairs]
+            reports = []
+            for t in (narrow, wide):
+                monkeypatch.setattr(proximity, "compute_proximity", lambda cover, t=t: t)
+                reports.append(dynamical_checks(cover, g, 0.5).proximity_violations)
+            assert reports[0] == reports[1]
+            violations += reports[0]
+        assert violations  # the random tables break decay somewhere
 
 
 class TestCombinatorialWitnesses:
