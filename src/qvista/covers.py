@@ -107,8 +107,9 @@ def group_by_label(items: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
     groups come out ordered by their first item.
     """
     order = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    return np.split(items[order], cuts)
+    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
+    items = items[order]
+    return [items[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def run_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -217,10 +218,12 @@ class CoverSequence:
         self.space = space
         self.width = int(width)
         self.visual_parameter = float(visual_parameter) if visual_parameter else None
-        fams = []  # any iterable of integers is a tile
+        fams = []  # any iterable of integers is a tile; an integer array is taken whole
         for lev, fam in enumerate(levels):
             try:
-                fams.append([np.fromiter(t, dtype=np.int64) for t in fam])
+                fams.append([np.asarray(t, dtype=np.int64)
+                             if isinstance(t, np.ndarray) and t.dtype.kind in "iu"
+                             else np.fromiter(t, dtype=np.int64) for t in fam])
             except OverflowError:  # an id beyond int64 is beyond any point count
                 raise ValueError(f"tile at level {lev} references unknown points") from None
         n = space.n if space is not None else len(set().union(*fams[0])) if fams else 0
@@ -565,21 +568,22 @@ def verify_quasi_visual(cover: CoverSequence, thresholds: dict | None = None) ->
     for lev, fam in enumerate(cover.levels):
         diams = cover.diams(lev)
         if len(fam) > 1:
-            adj = cover.meets(lev, lev) & ~np.eye(len(fam), dtype=bool)
-            ratio = _diam_ratio(diams[:, None], diams)  # one-sided; (j, i) holds the inverse
-            if adj.any() and (at := qv1.offer(ratio, where=adj)) is not None:
-                qv1.witness = {"tiles": [[lev, at[0]], [lev, at[1]]], "ratio": qv1.value}
+            # distinct meeting tiles in row-major order; one-sided: (b, a) holds the inverse
+            a, b = np.nonzero(cover.meets(lev, lev) & ~np.eye(len(fam), dtype=bool))
+            if a.size and (at := qv1.offer(_diam_ratio(diams[a], diams[b]))) is not None:
+                qv1.witness = {"tiles": [[lev, int(a[at])], [lev, int(b[at])]], "ratio": qv1.value}
             if (sep := cover.separated(lev)).any():
                 with np.errstate(divide="ignore", invalid="ignore"):
                     at = qv2.offer(diams[:, None] / cover.pair_distances(lev), where=sep)
                 if at is not None:
                     qv2.witness = {"tiles": [[lev, at[0]], [lev, at[1]]], "ratio": qv2.value}
-        if lev < cover.depth and (inter := cover.meets(lev, lev + 1)).any():
-            ratio = _comparability(diams[:, None], cover.diams(lev + 1))
-            c3_by_pair[f"{lev},{lev + 1}"] = float(ratio.max(where=inter, initial=0.0))
-            if (at := qv3.offer(ratio, where=inter)) is not None:
-                qv3.witness = {"tiles": [[lev, at[0]], [lev + 1, at[1]]], "ratio": qv3.value,
-                               "level_pair": [lev, lev + 1]}
+        a, b = np.nonzero(cover.meets(lev, lev + 1)) if lev < cover.depth else ((), ())
+        if len(a):
+            ratio = _comparability(diams[a], cover.diams(lev + 1)[b])
+            c3_by_pair[f"{lev},{lev + 1}"] = float(ratio.max())
+            if (at := qv3.offer(ratio)) is not None:
+                qv3.witness = {"tiles": [[lev, int(a[at])], [lev + 1, int(b[at])]],
+                               "ratio": qv3.value, "level_pair": [lev, lev + 1]}
     # condition (iv): smallest k0 with contraction <= DEFAULT_SHRINK_LAMBDA
     gap_max = _cross_level_gap_ratios(cover)[0]
     k0 = None
@@ -624,14 +628,13 @@ def _cross_level_gap_ratios(
         d_up = cover.diams(n)
         for m in range(n + 1, cover.depth + 1):
             k = m - n
-            ok = cover.meets(n, m) & (d_up[:, None] > 0)
+            a, b = np.nonzero(cover.meets(n, m))
+            ok = d_up[a] > 0
             if resolved is not None:
-                ok &= resolved[n][:, None] & resolved[m][None, :]
+                ok &= resolved[n][a] & resolved[m][b]
             if not ok.any():
                 continue
-            d_dn = cover.diams(m)
-            ratio = d_dn[None, :] / np.where(d_up[:, None] > 0, d_up[:, None], 1.0)
-            vals = ratio[ok]
+            vals = cover.diams(m)[b[ok]] / d_up[a[ok]]
             gap_max[k] = max(gap_max.get(k, 0.0), float(vals.max()))
             gap_min[k] = min(gap_min.get(k, np.inf), float(vals.min()))
     return gap_max, gap_min
@@ -669,14 +672,15 @@ def _resolved_tile_masks(cover: CoverSequence) -> list[np.ndarray]:
     local nearest-neighbor distances of their members, so that the measured
     diameter is not dominated by discretization error.  Level 0 is always
     excluded (the root carries the global diameter, not a scale rung)."""
-    local_nn = cover.space.nearest_neighbor_distances()[:, None]
+    floor = RESOLUTION_FLOOR_NN * cover.space.nearest_neighbor_distances()
     masks = [np.zeros(1, dtype=bool)]
     for lev in range(1, cover.depth + 1):
-        coarsest = tile_reduce(local_nn, cover.members(lev), np.maximum)[:, 0]
-        masks.append(
-            (np.bincount(cover.incidence(lev)[0]) >= 2)
-            & (cover.diams(lev) >= RESOLUTION_FLOOR_NN * coarsest)
-        )
+        tile, point = cover.incidence(lev)
+        mask = np.bincount(tile) >= 2
+        # fl(3x) is monotone in x, so diam >= fl(3 max nn) exactly when no
+        # member has fl(3 nn) > diam
+        mask[tile[floor[point] > cover.diams(lev)[tile]]] = False
+        masks.append(mask)
     return masks
 
 

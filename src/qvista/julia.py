@@ -99,6 +99,11 @@ class RationalMap:
         numeric coefficients.  sympy evaluates its input as Python, so text
         outside ``MAP_GRAMMAR`` is refused before sympy sees it: no name but
         z and the imaginary unit, and no dot outside a number, can reach it.
+        The text is also refused when an exponent exceeds
+        ``MAX_PREIMAGE_COUNT`` = 4096 in size, or nested powers multiply
+        their exponents past it (``(z^64)^64`` is read, ``(z^64)^65`` is
+        not); this is read off the unevaluated text, so "9^9^9" is never
+        computed.
         """
         if not MAP_GRAMMAR.fullmatch(text):
             raise ValueError(f"cannot read map {text!r}: only numbers, z, the imaginary unit "
@@ -109,8 +114,13 @@ class RationalMap:
         normalized = re.sub(r"(\d(?:\.\d*)?)\s*i\b", r"\1*I", text.replace("^", "**"))
         unreadable = (f"cannot read map {text!r}: "
                       "not a rational function of z with numeric coefficients")
+        names = {"z": z, "i": sympy.I, "I": sympy.I}
         try:
-            expr = sympy.sympify(normalized, locals={"z": z, "i": sympy.I, "I": sympy.I})
+            if _power_chain(sympy.sympify(normalized, locals=names, evaluate=False)) == np.inf:
+                raise ValueError(f"cannot read map {text!r}: its exponents, multiplied along "
+                                 f"nested powers, must be at most {MAX_PREIMAGE_COUNT} in size "
+                                 "(the most points a sample keeps)")
+            expr = sympy.sympify(normalized, locals=names)
             if not isinstance(expr, sympy.Expr) or expr.free_symbols - {z}:
                 raise ValueError(unreadable)
             num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
@@ -234,6 +244,20 @@ class RationalMap:
         if best is None:
             raise SeedNotRepelling("no finite repelling fixed point found")
         return best[0]
+
+
+def _power_chain(expr) -> float:
+    """The largest product of |exponent| along a chain of powers nested in
+    the unevaluated sympy ``expr``: 1 with no power, inf once a chain passes
+    ``MAX_PREIMAGE_COUNT``.  An exponent's value is read only after its own
+    chains are bounded, so no huge number is built."""
+    if not expr.is_Pow:
+        return max((_power_chain(arg) for arg in expr.args), default=1.0)
+    base = _power_chain(expr.base)
+    if base > MAX_PREIMAGE_COUNT or _power_chain(expr.exp) > MAX_PREIMAGE_COUNT:
+        return np.inf
+    chain = base * abs(complex(expr.exp))  # NaN fails the test below too
+    return chain if chain <= MAX_PREIMAGE_COUNT else np.inf
 
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -398,10 +422,13 @@ def julia_sample(
 
 
 def _dedupe_sphere(pts: np.ndarray) -> np.ndarray:
-    vecs = sphere_from_complex_array(pts)
-    keys = np.round(vecs / 1e-9).astype(np.int64)
-    _uniq, idx = np.unique(keys, axis=0, return_index=True)
-    return pts[np.sort(idx)]
+    """The points whose unit vectors, rounded to 1e-9, no earlier point shares."""
+    keys = np.round(sphere_from_complex_array(pts) / 1e-9).astype(np.int64)
+    order = np.lexsort(keys.T)  # stable: each run of equal keys starts at its first point
+    ranked = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return pts[np.sort(order[first])]
 
 
 def _farthest_point_prune(pts: np.ndarray, target: int) -> np.ndarray:

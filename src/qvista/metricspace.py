@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .sphere import BLOCK_ROWS
+
 TRIANGLE_SLACK = 1e-9  # additive slack absorbing float noise in generated matrices
 PERFECTNESS_RATIO = 1.1  # ratio of the perfectness probe's geometric radius grid
 
@@ -34,7 +36,11 @@ class FiniteMetricSpace:
             raise ValueError(f"distance matrix must be square, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise ValueError("distance matrix must have finite entries")
-        if not np.array_equal(d, d.T):
+        # each upper-triangle block against its mirror: transposed reads stay in cache
+        blocks = range(0, len(d), BLOCK_ROWS)
+        if not all(np.array_equal(d[i:i + BLOCK_ROWS, j:j + BLOCK_ROWS],
+                                  d[j:j + BLOCK_ROWS, i:i + BLOCK_ROWS].T)
+                   for i in blocks for j in blocks if j >= i):
             raise ValueError("distance matrix must be symmetric")
         d.flags.writeable = False
         object.__setattr__(self, "dist", d)
@@ -50,23 +56,34 @@ class FiniteMetricSpace:
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
 
+    def _row_minima(self, positive: bool) -> np.ndarray:
+        """Per point, the least entry of its row off the diagonal (the least
+        positive one when ``positive``), inf when there is none.
+
+        Taken over blocks of ``BLOCK_ROWS`` rows, each split at its diagonal
+        square, so no n x n temporary is made.
+        """
+        out = np.empty(self.n)
+        for lo in range(0, self.n, BLOCK_ROWS):
+            rows = self.dist[lo:lo + BLOCK_ROWS]
+            hi = lo + len(rows)
+            own = rows[:, lo:hi].copy()
+            np.fill_diagonal(own, np.inf)
+            out[lo:hi] = np.minimum.reduce([
+                part.min(axis=1, initial=np.inf, where=part > 0 if positive else True)
+                for part in (rows[:, :lo], own, rows[:, hi:])
+            ])
+        return out
+
     def min_positive_distance(self) -> float:
-        if self.n < 2:
-            return 0.0
-        off = self.dist[~np.eye(self.n, dtype=bool)]
-        pos = off[off > 0]
-        return float(pos.min()) if pos.size else 0.0
+        low = self._row_minima(positive=True).min(initial=np.inf)
+        return float(low) if low < np.inf else 0.0
 
     def nearest_neighbor_distances(self) -> np.ndarray:
         """Per point, the distance to its nearest distinct point (zeros when
         n < 2); computed once per space and read-only."""
         if self._nn is None:
-            if self.n < 2:
-                nn = np.zeros(self.n)
-            else:
-                d = self.dist.copy()
-                np.fill_diagonal(d, np.inf)
-                nn = d.min(axis=1)
+            nn = self._row_minima(positive=False) if self.n >= 2 else np.zeros(self.n)
             nn.flags.writeable = False
             object.__setattr__(self, "_nn", nn)
         return self._nn

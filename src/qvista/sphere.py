@@ -55,8 +55,9 @@ def spherical_dist_matrix(vecs: np.ndarray) -> np.ndarray:
     for lo in range(0, len(d), BLOCK_ROWS):
         hi = lo + BLOCK_ROWS
         dot = np.clip(d[lo:hi, lo:], -1.0, 1.0)
-        # atan2 form is more accurate for nearby points than arccos
-        cross = np.sqrt(np.maximum(0.0, 1.0 - dot * dot))
+        # cross = sqrt(max(0, 1 - dot^2)) in one scratch array; atan2 beats arccos near 0
+        cross = np.multiply(dot, dot)
+        np.sqrt(np.maximum(0.0, np.subtract(1.0, cross, out=cross), out=cross), out=cross)
         np.arctan2(cross, dot, out=d[lo:hi, lo:])
         d[hi:, lo:hi] = d[lo:hi, hi:].T
     np.fill_diagonal(d, 0.0)

@@ -648,3 +648,15 @@ def test_julia_flat_diameter_gap_is_fit_failure(tmp_path):
     assert out.stderr.startswith("qvista: error:")
     assert "level gap 1" in out.stderr
     assert "Warning" not in out.stderr and "Traceback" not in out.stderr
+
+
+def test_julia_huge_power_is_usage_error(tmp_path):
+    """A map of degree far past the sample's point cap is refused from its
+    text; a fresh interpreter runs it, so a regression fails on the timeout."""
+    out = tmp_path / "julia.json"
+    run = run_python("-m", "qvista.cli", "julia", "--map", "z^99999999", "--out", str(out),
+                     timeout=60)
+    assert run.returncode == 2
+    assert run.stderr.startswith("qvista: error: cannot read map")
+    assert "Traceback" not in run.stderr
+    assert not out.exists()

@@ -1,15 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as scipy_components
 
+from qvista import covers
 from qvista.covers import (
     THRESHOLD_KEYS,
     CoverSequence,
+    WorstCase,
     bool_product,
     connected_components,
     derive_rho_tau_nu,
+    group_by_label,
     maxmin_product,
     quasiball_check,
     tile_pair_reduce,
@@ -17,8 +22,10 @@ from qvista.covers import (
     verify_visual,
 )
 from qvista.errors import EmptyTile, FitFailure, MissingLambda
+from qvista.julia import RationalMap, admissible_cover, induce_tiles, julia_sample, pullback_cover
 from qvista.metricspace import FiniteMetricSpace
-from helpers import condition, line_space, two_point_space
+from qvista.spheregrid import SphereGrid
+from helpers import condition, line_space, overlapping_covers, two_point_space
 
 
 def brute_force_uw(cover, level, index, w):
@@ -556,3 +563,171 @@ def test_threshold_keys_name_the_thresholded_conditions(cantor):
     reports = (verify_visual(cover), verify_quasi_visual(cover))
     names = {c.condition for rep in reports for c in rep.conditions}
     assert set(THRESHOLD_KEYS) == names - {"qv.iv"}
+
+
+# -- incidence-cost rewrites against the code they replaced ------------------------
+
+
+def split_groups(items, labels):
+    """``group_by_label`` as it was written with ``np.split``."""
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.split(items[order], cuts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=40))
+def test_group_by_label_matches_split(labels):
+    labels = np.array(labels, dtype=np.int64)
+    items = np.arange(labels.size, dtype=np.int64) * 3
+    got, want = group_by_label(items, labels), split_groups(items, labels)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_tiles_of_every_integer_iterable_give_one_incidence(cantor):
+    """A tile may be an int64, int32 or uint16 array, a list, a range or a
+    frozenset; the cantor tiles are runs of consecutive points."""
+    space, cover = cantor
+    ref = [[t.members for t in fam] for fam in cover.levels]
+    n = space.n
+    for form in (lambda m: m.astype(np.int64), lambda m: m.astype(np.int32),
+                 lambda m: m[::-1].astype(np.uint16), list, frozenset,
+                 lambda m: range(m[0], m[-1] + 1)):
+        built = CoverSequence(space, [[form(m) for m in fam] for fam in ref], width=cover.width)
+        for lev in range(len(ref)):
+            for got, want in zip(built.incidence(lev), cover.incidence(lev)):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+    whole = CoverSequence(space, [[range(n)]])
+    assert np.array_equal(whole.members(0)[0], np.arange(n))
+    with pytest.raises(ValueError, match="unknown points"):
+        CoverSequence(space, [[np.array([-1, *range(n)])]])
+    with pytest.raises(ValueError, match="unknown points"):
+        CoverSequence(space, [[np.array([2 ** 64 - 1], dtype=np.uint64)]])
+
+
+def dense_qv_scans(cover):
+    """qv.i and qv.iii of ``verify_quasi_visual`` as scanned over whole
+    ratio matrices under a mask: records of (constant, witness) and the
+    qv.iii maxima by level pair."""
+    qv1, qv3 = WorstCase(1.0), WorstCase(1.0)
+    by_pair = {}
+    for lev, fam in enumerate(cover.levels):
+        diams = cover.diams(lev)
+        if len(fam) > 1:
+            adj = cover.meets(lev, lev) & ~np.eye(len(fam), dtype=bool)
+            ratio = covers._diam_ratio(diams[:, None], diams)
+            if adj.any() and (at := qv1.offer(ratio, where=adj)) is not None:
+                qv1.witness = {"tiles": [[lev, at[0]], [lev, at[1]]], "ratio": qv1.value}
+        if lev < cover.depth and (inter := cover.meets(lev, lev + 1)).any():
+            ratio = covers._comparability(diams[:, None], cover.diams(lev + 1))
+            by_pair[f"{lev},{lev + 1}"] = float(ratio.max(where=inter, initial=0.0))
+            if (at := qv3.offer(ratio, where=inter)) is not None:
+                qv3.witness = {"tiles": [[lev, at[0]], [lev + 1, at[1]]], "ratio": qv3.value,
+                               "level_pair": [lev, lev + 1]}
+    return qv1, qv3, by_pair
+
+
+def dense_gap_ratios(cover, resolved=None):
+    """``_cross_level_gap_ratios`` over whole masked ratio matrices."""
+    gap_max, gap_min = {}, {}
+    for n in range(cover.depth + 1):
+        d_up = cover.diams(n)
+        for m in range(n + 1, cover.depth + 1):
+            k = m - n
+            ok = cover.meets(n, m) & (d_up[:, None] > 0)
+            if resolved is not None:
+                ok &= resolved[n][:, None] & resolved[m][None, :]
+            if not ok.any():
+                continue
+            ratio = cover.diams(m)[None, :] / np.where(d_up[:, None] > 0, d_up[:, None], 1.0)
+            vals = ratio[ok]
+            gap_max[k] = max(gap_max.get(k, 0.0), float(vals.max()))
+            gap_min[k] = min(gap_min.get(k, np.inf), float(vals.min()))
+    return gap_max, gap_min
+
+
+def coarsest_nn_masks(cover):
+    """``_resolved_tile_masks`` through a one-column ``tile_reduce``."""
+    local_nn = cover.space.nearest_neighbor_distances()[:, None]
+    masks = [np.zeros(1, dtype=bool)]
+    for lev in range(1, cover.depth + 1):
+        coarsest = covers.tile_reduce(local_nn, cover.members(lev), np.maximum)[:, 0]
+        masks.append((np.bincount(cover.incidence(lev)[0]) >= 2)
+                     & (cover.diams(lev) >= covers.RESOLUTION_FLOOR_NN * coarsest))
+    return masks
+
+
+def fit_or_failure(cover):
+    try:
+        return derive_rho_tau_nu(cover)
+    except FitFailure as exc:
+        return str(exc)
+
+
+def assert_matches_dense_oracle(cover, monkeypatch):
+    rep = verify_quasi_visual(cover)
+    qv1, qv3, by_pair = dense_qv_scans(cover)
+    for name, worst in (("qv.i", qv1), ("qv.iii", qv3)):
+        rec = condition(rep, name)
+        assert rec.constant == (worst.value if np.isfinite(worst.value) else None)
+        assert json.dumps(rec.witness) == json.dumps(worst.witness)  # plain ints, same order
+    assert condition(rep, "qv.iii").details["by_level_pair"] == by_pair
+    masks = covers._resolved_tile_masks(cover)
+    dense_masks = coarsest_nn_masks(cover)
+    assert all(np.array_equal(a, b) for a, b in zip(masks, dense_masks, strict=True))
+    assert covers._cross_level_gap_ratios(cover) == dense_gap_ratios(cover)
+    assert (covers._cross_level_gap_ratios(cover, resolved=masks)
+            == dense_gap_ratios(cover, resolved=dense_masks))
+    rates = fit_or_failure(cover)
+    with monkeypatch.context() as m:
+        m.setattr(covers, "_resolved_tile_masks", coarsest_nn_masks)
+        m.setattr(covers, "_cross_level_gap_ratios", dense_gap_ratios)
+        assert verify_quasi_visual(cover).to_dict() == rep.to_dict()
+        assert fit_or_failure(cover) == rates
+
+
+def test_sparse_scans_match_dense_masks_on_fixtures(
+    cantor, cantor_small, dyadic, tree, interleaved, gasket, monkeypatch
+):
+    for _, cover in (cantor, cantor_small, dyadic, tree, interleaved, gasket):
+        assert_matches_dense_oracle(cover, monkeypatch)
+
+
+@pytest.mark.parametrize("c, K", [(-1.0, 768), (-3.0, 512)], ids=["basilica", "cantor"])
+def test_sparse_scans_match_dense_masks_on_benchmark_covers(c, K, monkeypatch):
+    """The covers of the two benchmark Julia workloads at seed 0."""
+    g = RationalMap(p=[1.0, 0.0, c], q=[1.0])
+    sample = julia_sample(g, 10)
+    pull = pullback_cover(admissible_cover(g, sample, 0.25, grid=SphereGrid(K=K)), 4)
+    assert_matches_dense_oracle(induce_tiles(pull), monkeypatch)
+
+
+def test_sparse_scans_keep_the_first_of_tied_ratios(monkeypatch):
+    """Equal diameters repeat along the line, so qv.i and qv.iii reach
+    their worst value at several pairs; the witness is the row-major first.
+    For qv.i that is 1/0 at level 2, where (3, 4) meets (4,) before (5, 6)
+    meets (6,); level 1 ties at 2 before it."""
+    levels = [[range(9)],
+              [(0, 1), (1, 2, 3), (3, 4), (4, 5, 6), (6, 7, 8)],
+              [(0,), (1,), (2, 3), (3, 4), (4,), (5, 6), (6,), (7, 8)],
+              [(0, 1), (2,), (3, 4), (5, 6), (7, 8)]]
+    cover = CoverSequence(line_space(9), levels, width=0)
+    assert_matches_dense_oracle(cover, monkeypatch)
+    assert condition(verify_quasi_visual(cover), "qv.i").witness["tiles"] == [[2, 3], [2, 4]]
+    # every level-2 tile is one point, so each meeting pair reads inf for
+    # qv.iii; row-major, (0, 1) meets (0,) before (1, 2, 3) meets (2,)
+    cover = CoverSequence(line_space(4), [[range(4)], [(0, 1), (1, 2, 3)], [(2,), (0,), (1,), (3,)]])
+    assert_matches_dense_oracle(cover, monkeypatch)
+    assert condition(verify_quasi_visual(cover), "qv.iii").witness["tiles"] == [[1, 0], [2, 1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(overlapping_covers())
+def test_sparse_scans_match_dense_masks_on_random_covers(drawn):
+    """Integer distances on a line give many tied ratios and zero diameters."""
+    levels, width, _g = drawn
+    cover = CoverSequence(line_space(len(levels[0][0])), levels, width=width)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_matches_dense_oracle(cover, monkeypatch)

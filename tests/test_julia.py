@@ -6,13 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qvista.covers import CoverSequence
 from qvista.errors import RootFindFailure, SeedNotRepelling
 from qvista.julia import (
+    MAX_PREIMAGE_COUNT,
     ROOT_CLUSTER_TOL,
     RationalMap,
     _cluster_roots,
+    _dedupe_sphere,
     _root_rows,
     admissible_cover,
     degree_probe,
@@ -508,3 +511,76 @@ def test_import_leaves_sympy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# -- the sample's dedupe and the parse bound ----------------------------------------
+
+
+def unique_rows_dedupe(pts):
+    """``_dedupe_sphere`` as it was written with ``np.unique(axis=0)``."""
+    keys = np.round(sphere_from_complex_array(pts) / 1e-9).astype(np.int64)
+    _uniq, idx = np.unique(keys, axis=0, return_index=True)
+    return pts[np.sort(idx)]
+
+
+@pytest.mark.parametrize("text", ["z^2-1", "z^2-3"])
+def test_dedupe_matches_unique_rows_on_every_generation(text):
+    g = RationalMap.parse(text)
+    pts = np.array([g.repelling_fixed_point()])
+    for _ in range(10):
+        roots, mult = g.preimages(pts[np.isfinite(pts)])
+        found = roots[mult > 0]
+        pts = _dedupe_sphere(found)
+        assert np.array_equal(pts, unique_rows_dedupe(found))
+    assert pts.size == 1024
+
+
+POOL = [0j, 1 + 0j, -1 + 0j, 1j, 0.5 + 0.25j, 1 + 1e-13j, 1 + 2e-9j, 3e8 + 0j, 1e150 + 0j,
+        complex(np.inf, 0), complex(0, np.inf), complex(np.inf, np.inf), complex(np.nan, 0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(POOL), max_size=60))
+def test_dedupe_matches_unique_rows_on_repeated_points(values):
+    """Repeated points, points within the rounding of each other and several
+    spellings of the point at infinity, in any order."""
+    pts = np.array(values, dtype=complex)
+    assert np.array_equal(_dedupe_sphere(pts), unique_rows_dedupe(pts), equal_nan=True)
+
+
+def test_power_bound_refuses_huge_maps_quickly():
+    """Texts that sympy would evaluate for a long time or turn into a map of
+    huge degree are refused from the unevaluated text.  A fresh interpreter
+    parses them, so a regression fails on its timeout instead of hanging."""
+    texts = ["z^99999999", "(z^4096)^4096", "z^2+9^9^9", "(9^4096)^4096*z^2"]
+    code = (
+        "import sys, time\n"
+        "from qvista.julia import RationalMap\n"
+        "RationalMap.parse('z^2')  # imports sympy\n"
+        "for text in sys.argv[1:]:\n"
+        "    t = time.perf_counter()\n"
+        "    try:\n"
+        "        RationalMap.parse(text)\n"
+        "        print('read', text)\n"
+        "    except ValueError as exc:\n"
+        "        print(round(time.perf_counter() - t, 3), 'cannot read map' in str(exc))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code, *texts], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    rows = [line.split() for line in out.stdout.splitlines()]
+    assert len(rows) == len(texts)
+    for text, (seconds, refused) in zip(texts, rows):
+        assert refused == "True", text
+        assert float(seconds) < 1.0, text
+
+
+def test_power_bound_admits_the_largest_degree():
+    assert RationalMap.parse(f"z^{MAX_PREIMAGE_COUNT}").degree == MAX_PREIMAGE_COUNT
+    assert RationalMap.parse("(z^64)^64 + 1").degree == 64 * 64 == MAX_PREIMAGE_COUNT
+    assert RationalMap.parse("z^(2*3) - 9^3^2").degree == 6
+    with pytest.raises(ValueError, match="cannot read map"):
+        RationalMap.parse(f"z^{MAX_PREIMAGE_COUNT + 1}")
+    with pytest.raises(ValueError, match="cannot read map"):
+        RationalMap.parse(f"z^-{MAX_PREIMAGE_COUNT + 1} + z^2")

@@ -178,3 +178,82 @@ def test_from_dict_builds_one_matrix():
         tracemalloc.stop()
     assert space.dist.tolist() == data["dist"]
     assert peak < 12 * n * n
+
+
+# -- row-block rewrites against the whole-matrix code they replaced ----------------
+
+
+def whole_matrix_symmetric(d):
+    """The symmetry test the constructor made on the whole matrix."""
+    return np.array_equal(d, d.T)
+
+
+def whole_matrix_nn(d):
+    """Nearest-neighbour distances from a copy with its diagonal masked."""
+    d = d.copy()
+    np.fill_diagonal(d, np.inf)
+    return d.min(axis=1)
+
+
+def whole_matrix_min_positive(d):
+    off = d[~np.eye(len(d), dtype=bool)]
+    pos = off[off > 0]
+    return float(pos.min()) if pos.size else 0.0
+
+
+def random_symmetric(n, seed=0):
+    a = np.random.default_rng(seed).random((n, n))
+    return (a + a.T) * ~np.eye(n, dtype=bool)
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 300])
+def test_symmetry_check_by_blocks(n):
+    """One changed entry raises wherever it sits: in a diagonal block, an
+    off-diagonal block or the last partial block; a changed diagonal entry
+    and symmetric inputs pass, as they did with the whole-matrix test."""
+    d = random_symmetric(n)
+    assert whole_matrix_symmetric(d)
+    FiniteMetricSpace(dist=d)
+    last = n - 1
+    spots = {(1, 0), (0, 1), (5, 3), (0, last), (last, 0), (last, last - 1), (127, 128),
+             (128, 127), (129, 0), (200, 150), (last, 130), (3, 3), (last, last)}
+    for i, j in sorted(s for s in spots if 0 <= min(s) and max(s) < n):
+        bad = d.copy()
+        bad[i, j] += 0.5
+        if whole_matrix_symmetric(bad):
+            assert i == j
+            FiniteMetricSpace(dist=bad)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                FiniteMetricSpace(dist=bad)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 127, 128, 129, 300])
+def test_row_block_minima_match_whole_matrix(n):
+    """Blocked nearest-neighbour and least positive distances are the floats
+    the whole-matrix code gives, also with zero and repeated entries."""
+    rng = np.random.default_rng(n)
+    for d in (random_symmetric(n), np.round(random_symmetric(n, seed=1) * 3) / 4):
+        if n:
+            d[rng.integers(n), :] = d[:, rng.integers(n)] = 0.0  # coincident points
+            d = np.minimum(d, d.T)
+        space = FiniteMetricSpace(dist=d)
+        assert space.min_positive_distance() == whole_matrix_min_positive(d)
+        if n >= 2:
+            assert np.array_equal(space.nearest_neighbor_distances(), whole_matrix_nn(d))
+
+
+def test_row_block_minima_make_no_whole_matrix_copy():
+    """At n = 1024 neither minimum allocates n^2 bytes at once; the
+    whole-matrix code peaked at 8 and 17 n^2."""
+    n = 1024
+    space = FiniteMetricSpace(dist=random_symmetric(n))
+    for probe in (space.nearest_neighbor_distances, space.min_positive_distance):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            probe()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n, probe.__name__
