@@ -36,7 +36,7 @@ from .errors import (
 from .metricspace import FiniteMetricSpace, greedy_separated_subset
 from .proximity import dynamical_checks
 from .sphere import BLOCK_ROWS, sphere_from_complex_array, spherical_dist_matrix
-from .spheregrid import SphereGrid, inverse_image, locate_cells
+from .spheregrid import FILL_BLOCK, InverseImage, SphereGrid, inverse_image, locate_cells
 
 MAX_PREIMAGE_COUNT = 4096
 ROOT_CLUSTER_TOL = 1e-7
@@ -218,7 +218,8 @@ class RationalMap:
         key = (grid.K, grid.H)
         if key not in self._img_cache:
             self._img_cache[key] = grid.fill_cells(
-                lambda flat: grid.canonical_flat(self.eval(grid.cell_centers_z(flat)))
+                lambda flat: grid.canonical_flat(self.eval(grid.cell_centers_z(flat))),
+                grid.live_flat(),
             )
         return self._img_cache[key]
 
@@ -510,6 +511,13 @@ def pullback_cover(pull: PullbackCover, n_levels: int) -> PullbackCover:
     which reads only the level-1 regions: the regions below level 1 decide
     only how many levels there are, and whether a level comes out empty
     (EmptyLevel).
+
+    A level is pulled back in batches of whole parents, in order, each
+    gathering at most ``FILL_BLOCK`` cells unless it is a single parent
+    that gathers more.  A batch takes one gather and one
+    ``SphereGrid.components`` call, each parent's cells stacked as its own
+    layer, so the regions and their order are those of labelling each
+    parent's preimage alone.
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be at least 1, got {n_levels}")
@@ -519,14 +527,7 @@ def pullback_cover(pull: PullbackCover, n_levels: int) -> PullbackCover:
     sample_cells = np.concatenate([prim, grid.twin_flat()[prim]])
     while pull.n_levels < n_levels:
         level = pull.n_levels + 1
-        comps: list[np.ndarray] = []
-        comp_parent: list[int] = []
-        for pid, parent in enumerate(pull.families[-1]):
-            chunk = preimage(parent.cells)
-            if chunk.size:
-                found = grid.components(chunk)
-                comps.extend(found)
-                comp_parent.extend([pid] * len(found))
+        comps, comp_parent = _preimage_components(grid, preimage, pull.families[-1])
         # sample points per component, sorted: a point meets a component
         # through its canonical cell or through that cell's twin
         query, comp_of = locate_cells(sample_cells, comps)
@@ -536,11 +537,41 @@ def pullback_cover(pull: PullbackCover, n_levels: int) -> PullbackCover:
         for k, (comp, pid) in enumerate(zip(comps, comp_parent)):
             pts = hits[cuts[k]:cuts[k + 1]] % sample.n
             if pts.size:
-                regions.append(AmbientRegion(level, comp, pid, tuple(int(i) for i in pts)))
+                regions.append(AmbientRegion(level, comp, pid, tuple(pts.tolist())))
         if not regions:
             raise EmptyLevel(f"no admissible regions at level {level}")
         pull.families.append(regions)
     return pull
+
+
+def _preimage_components(
+    grid: SphereGrid, preimage: InverseImage, parents: list[AmbientRegion]
+) -> tuple[list[np.ndarray], list[int]]:
+    """The components of each parent's preimage as int32 cell arrays, parent
+    by parent and each parent's by smallest cell, with their parents' indices.
+
+    Parent p's gathered cells are stacked as layer p, ids ``p * n_cells +
+    cell``, and the parents are labelled in batches of at most
+    ``FILL_BLOCK`` gathered cells, or one parent that gathers more."""
+    n = grid.n_cells
+    # gathered[p]: the cells gathered for the parents before parent p
+    gathered = np.cumsum([0] + [preimage.count(p.cells) for p in parents])
+    comps: list[np.ndarray] = []
+    comp_parent: list[int] = []
+    p0 = 0
+    while p0 < len(parents):
+        # the most parents from p0 on that gather at most FILL_BLOCK cells,
+        # and at least one
+        p1 = int(np.searchsorted(gathered, gathered[p0] + FILL_BLOCK, side="right")) - 1
+        p1 = max(p1, p0 + 1)
+        ids = np.repeat(np.arange(p0, p1) * n, np.diff(gathered[p0:p1 + 1]))
+        ids += preimage(np.concatenate([p.cells for p in parents[p0:p1]]))
+        for comp in grid.components(ids):
+            pid = int(comp[0]) // n
+            comps.append((comp - pid * n).astype(np.int32))
+            comp_parent.append(pid)
+        p0 = p1
+    return comps, comp_parent
 
 
 def induce_tiles(pull: PullbackCover) -> CoverSequence:

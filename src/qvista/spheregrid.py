@@ -18,6 +18,10 @@ consecutive rows of one chart whose x-intervals meet within one cell are
 8-neighbours, runs holding a cell and its twin are stitched across the
 charts, and one ``covers.connected_components`` call labels the runs.  No
 step builds a raster of the cells' bounding box, and no step needs scipy.
+One call may label several cell sets at once as stacked copies of the grid:
+the id ``layer * 2K^2 + cell`` is ``cell`` in copy ``layer``, and cells join
+only within their copy, so a pull-back level is labelled a batch of parent
+regions at a time.
 
 Whole-grid per-cell tables (the twin table here, the image table of a map)
 hold -1 off the live set and are computed on live ids only, in blocks of
@@ -25,8 +29,9 @@ hold -1 off the live set and are computed on live ids only, in blocks of
 
 Cell ids are int32 from end to end: the whole-grid tables, the raster of a
 ball, the components, the inverse image and what it gathers.  Only index
-temporaries stay intp.  The 2K^2 cell count must itself fit int32 (the
-inverse image's bucket starts run up to it), so K is at most ``MAX_K``.
+temporaries and stacked ids past the first copy are int64.  The 2K^2 cell
+count must itself fit int32 (the inverse image's bucket starts run up to
+it), so K is at most ``MAX_K``.
 """
 
 from __future__ import annotations
@@ -137,29 +142,36 @@ class SphereGrid:
     def twin_flat(self) -> np.ndarray:
         """Per live cell, the other-chart cell containing the same sphere point
         (-1 when it falls outside the other chart's square); -1 off the live
-        set.  A live cell outside its unit circle always has a live twin."""
+        set.  A live cell outside its unit circle always has a live twin.
+
+        Only chart A's half is computed: a chart B cell has the same chart
+        coordinate as the chart A cell K^2 below it, so its twin is that
+        cell's twin shifted by -K^2."""
         if self._twin is None:
-            self._twin = self.fill_cells(self._twin_block)
+            half = self.K * self.K
+            live = self.live_flat()
+            twin = self.fill_cells(self._twin_block, live[:live.size // 2])
+            np.subtract(twin[:half], half, out=twin[half:], where=twin[:half] >= 0)
+            self._twin = twin
         return self._twin
 
     def _twin_block(self, flat: np.ndarray) -> np.ndarray:
-        chart, c = self.chart_coord(flat)
+        """The chart B twins of chart A cells, -1 outside chart B's square."""
+        _chart, c = self.chart_coord(flat)
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / np.where(c == 0, np.nan, c)
         ok = np.isfinite(inv) & (np.abs(inv.real) <= self.H) & (np.abs(inv.imag) <= self.H)
         iy, ix = self._coord_to_cell(np.where(ok, inv, 0))
-        other = np.where(chart == 0, self.K * self.K, 0)
-        return np.where(ok, other + iy * self.K + ix, -1)
+        return np.where(ok, self.K * self.K + iy * self.K + ix, -1)
 
-    def fill_cells(self, per_cell: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    def fill_cells(self, per_cell: Callable[[np.ndarray], np.ndarray], ids: np.ndarray) -> np.ndarray:
         """The int32 table over every flat id that holds ``per_cell(flat)`` at
-        the live ids and -1 elsewhere.  ``per_cell`` must act elementwise; it
-        is called on blocks of ``FILL_BLOCK`` live ids only."""
+        ``ids`` (live ids) and -1 elsewhere.  ``per_cell`` must act
+        elementwise; it is called on blocks of ``FILL_BLOCK`` ids."""
         out = np.full(self.n_cells, -1, dtype=np.int32)
-        live = self.live_flat()
-        for lo in range(0, live.size, FILL_BLOCK):
-            ids = live[lo:lo + FILL_BLOCK]
-            out[ids] = per_cell(ids.astype(np.int64))
+        for lo in range(0, ids.size, FILL_BLOCK):
+            block = ids[lo:lo + FILL_BLOCK]
+            out[block] = per_cell(block.astype(np.int64))
         return out
 
     # -- rasterization and components ---------------------------------------
@@ -219,12 +231,21 @@ class SphereGrid:
         Only live cells have twins, so only they stitch across the charts:
         a pull-back region holds live cells alone, joined across the charts
         through its cells in the seam band.  ``cells`` may come in any order
-        and may repeat cells.  Each component is an ascending int32 array,
-        and components are ordered by their smallest cell.
+        and may repeat cells.
+
+        ``cells`` are ids of stacked copies of the grid, ``layer * n_cells +
+        cell``, and cells join only within their layer: a call on cells of
+        layer 0 alone labels one cell set, and one on several layers labels
+        each layer's set as that call would.  Each component is an ascending
+        array of ids, and components are ordered by their smallest id, so by
+        layer and then by smallest cell.  The arrays are int32 when every id
+        lies in layer 0, and int64 otherwise.
         """
-        ids = np.sort(np.asarray(cells, dtype=np.int32).ravel())
-        if ids.size == 0:
+        cells = np.asarray(cells).ravel()
+        if cells.size == 0:
             return []
+        wide = cells.max() >= self.n_cells
+        ids = np.sort(cells.astype(np.int64 if wide else np.int32, copy=False))
         ids = ids[_equal_runs(ids)[0]]  # np.unique is far slower on int32
         K = self.K
         # runs: maximal stretches of consecutive ids, cut at the start of a row
@@ -233,26 +254,35 @@ class SphereGrid:
         first, last = ids[starts], ids[ends - 1]
         run = np.repeat(np.arange(starts.size), ends - starts)
         # 8-neighbours: the runs of the next row that meet this run's x-interval
-        # widened by one cell.  The widened interval is clamped to that row,
-        # and chart A's last row has no next row in chart B.
-        row, x0 = np.divmod(first, K)  # int32, as the ids: 2K^2 fits int32
+        # widened by one cell.  The widened interval is clamped to that row.
+        # The last row of a chart has no next row: chart A's is followed by
+        # chart B's first row, and chart B's by the next layer's chart A.
+        row, x0 = np.divmod(first, K)
         below = (row + 1) * K
         lo = np.searchsorted(last, below + np.maximum(x0 - 1, 0))
         hi = np.searchsorted(first, below + np.minimum(last - row * K + 1, K - 1), side="right")
-        count = np.where(row == K - 1, 0, hi - lo)
-        # twins: a link for each cell whose twin in the other chart is in the
-        # set, kept once where consecutive cells link the same two runs
-        twin = self.twin_flat()[ids]
+        count = np.where(row % K == K - 1, 0, hi - lo)
+        a, b = self._twin_links(ids, run)
+        comp = connected_components(
+            starts.size,
+            np.concatenate([np.repeat(np.arange(starts.size), count), a]),
+            np.concatenate([run_indices(lo, count), b]),
+        )
+        return group_by_label(ids, comp[run])
+
+    def _twin_links(self, ids: np.ndarray, run: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (run, run) links of the sorted stacked ``ids`` to their twins:
+        one for each cell whose twin, in the other chart of the same layer,
+        is in the set, kept once where consecutive cells link the same two
+        runs.  Its temporaries are freed before the runs are labelled."""
+        cell = ids % self.n_cells
+        twin = self.twin_flat()[cell]
+        twin = np.where(twin >= 0, ids - cell + twin, -1)
         pos = np.minimum(np.searchsorted(ids, twin), ids.size - 1)
         hit = np.flatnonzero(ids[pos] == twin)
         a, b = run[hit], run[pos[hit]]
         new = (np.diff(a, prepend=-1) != 0) | (np.diff(b, prepend=-1) != 0)
-        comp = connected_components(
-            starts.size,
-            np.concatenate([np.repeat(np.arange(starts.size), count), a[new]]),
-            np.concatenate([run_indices(lo, count), b[new]]),
-        )
-        return group_by_label(ids, comp[run])
+        return a[new], b[new]
 
 
 def locate_cells(cells: np.ndarray, sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -277,13 +307,32 @@ def locate_cells(cells: np.ndarray, sets: list[np.ndarray]) -> tuple[np.ndarray,
     return query, owner[run_indices(lo, counts)]
 
 
-def inverse_image(img: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """A function from distinct cells to the cells that ``img`` maps into them,
-    bucket by bucket in the given order, each bucket ascending, as int32.
-    Entries of -1 (the cells off the live set) lie in no bucket.  The inverse
-    image it reads (a stable sort by image of the entries >= 0, and the
-    bucket starts) is built once here as int32 arrays and lives as long as
-    that function.
+@dataclass(eq=False)
+class InverseImage:
+    """The inverse image of a whole-grid image table: bucket v,
+    ``pre[start[v]:start[v + 1]]``, holds the ascending int32 cells that the
+    table maps to v."""
+
+    start: np.ndarray  # int32 bucket starts, one more than the table's size
+    pre: np.ndarray  # int32 cells stably sorted by image
+
+    def __call__(self, cells: np.ndarray) -> np.ndarray:
+        """The buckets of the distinct ``cells``, in the given order, as one
+        int32 array."""
+        lo = self.start[cells]
+        return self.pre[run_indices(lo, self.start[cells + 1] - lo)]
+
+    def count(self, cells: np.ndarray) -> int:
+        """How many cells the gather of the distinct ``cells`` returns."""
+        return int(self.start[cells + 1].sum()) - int(self.start[cells].sum())
+
+
+def inverse_image(img: np.ndarray) -> InverseImage:
+    """The inverse image of ``img``, whose call maps distinct cells to the
+    cells that ``img`` maps into them, bucket by bucket in the given order,
+    each bucket ascending, as int32.  Entries of -1 (the cells off the live
+    set) lie in no bucket.  Its two tables (a stable sort by image of the
+    entries >= 0, and the bucket starts) are built once here as int32 arrays.
 
     The sort is a stable counting sort over blocks of ``FILL_BLOCK`` cells, so
     that beside the two int32 arrays only a block's temporaries are live: one
@@ -310,12 +359,7 @@ def inverse_image(img: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         head, count = _equal_runs(vals)
         pre[start[vals + 1] + np.arange(vals.size) - np.repeat(head, count)] = cell + lo
         start[vals[head] + 1] += count.astype(np.int32)
-
-    def gather(cells: np.ndarray) -> np.ndarray:
-        lo = start[cells]
-        return pre[run_indices(lo, start[cells + 1] - lo)]
-
-    return gather
+    return InverseImage(start, pre)
 
 
 def _equal_runs(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from qvista.julia import (
 )
 from qvista.metricspace import validate_metric
 from qvista.sphere import sphere_from_complex_array, spherical_dist_matrix
-from qvista.spheregrid import SphereGrid
+from qvista.spheregrid import FILL_BLOCK, SphereGrid
 
 
 @pytest.fixture(scope="module")
@@ -471,6 +471,21 @@ class TestInduceTiles:
                             lambda *a, **k: labellings.append(1) or components(*a, **k))
         cover = induce_tiles(pull)
         assert len(labellings) <= cover.depth
+
+    def test_pullback_labels_each_level_in_few_batches(self, monkeypatch):
+        """Parents are labelled in batches of at most FILL_BLOCK gathered
+        cells, one components call each; a batch holding more is a single
+        parent.  Labelled one parent at a time, this took 221 calls."""
+        g = RationalMap.parse("z^2-1")
+        pull = admissible_cover(g, julia_sample(g, 10), 0.25, grid=SphereGrid(K=768))
+        n = pull.grid.n_cells
+        calls = []
+        components = SphereGrid.components
+        monkeypatch.setattr(SphereGrid, "components", lambda grid, cells: calls.append(
+            (cells.size, np.unique(cells // n).size)) or components(grid, cells))
+        pullback_cover(pull, 4)
+        assert 3 <= len(calls) <= 8
+        assert all(size <= FILL_BLOCK or parents == 1 for size, parents in calls)
 
 
 class TestProbes:

@@ -139,6 +139,50 @@ def test_components_b_origin_cell(K):
     assert_same_components(grid, near)
 
 
+def stacked_components_oracle(grid, layers):
+    """Components of stacked copies of the grid, by ``components_oracle`` run
+    on each layer's cells alone, as ids ``layer * n_cells + cell``."""
+    return [c + layer * grid.n_cells for layer in sorted(layers)
+            for c in components_oracle(grid, layers[layer])]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("K", [64, 37])
+def test_stacked_components_match_each_layer_alone(seed, K):
+    rng = np.random.default_rng(seed)
+    grid = SphereGrid(K=K)
+    n = grid.n_cells
+    seam = grid.raster_spherical_ball(sphere_from_complex(1.0), 0.3)
+    shared = np.concatenate([seam, *random_ball_cells(rng, grid, 3)])
+    # chart B's last row, then chart A's first row one column over, in the
+    # next layer: consecutive rows, but not neighbours.  Cell 0 has no twin,
+    # and its id less one is the previous layer's last cell n - 1.
+    last_row_b = np.arange(n - K, n)[::3]
+    first_row_a = np.append(0, np.arange(1, K, 3))
+    far = 2**31 // n + 1  # this layer's ids pass 2^31
+    layers = {
+        0: shared,
+        1: shared,
+        2: np.concatenate([rng.integers(0, n, size=100), last_row_b]),
+        3: np.concatenate([first_row_a, shared[::2]]),
+        far: np.concatenate([*random_ball_cells(rng, grid, 2), rng.integers(0, n, size=100)]),
+        far + 1: shared,
+    }
+    assert n - 1 in last_row_b
+    ids = np.concatenate([c.astype(np.int64) + layer * n for layer, c in layers.items()])
+    assert ids.max() >= 2**31 and ids.size < 20 * n
+    ids = np.concatenate([ids, ids[::4]])  # repeated cells
+    rng.shuffle(ids)
+    got = grid.components(ids)
+    want = stacked_components_oracle(grid, layers)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        assert np.array_equal(g, w)
+    # the one-layer call still labels int32 cells
+    assert all(c.dtype == np.int32 for c in grid.components(shared))
+
+
 def test_components_single_cell_and_empty():
     grid = SphereGrid(K=16)
     for cell in (0, 15, 16 * 16 - 1, 16 * 16, 2 * 16 * 16 - 1):
@@ -230,6 +274,13 @@ def test_blocked_twin_matches_unblocked():
     got = grid.twin_flat()
     assert got.dtype == np.int32
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("K", [1, 2, 6, 37, 64, 101, 256, 512, 768])
+def test_twin_table_from_chart_a_matches_oracle(K):
+    """Chart B's half of the twin table, shifted from chart A's, is exact."""
+    grid = SphereGrid(K=K)
+    assert np.array_equal(grid.twin_flat(), twin_oracle(grid))
 
 
 @pytest.mark.parametrize("text", ["z^2-1", "(z^2+1)/(z^2-1)"])
