@@ -22,6 +22,7 @@ from .metricspace import FiniteMetricSpace
 DEFAULT_THRESHOLD = 64.0
 THRESHOLD_KEYS = ("visual.diam", "visual.separation", "qv.i", "qv.ii", "qv.iii")
 DEFAULT_SHRINK_LAMBDA = 0.95  # target contraction for the condition-(iv) search
+TILE_BLOCK = 1 << 16  # entries per gathered block of the diameter and separation scans
 
 FINITE_COVER_NOTE = (
     "finite truncation: all families are finite and every 'for all n' claim "
@@ -258,6 +259,7 @@ class CoverSequence:
         self._tiles_of: dict[int, np.ndarray] = {}
         self._meets: dict[tuple[int, int], np.ndarray] = {}
         self._diams: dict[int, np.ndarray] = {}
+        self._nearest_separated: dict[int, np.ndarray] = {}
         self._reach: dict[tuple[int, int], np.ndarray] = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -313,10 +315,34 @@ class CoverSequence:
         return self._meets[key]
 
     def diams(self, level: int) -> np.ndarray:
-        """Tile diameters at one level, under the bound space's metric."""
+        """Tile diameters at one level, under the bound space's metric; cached.
+
+        A tile of at most n/8 points reads only its block d[X, X]: the tiles
+        of one size go through one flat-index gather per block of at most
+        ``TILE_BLOCK`` entries (or of one tile), so the work is the sum of
+        |X|^2, not of |X| n.  A larger tile takes the max over X of the row
+        maxima of tile_reduce, and a whole-space tile is d.max().
+        """
         if level not in self._diams:
-            far = tile_reduce(self.space.dist, self.members(level), np.maximum)
-            self._diams[level] = far.max(axis=1, where=self.membership(level), initial=0.0)
+            d, n = self.space.dist, self.n_points
+            tile, point = self._incidence[level]
+            size = np.bincount(tile)
+            start = np.cumsum(size) - size
+            out = np.zeros(size.size)
+            if (whole := size == n).any():
+                out[whole] = d.max(initial=0.0)
+            if (big := np.flatnonzero((size > n // 8) & ~whole)).size:
+                far = tile_reduce(d, [self.members(level)[t] for t in big], np.maximum)
+                out[big] = far.max(axis=1, where=self.membership(level)[big], initial=0.0)
+            flat = d.ravel()
+            for s in np.unique(size[size <= n // 8]).tolist():
+                tiles = np.flatnonzero(size == s)
+                step = max(1, TILE_BLOCK // (s * s))
+                for lo in range(0, tiles.size, step):
+                    mem = point[start[tiles[lo:lo + step], None] + np.arange(s)]
+                    block = flat[mem[:, :, None] * n + mem[:, None, :]]
+                    out[tiles[lo:lo + step]] = block.max(axis=(1, 2), initial=0.0)
+            self._diams[level] = out
         return self._diams[level]
 
     def reach_within(self, level: int, length: int) -> np.ndarray:
@@ -348,21 +374,49 @@ class CoverSequence:
         U_{2w+1}(X_a), that is, in a tile that X_a is not separated from."""
         return or_rows(~self.separated(level), self.tiles_of(level))
 
-    def pair_distances(self, level: int) -> np.ndarray:
-        """Matrix of set distances dist(X, Y) between same-level tiles."""
-        return tile_pair_reduce(self.space.dist, self.members(level), np.minimum)
+    def nearest_separated(self, level: int) -> np.ndarray:
+        """Per tile X_a of one level, the least distance from X_a to a point of
+        a tile U_w-separated from X_a: the row minimum of ``pair_distances``
+        over the separated pairs, inf for a tile separated from none.  Cached.
+
+        A masked row minimum of tile_reduce(d, members, np.minimum), taken in
+        blocks of tiles of at most ``TILE_BLOCK`` entries, so that no (k, n)
+        float table is held whole.
+        """
+        if level not in self._nearest_separated:
+            members = self.members(level)
+            # away[p, a]: p lies in a tile separated from X_a
+            away = or_rows(self.separated(level), self.tiles_of(level))
+            out = np.empty(len(members))
+            step = max(1, TILE_BLOCK // self.n_points)
+            for lo in range(0, len(members), step):
+                near = tile_reduce(self.space.dist, members[lo:lo + step], np.minimum)
+                out[lo:lo + step] = near.min(axis=1, where=away[:, lo:lo + step].T, initial=np.inf)
+            self._nearest_separated[level] = out
+        return self._nearest_separated[level]
+
+    def pair_distances(self, level: int, tiles: Sequence[int] | None = None) -> np.ndarray:
+        """Set distances dist(X, Y) between same-level tiles: the full matrix,
+        or with ``tiles`` only the rows of the listed tiles.  The verifiers
+        read one row, that of a witness; a worst case itself comes from
+        ``nearest_separated``."""
+        members = self.members(level)
+        rows = members if tiles is None else [members[t] for t in tiles]
+        return tile_reduce(tile_reduce(self.space.dist, rows, np.minimum).T, members, np.minimum).T
 
     def with_space(self, space: FiniteMetricSpace) -> "CoverSequence":
         """Rebind the same combinatorial cover to another metric on the same points.
 
         The tiles and the metric-free caches (members, membership, meets,
-        reach) are shared with this cover; only the diameters start afresh.
+        reach) are shared with this cover; the metric caches (diameters and
+        nearest separated distances) start afresh.
         """
         if space.n != self.n_points:
             raise ValueError("point counts differ")
         bound = copy.copy(self)
         bound.space = space
         bound._diams = {}
+        bound._nearest_separated = {}
         return bound
 
     # -- serialization -----------------------------------------------------
@@ -508,28 +562,54 @@ def _ratio_record(
     )
 
 
+def _offer_separated(
+    worst: WorstCase, cover: CoverSequence, level: int, num: float | np.ndarray
+) -> tuple[int, int, float] | None:
+    """Offer ``worst`` the ratios num[a] / dist(X_a, X_b) of a level's
+    U_w-separated pairs (a, b), with num >= 0 per tile or one for all; return
+    the new worst pair and its distance, or None when the offer keeps nothing.
+
+    Correctly rounded division is monotone, so the largest ratio of row a is
+    num[a] / ``nearest_separated``[a] (x / 0 is inf, and a 0/0 row is no
+    violation); the worst row is the first to reach the largest of these.
+    Its witness b is the first separated b whose ratio rounds to that value,
+    which need not be the nearest one, read from that row of
+    ``pair_distances`` alone.
+    """
+    if not (sep := cover.separated(level)).any():
+        return None
+    near = cover.nearest_separated(level)
+    num = np.broadcast_to(num, near.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if (at := worst.offer(num / near, where=near < np.inf)) is None:
+            return None
+        a = at[0]
+        row = cover.pair_distances(level, [a])[0]
+        b = int(np.argmax(sep[a] & (num[a] / row == worst.value)))
+    return a, b, float(row[b])
+
+
 def verify_visual(cover: CoverSequence, thresholds: dict | None = None) -> VerificationReport:
     """Check diam(X) ~ L^-n and separation dist(X,Y) >~ L^-n of U_w-separated pairs.
 
     Reports the exact best constants over the truncation:
       C1 = max over tiles of max(diam(X) L^n, L^-n / diam(X)),
       C2 = max over U_w-separated same-level pairs of L^-n / dist(X, Y).
+
+    C2 is scanned per tile, as L^-n over its ``nearest_separated`` distance,
+    and reads the set distances of its witness row alone.
     """
     if cover.visual_parameter is None:
         raise MissingLambda("visual verification requires the cover's visual parameter")
     lam = cover.visual_parameter
     c1, c2 = WorstCase(0.0), WorstCase(0.0)
-    for lev, fam in enumerate(cover.levels):
+    for lev in range(cover.depth + 1):
         scale = lam ** (-lev)
         diams = cover.diams(lev)
         if (at := c1.offer(np.maximum(diams / scale, _diam_ratio(scale, diams)))) is not None:
             c1.witness = {"tile": [lev, at[0]], "diam": float(diams[at])}
-        if len(fam) > 1 and (sep := cover.separated(lev)).any():
-            dists = cover.pair_distances(lev)
-            with np.errstate(divide="ignore"):
-                at = c2.offer(scale / dists, where=sep)
-            if at is not None:
-                c2.witness = {"tiles": [[lev, at[0]], [lev, at[1]]], "dist": float(dists[at])}
+        if (at := _offer_separated(c2, cover, lev, scale)) is not None:
+            c2.witness = {"tiles": [[lev, at[0]], [lev, at[1]]], "dist": at[2]}
     report = VerificationReport(
         mode="visual",
         width=cover.width,
@@ -562,6 +642,9 @@ def verify_quasi_visual(cover: CoverSequence, thresholds: dict | None = None) ->
     (iii) diam comparability across consecutive levels for intersecting tiles;
     (iv)  the smallest k0 with max diam(Y)/diam(X) <= DEFAULT_SHRINK_LAMBDA
           over intersecting pairs X in X^n, Y in X^{n+k0}.
+
+    (ii) is scanned per tile, as diam(X) over its ``nearest_separated``
+    distance, and reads the set distances of its witness row alone.
     """
     qv1, qv2, qv3 = WorstCase(1.0), WorstCase(0.0), WorstCase(1.0)
     c3_by_pair: dict[str, float] = {}
@@ -572,11 +655,8 @@ def verify_quasi_visual(cover: CoverSequence, thresholds: dict | None = None) ->
             a, b = np.nonzero(cover.meets(lev, lev) & ~np.eye(len(fam), dtype=bool))
             if a.size and (at := qv1.offer(_diam_ratio(diams[a], diams[b]))) is not None:
                 qv1.witness = {"tiles": [[lev, int(a[at])], [lev, int(b[at])]], "ratio": qv1.value}
-            if (sep := cover.separated(lev)).any():
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    at = qv2.offer(diams[:, None] / cover.pair_distances(lev), where=sep)
-                if at is not None:
-                    qv2.witness = {"tiles": [[lev, at[0]], [lev, at[1]]], "ratio": qv2.value}
+            if (at := _offer_separated(qv2, cover, lev, diams)) is not None:
+                qv2.witness = {"tiles": [[lev, at[0]], [lev, at[1]]], "ratio": qv2.value}
         a, b = np.nonzero(cover.meets(lev, lev + 1)) if lev < cover.depth else ((), ())
         if len(a):
             ratio = _comparability(diams[a], cover.diams(lev + 1)[b])

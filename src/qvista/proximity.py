@@ -32,7 +32,7 @@ from .metricspace import FiniteMetricSpace
 
 NU_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))  # 0.05 .. 1.00
 K_CAP = 1e6
-ROW_BLOCK = 1 << 16  # entries per row block of the quadratic scans in dynamical_checks
+ROW_BLOCK = 1 << 14  # entries per row block of the quadratic scans in dynamical_checks
 CHAIN_PIVOT_BLOCK = 64  # pivots per block of the chain metric's Floyd-Warshall
 CHAIN_ROW_CHUNK = 32  # rows per chunk it updates at once
 

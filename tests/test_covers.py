@@ -286,6 +286,24 @@ class TestTileIncidence:
         assert np.array_equal(bound.diams(2), 3.0 * diams)
         assert np.array_equal(cover.diams(2), diams)
 
+    def test_with_space_resets_every_metric_cache(self, cantor):
+        """A rebound cover reads only the new metric: its diameters and nearest
+        separated distances are those of a fresh cover over the new space, and
+        the only caches it shares are the metric-free ones."""
+        space, cover = cantor
+        for lev in range(cover.depth + 1):  # fill the metric caches first
+            cover.diams(lev), cover.nearest_separated(lev)
+        x = np.random.default_rng(3).random(space.n)
+        other = FiniteMetricSpace(dist=np.abs(x[:, None] - x[None, :]))
+        bound = cover.with_space(other)
+        fresh = CoverSequence(other, cover.to_dict()["levels"], width=cover.width)
+        for lev in range(cover.depth + 1):
+            assert bound.diams(lev).tobytes() == fresh.diams(lev).tobytes()
+            assert bound.nearest_separated(lev).tobytes() == fresh.nearest_separated(lev).tobytes()
+        shared = {name for name, cache in vars(bound).items()
+                  if isinstance(cache, dict) and cache is vars(cover)[name]}
+        assert shared == {"_membership", "_tiles_of", "_meets", "_reach"}
+
     def test_metric_free_cover(self, cantor):
         space, cover = cantor
         bare = CoverSequence(None, cover.to_dict()["levels"], width=cover.width)

@@ -164,14 +164,14 @@ def assert_same_report(cover, point_map, nu, **kw):
 
 
 @pytest.mark.parametrize("text", ["z^2-1", "z^2-3"])
-def test_small_julia_covers_match_oracle(text):
+def test_small_julia_covers_match_oracle(text, monkeypatch):
     cover, g, nu = julia_cover(text, 8)
-    assert cover.n_points ** 2 <= proximity.ROW_BLOCK  # the decay check is one block
+    monkeypatch.setattr(proximity, "ROW_BLOCK", cover.n_points ** 2)  # the decay check is one block
     assert_same_report(cover, g, nu)
     assert_same_report(cover, g, 1.0, shift_tolerance=0.05)
 
 
-@pytest.mark.parametrize("row_block", [proximity.ROW_BLOCK, 4096])
+@pytest.mark.parametrize("row_block", [1 << 16, proximity.ROW_BLOCK, 4096])
 def test_balls_beyond_one_row_block_match_oracle(basilica_1024, monkeypatch, row_block):
     cover, g, nu = basilica_1024
     monkeypatch.setattr(proximity, "ROW_BLOCK", row_block)
@@ -180,7 +180,7 @@ def test_balls_beyond_one_row_block_match_oracle(basilica_1024, monkeypatch, row
     assert rep.distortion_C > 0
 
 
-@pytest.mark.parametrize("row_block", [proximity.ROW_BLOCK, 4096])
+@pytest.mark.parametrize("row_block", [1 << 16, proximity.ROW_BLOCK, 4096])
 def test_perturbed_map_violations_match_oracle(basilica_1024, monkeypatch, row_block):
     cover, g, nu = basilica_1024
     monkeypatch.setattr(proximity, "ROW_BLOCK", row_block)
@@ -233,7 +233,7 @@ def test_batched_distortion_matches_per_tile_scan_on_benchmark_covers(text, K):
     assert assert_same_distortion(cover, g, nu) > 0
 
 
-@pytest.mark.parametrize("row_block", [proximity.ROW_BLOCK, 64])
+@pytest.mark.parametrize("row_block", [1 << 16, proximity.ROW_BLOCK, 64])
 @pytest.mark.parametrize("name", ["cantor", "dyadic", "tree", "gasket"])
 def test_batched_distortion_matches_per_tile_scan_on_fixtures(name, row_block, monkeypatch, request):
     """Seeded self-maps and several exponents.  64-entry blocks split the
@@ -328,9 +328,8 @@ def test_decay_scan_holds_only_row_blocks(basilica_1024, monkeypatch):
 
     A whole-matrix decay scan takes a byte a pair for each of a gather of
     the table, its bound and their comparison.  That stays under the int8
-    table's own build peak, and the distortion scan's ball lists (O(sum of
-    ball sizes)) reach 4 bytes a pair at this n, so both are left out of
-    the measurement.
+    table's own build peak, so the table is left out of the measurement,
+    and so is the distortion scan, which the next test guards.
     """
     cover, g, nu = basilica_1024
     n = cover.n_points
@@ -339,6 +338,24 @@ def test_decay_scan_holds_only_row_blocks(basilica_1024, monkeypatch):
     monkeypatch.setattr(proximity, "_distortion_level", lambda *args: 0.0)
     dynamical_checks(cover, g, nu=nu)  # fill the cover's caches first
     assert traced_peak(lambda: dynamical_checks(cover, g, nu=nu)) < n * n
+
+
+def test_distortion_scan_peak_is_under_two_bytes_a_pair(basilica_1024):
+    """The distortion scan holds its ball lists (five arrays of the summed
+    ball sizes) and one block of pair temporaries: about 1.5 bytes a pair at
+    this n.  Blocks of 1 << 16 entries took 4 bytes a pair."""
+    cover, g, nu = basilica_1024
+    n = cover.n_points
+    d = cover.space.dist
+
+    def scan():
+        gn = np.arange(n)
+        for k in range(1, cover.depth):
+            gn = g[gn]
+            proximity._distortion_level(d, cover.diams(k + 1), cover.members(k + 1), gn, nu)
+
+    scan()  # fill the cover's caches first
+    assert traced_peak(scan) < 2 * n * n
 
 
 def test_proximity_table_peak_is_under_five_bytes_a_pair(basilica_1024):

@@ -1,12 +1,15 @@
 """The within-tile reductions and worst-case scans against the loops they replace.
 
 Each oracle below is the loop a verifier ran before it was rebuilt on
-``tile_reduce`` or ``WorstCase``; every constant and witness must come out
-exactly equal, on the fixture covers, on a cover with zero-diameter tiles (the
-inf paths), on a Julia cover and on random covers (whose coincident points
-put NaN ratios in the scans).  The qv.ii oracle masks a 0/0 = NaN ratio out,
-as ``WorstCase.offer`` does: a NaN first maximum used to hide an inf elsewhere
-in the same level.
+``tile_reduce``, ``WorstCase`` or ``nearest_separated``; every constant and
+witness must come out exactly equal, on the fixture covers, on a cover with
+zero-diameter tiles (the inf paths), on a Julia cover and on random covers
+(whose coincident points put NaN ratios in the scans).  The qv.ii oracle
+masks a 0/0 = NaN ratio out, as ``WorstCase.offer`` does: a NaN first maximum
+used to hide an inf elsewhere in the same level.  The separation oracles
+divide by the whole k x k ``pair_distances`` matrix; the small covers at the
+end pin the cases where a row minimum could pick another witness than that
+matrix: rounded ties, equal rows, zero distances and ties across levels.
 """
 
 import numpy as np
@@ -308,9 +311,17 @@ def random_cover(draw):
 # -- the checks --------------------------------------------------------------------
 
 
+def nearest_separated_oracle(cover, level):
+    """Row minima of the k x k set distances over the separated pairs."""
+    sep = ~cover.reach_within(level, 2 * cover.width + 1)
+    return np.where(sep, cover.pair_distances(level), np.inf).min(axis=1)
+
+
 def assert_all_match(cover):
     for lev in range(cover.depth + 1):
         assert cover.diams(lev).tobytes() == diams_oracle(cover, lev).tobytes()
+        assert (cover.nearest_separated(lev).tobytes()
+                == nearest_separated_oracle(cover, lev).tobytes())
     for got, want in zip(_resolved_tile_masks(cover), resolved_masks_oracle(cover), strict=True):
         assert np.array_equal(got, want)
     assert quasiball_check(cover) == quasiball_oracle(cover)
@@ -391,3 +402,98 @@ def test_worst_case_keeps_the_first_strict_maximum():
     assert worst.offer(np.array([np.inf, 5.0])) == (0,) and worst.value == np.inf
     below = WorstCase(-5.0)  # masked-out entries never win, whatever the floor
     assert below.offer(np.array([-1.0, -2.0]), where=np.array([False, True])) == (1,)
+
+
+# -- the separation scans on small covers ------------------------------------------
+
+
+def small_cover(dist, levels, lam=2.0, width=0):
+    return CoverSequence(FiniteMetricSpace(dist=np.asarray(dist, dtype=float)),
+                         [[tuple(range(len(dist)))], *levels], width=width, visual_parameter=lam)
+
+
+def line_cover(xs, levels, lam=2.0, width=0):
+    xs = np.asarray(xs, dtype=float)
+    return small_cover(np.abs(xs[:, None] - xs[None, :]), levels, lam, width)
+
+
+def separation_records(cover):
+    """The qv.ii and C2 records, after checking both against the k x k oracles."""
+    quasi, visual = verify_quasi_visual(cover), verify_visual(cover)
+    scans = {**quasi_scans_oracle(cover)[0], **visual_scans_oracle(cover)}
+    assert_records_match(quasi, {"qv.ii": scans["qv.ii"]})
+    assert_records_match(visual, {"visual.separation": scans["visual.separation"]})
+    return condition(quasi, "qv.ii"), condition(visual, "visual.separation")
+
+
+def test_a_rounded_tie_keeps_the_first_separated_tile():
+    """Two distances 1 ulp apart give the same ratio: the first tile of the
+    row is the witness, not the nearest one."""
+    far = 3.09375
+    near = np.nextafter(far, 0.0)
+    assert 1.0 / far == 1.0 / near and 0.5 / far == 0.5 / near
+    dist = np.array([[0.0, 1.0, far, near],
+                     [1.0, 0.0, far, near],
+                     [far, far, 0.0, 10.0],
+                     [near, near, 10.0, 0.0]])
+    cover = small_cover(dist, [[(0, 1), (2,), (3,)]])
+    assert cover.nearest_separated(1)[0] == near
+    qv2, c2 = separation_records(cover)
+    assert qv2.witness == {"tiles": [[1, 0], [1, 1]], "ratio": 1.0 / far}
+    assert c2.witness == {"tiles": [[1, 0], [1, 1]], "dist": far}
+
+
+def test_equal_row_maxima_keep_the_first_row():
+    cover = line_cover([0, 1, 10, 11, 30], [[(0, 1), (2, 3), (4,)]])
+    qv2, c2 = separation_records(cover)
+    assert qv2.witness == {"tiles": [[1, 0], [1, 1]], "ratio": 1.0 / 9.0}
+    assert c2.witness == {"tiles": [[1, 0], [1, 1]], "dist": 9.0}
+
+
+def test_separated_tiles_at_distance_zero():
+    """x / 0 is inf; 0 / 0 is no violation, and a finite ratio elsewhere wins."""
+    qv2, c2 = separation_records(line_cover([0, 1, 1], [[(0, 1), (2,)]]))
+    assert qv2.constant is None and qv2.witness == {"tiles": [[1, 0], [1, 1]], "ratio": np.inf}
+    assert c2.constant is None and c2.witness == {"tiles": [[1, 0], [1, 1]], "dist": 0.0}
+    qv2, c2 = separation_records(line_cover([0, 0, 5, 6], [[(0,), (1,), (2, 3)]]))
+    assert qv2.constant == 0.2 and qv2.witness == {"tiles": [[1, 2], [1, 0]], "ratio": 0.2}
+    assert c2.constant is None and c2.witness == {"tiles": [[1, 0], [1, 1]], "dist": 0.0}
+
+
+@pytest.mark.parametrize("width, tiles", [(0, [(0, 1, 2), (2, 3)]),
+                                          (1, [(0, 1), (1, 2), (2, 3)])])
+def test_levels_with_no_separated_pair(width, tiles):
+    """Tiles that meet, or at width 1 are joined by a chain of three, are no
+    separated pair: no row is offered and no set distance is read."""
+    cover = line_cover([0, 1, 2, 3], [tiles, tiles], width=width)
+    qv2, c2 = separation_records(cover)
+    assert (qv2.constant, qv2.witness) == (0.0, None)
+    assert (c2.constant, c2.witness) == (0.0, None)
+    assert all(np.isinf(cover.nearest_separated(lev)).all() for lev in range(3))
+
+
+def test_a_later_level_that_ties_keeps_the_earlier_witness():
+    cover = line_cover([0, 4, 12, 16], [[(0, 1), (2, 3)], [(0, 1), (2,), (3,)]])
+    qv2, c2 = separation_records(cover)
+    assert qv2.witness == {"tiles": [[1, 0], [1, 1]], "ratio": 0.5}
+    assert c2.witness == {"tiles": [[1, 0], [1, 1]], "dist": 8.0}
+    near = cover.nearest_separated(2)  # level 2 ties both
+    assert cover.diams(2)[0] / near[0] == qv2.constant and 0.25 / near.min() == c2.constant
+
+
+def test_the_verifiers_read_only_witness_rows(cover, monkeypatch):
+    """The separation scans build no k x k table: every set distance they
+    read is one listed row, that of a witness."""
+    calls = []
+    pair_distances = CoverSequence.pair_distances
+
+    def spy(self, level, tiles=None):
+        calls.append(tiles)
+        return pair_distances(self, level, tiles)
+
+    monkeypatch.setattr(CoverSequence, "pair_distances", spy)
+    for verify, name in ((verify_quasi_visual, "qv.ii"), (verify_visual, "visual.separation")):
+        wit = condition(verify(with_lambda(cover, 1.5)), name).witness
+        assert (wit is None) == (calls == [])
+        assert all(tiles is not None and len(tiles) == 1 for tiles in calls)
+        calls.clear()
